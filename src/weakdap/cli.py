@@ -26,7 +26,7 @@ from .corpus import (
     sample_few_shot,
     write_jsonl,
 )
-from .genbackend import GenParams, HttpBackend, MockBackend, MockGenConfig
+from .genbackend import BackendError, GenParams, HttpBackend, MockBackend, MockGenConfig
 from .loop import LoopConfig, evaluate_model, run_weakdap
 from .prompt import PromptSpec
 from .weaklabel import FeaturizerConfig, FilterConfig, TrainConfig, WeakLabeler, train
@@ -357,6 +357,9 @@ def main(argv=None) -> int:
     except (CorpusError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BackendError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -22,6 +22,11 @@ import requests
 from .prompt import RenderedPrompt
 
 
+# Failures worth retrying; 5xx answers are retried as well.
+_TRANSIENT = (requests.ConnectionError, requests.Timeout,
+              requests.exceptions.ChunkedEncodingError)
+
+
 class BackendError(RuntimeError):
     """Transport or protocol failure after retries."""
 
@@ -108,16 +113,20 @@ class MockBackend:
 class HttpBackend:
     """Client for the POST <endpoint>/complete wire protocol.
 
-    Retries transient failures 3 times with exponential backoff starting at
-    500 ms, then raises BackendError. In-flight requests are capped by a
-    semaphore so concurrent augmentation cannot overload the server.
+    Retries transient failures (connection errors, timeouts, 5xx) up to
+    max_attempts in all, sleeping a uniform draw from [0, backoff * 2^k)
+    before retry k+1 so concurrent callers do not retry in lockstep, then
+    raises BackendError. Any other failure, such as a 4xx answer or a
+    malformed body, raises at once. In-flight requests are capped by a
+    semaphore so concurrent augmentation cannot overload the server. An
+    explicit endpoint beats WEAKDAP_ENDPOINT.
     """
 
     backend_id = "http"
 
     def __init__(self, endpoint: str | None = None, max_parallel: int = 4,
                  max_attempts: int = 3, backoff: float = 0.5, timeout: float = 60.0):
-        self.endpoint = os.environ.get("WEAKDAP_ENDPOINT", endpoint)
+        self.endpoint = endpoint if endpoint is not None else os.environ.get("WEAKDAP_ENDPOINT")
         if not self.endpoint:
             raise BackendError("no endpoint configured (set WEAKDAP_ENDPOINT or pass endpoint)")
         self.max_attempts = max_attempts
@@ -141,14 +150,17 @@ class HttpBackend:
                 with self._slots:
                     resp = requests.post(f"{self.endpoint}/complete", json=payload,
                                          timeout=self.timeout)
-                resp.raise_for_status()
-                completions = resp.json()["completions"]
-                return [Completion(raw=c, parsed=None, backend_id=self.backend_id)
-                        for c in completions]
-            except (requests.RequestException, KeyError, ValueError) as e:
+                if resp.status_code < 500:
+                    resp.raise_for_status()
+                    return [Completion(raw=c, parsed=None, backend_id=self.backend_id)
+                            for c in resp.json()["completions"]]
+                last_err = f"HTTP {resp.status_code}"
+            except _TRANSIENT as e:
                 last_err = e
-                if attempt < self.max_attempts:
-                    time.sleep(self.backoff * (2 ** (attempt - 1)))
+            except (requests.RequestException, KeyError, TypeError, ValueError) as e:
+                raise BackendError(f"backend request failed: {e}", attempts=attempt) from e
+            if attempt < self.max_attempts:
+                time.sleep(random.uniform(0, self.backoff * 2 ** (attempt - 1)))
         raise BackendError(f"backend unreachable after {self.max_attempts} attempts: {last_err}",
                            attempts=self.max_attempts)
 

@@ -16,7 +16,14 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 
 from . import metrics
-from .augment import AugmentPlan, Candidate, cross_lingual_augment, run_augmentation, write_candidates
+from .augment import (
+    AugmentPlan,
+    Candidate,
+    cross_lingual_augment,
+    ordered_map,
+    run_augmentation,
+    write_candidates,
+)
 from .corpus import Conversation, Dataset, LabelSpace, LabeledUtterance, majority_label
 from .genbackend import GenParams
 from .prompt import PromptSpec
@@ -135,13 +142,13 @@ def _produce_candidates(dataset: Dataset, plan: AugmentPlan, backend, spec: Prom
                                 dataset.label_space, params)
     pool = en_pool if en_pool is not None else dataset.train
     gold_texts = [u.text for u in dataset.train]
-    out = []
-    for ref in dataset.train:
-        out.extend(cross_lingual_augment(
-            ref, pool, plan_t, backend, spec, params,
-            id_prefix=f"{ref.id}-i{iteration_seed}", gold_texts=gold_texts,
-            seed=iteration_seed))
-    return out
+
+    def run(ref) -> list[Candidate]:
+        return cross_lingual_augment(ref, pool, plan_t, backend, spec, params,
+                                     id_prefix=f"{ref.id}-i{iteration_seed}",
+                                     gold_texts=gold_texts, seed=iteration_seed)
+
+    return [c for cands in ordered_map(run, dataset.train) for c in cands]
 
 
 def _train_on(dataset: Dataset, silver: list[Candidate], feat_cfg, train_cfg,

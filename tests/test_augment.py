@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 
@@ -12,6 +13,7 @@ from weakdap.augment import (
     last_turn_augment,
     load_candidates,
     normalize_text,
+    ordered_map,
     run_augmentation,
     trajectory_augment,
     write_candidates,
@@ -254,6 +256,29 @@ class TestBudgetScheduler:
     def test_invalid_multiplier(self):
         with pytest.raises(ValueError):
             AugmentPlan(strategy="lta", multiplier=0)
+
+
+class TestOrderedMap:
+    def test_results_keep_item_order(self):
+        def later_items_finish_first(i):
+            time.sleep(0.01 * (6 - i))
+            return i * i
+
+        assert ordered_map(later_items_finish_first, range(6)) == [i * i for i in range(6)]
+
+    def test_first_failure_in_item_order_is_raised(self):
+        def odd_items_fail_last_first(i):
+            if i % 2:
+                time.sleep(0.05 * (6 - i))
+                raise ValueError(i)
+            return i
+
+        with pytest.raises(ValueError) as exc:
+            ordered_map(odd_items_fail_last_first, range(6))
+        assert exc.value.args == (1,)
+
+    def test_empty(self):
+        assert ordered_map(str, []) == []
 
 
 class TestCandidatePersistence:

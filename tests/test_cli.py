@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import socket
 
 import pytest
 
@@ -99,6 +100,20 @@ class TestAugment:
         rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
         assert len(rows) == math.ceil(1.5 * 30)
         assert all(r["strategy"] == "lta" for r in rows)
+
+    def test_unreachable_backend_is_clean_error(self, workspace, tmp_path, capsys):
+        with socket.socket() as s:
+            s.bind(("127.0.0.1", 0))
+            port = s.getsockname()[1]  # closed once the block ends
+        rc = main(["augment", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--backend", "http", "--endpoint", f"http://127.0.0.1:{port}",
+                   "--out", str(tmp_path / "c.jsonl")])
+        err = capsys.readouterr().err
+        assert rc != 0
+        assert err.startswith("error: backend unreachable after 3 attempts")
+        assert "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_mock_backend_requires_templates(self, workspace, tmp_path):
         with pytest.raises(SystemExit):

@@ -1,9 +1,14 @@
 import json
+import random
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
 
 import pytest
 
+from weakdap import augment
+from weakdap.augment import AugmentPlan, candidate_to_dict, run_augmentation
+from weakdap.corpus import LabelSpace
 from weakdap.genbackend import (
     BackendError,
     Completion,
@@ -14,9 +19,9 @@ from weakdap.genbackend import (
     generate,
     parse_completion,
 )
-from weakdap.prompt import RenderedPrompt
+from weakdap.prompt import PromptSpec, RenderedPrompt
 
-from conftest import TOY_LABELS, mock_backend, toy_templates
+from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
 
 def rp(text="Alice in a happy mood: hi\nBob in a happy mood:", label="happiness"):
@@ -122,6 +127,7 @@ class TestMockBackend:
 
 class _Handler(BaseHTTPRequestHandler):
     fail_times = 0
+    fail_with = (500, b"")  # (status, body) of a failed answer
     requests_seen = []
 
     def do_POST(self):
@@ -129,8 +135,10 @@ class _Handler(BaseHTTPRequestHandler):
         type(self).requests_seen.append((self.path, body))
         if type(self).fail_times > 0:
             type(self).fail_times -= 1
-            self.send_response(500)
+            status, reply = type(self).fail_with
+            self.send_response(status)
             self.end_headers()
+            self.wfile.write(reply)
             return
         payload = json.dumps({"completions": [f"echo: {body['prompt'][-10:]}"] * body["n"]})
         self.send_response(200)
@@ -148,9 +156,11 @@ def http_server():
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     _Handler.fail_times = 0
+    _Handler.fail_with = (500, b"")
     _Handler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
@@ -179,11 +189,102 @@ class TestHttpBackend:
             backend.complete(rp(), GenParams())
         assert exc.value.attempts == 3
 
-    def test_env_var_overrides_endpoint(self, http_server, monkeypatch):
-        monkeypatch.setenv("WEAKDAP_ENDPOINT", http_server)
-        backend = HttpBackend(endpoint="http://unreachable.invalid", backoff=0.01)
+    @pytest.mark.parametrize("status, reply", [(400, b""), (200, b"not json"),
+                                               (200, b'{"no": "completions"}')])
+    def test_non_transient_failure_is_not_retried(self, http_server, status, reply):
+        _Handler.fail_times = 10
+        _Handler.fail_with = (status, reply)
+        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        with pytest.raises(BackendError) as exc:
+            backend.complete(rp(), GenParams())
+        assert exc.value.attempts == 1
+        assert len(_Handler.requests_seen) == 1
+
+    def test_explicit_endpoint_beats_env_var(self, http_server, monkeypatch):
+        monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://unreachable.invalid")
+        backend = HttpBackend(endpoint=http_server, backoff=0.01)
         assert backend.endpoint == http_server
         assert backend.complete(rp(), GenParams())
+        monkeypatch.setenv("WEAKDAP_ENDPOINT", http_server)
+        assert HttpBackend().endpoint == http_server
+
+
+@pytest.fixture
+def slow_server():
+    """Threaded completion server answering after 20 ms with a text that
+    depends only on the request; yields (endpoint, stats) where stats counts
+    requests and the peak number in flight. stats["status"] sets the answer's
+    status code."""
+    delay = 0.02
+    stats = {"requests": 0, "inflight": 0, "peak": 0, "status": 200}
+    lock = threading.Lock()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                stats["requests"] += 1
+                stats["inflight"] += 1
+                stats["peak"] = max(stats["peak"], stats["inflight"])
+            time.sleep(delay)
+            with lock:
+                stats["inflight"] -= 1
+            if stats["status"] != 200:
+                self.send_response(stats["status"])
+                self.end_headers()
+                return
+            text = f"reply {body['seed'] % 997} to {len(body['prompt'])} chars"
+            payload = json.dumps({"completions": [text] * body["n"]}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}", stats
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+class TestConcurrentGeneration:
+    SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
+
+    def _augment(self, endpoint, strategy, n_gold, turns):
+        rng = random.Random(31)
+        gold = [toy_conversation(f"g{i}", rng, n=turns) for i in range(n_gold)]
+        backend = HttpBackend(endpoint=endpoint, max_parallel=3, backoff=0.01)
+        return run_augmentation(gold, AugmentPlan(strategy=strategy, multiplier=1.0, seed=2),
+                                backend, PromptSpec(task="emotion"), self.SPACE, GenParams())
+
+    def test_in_flight_capped_by_max_parallel_and_output_unchanged(self, slow_server,
+                                                                   monkeypatch):
+        endpoint, stats = slow_server
+        monkeypatch.setattr(augment, "MAX_WORKERS", 1)
+        serial = [candidate_to_dict(c) for c in self._augment(endpoint, "cta", 12, 4)]
+        assert stats["peak"] == 1
+        stats["peak"] = 0
+        monkeypatch.setattr(augment, "MAX_WORKERS", 8)
+        pooled = [candidate_to_dict(c) for c in self._augment(endpoint, "cta", 12, 4)]
+        assert 1 < stats["peak"] <= 3
+        assert pooled == serial
+        assert stats["requests"] == 2 * 12 * 2  # two generated turns per conversation
+
+    def test_failing_backend_stops_queued_jobs(self, slow_server):
+        endpoint, stats = slow_server
+        stats["status"] = 503
+        with pytest.raises(BackendError):
+            self._augment(endpoint, "lta", 40, 2)
+        # only the jobs running at the first failure ever send requests
+        assert 0 < stats["requests"] <= augment.MAX_WORKERS * 3
 
 
 class TestGenParams:

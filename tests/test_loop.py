@@ -1,9 +1,12 @@
 import json
 import math
+import random
 
 import pytest
 
+from weakdap import augment
 from weakdap.augment import AugmentPlan
+from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
 from weakdap.loop import (
     ConvergenceTracker,
@@ -16,7 +19,7 @@ from weakdap.loop import (
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import FeaturizerConfig, FilterConfig, TrainConfig
 
-from conftest import mock_backend
+from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_sentence
 
 FEAT = FeaturizerConfig(dim=1 << 14)
 TRAIN = TrainConfig(seed=3, epochs=30)
@@ -148,3 +151,67 @@ class TestRunWeakdap:
         toy_dataset.validation = []
         with pytest.raises(LoopError):
             self._run(toy_dataset)
+
+
+def _dir_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
+
+
+class TestWorkerCountIndependence:
+    """The run directory is the same byte for byte whatever the number of
+    generation threads."""
+
+    def _dialogues(self):
+        rng = random.Random(21)
+        space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
+        return Dataset(label_space=space,
+                       train=[toy_conversation(f"tr{i}", rng, n=4) for i in range(10)],
+                       validation=[toy_conversation(f"va{i}", rng, n=4) for i in range(10)])
+
+    def _utterances(self):
+        rng = random.Random(22)
+
+        def utts(prefix, lang, per_label):
+            return [LabeledUtterance(id=f"{prefix}{i}", text=toy_sentence(label, rng),
+                                     intent=label, lang=lang)
+                    for i, label in enumerate(TOY_LABELS * per_label)]
+
+        space = LabelSpace(task="intent", labels=TOY_LABELS)
+        return (Dataset(label_space=space, train=utts("tr", "es", 3),
+                        validation=utts("va", "es", 3)), utts("en", "en", 4))
+
+    def _run(self, workload, workers, out_dir, monkeypatch):
+        monkeypatch.setattr(augment, "MAX_WORKERS", workers)
+        en_pool = None
+        params = GenParams()
+        if workload == "incontext":
+            dataset, en_pool = self._utterances()
+            plan = AugmentPlan(strategy="incontext", seed=4)
+            spec = PromptSpec(task="intent")
+            params = GenParams(mode="beam", num_return=3)
+        else:
+            dataset = self._dialogues()
+            # ATA at 1.7: 17 candidates, so the 6th conversation keeps 2 of its 3
+            plan = AugmentPlan(strategy=workload, multiplier=1.7, seed=4)
+            spec = PromptSpec(task="emotion")
+        run_weakdap(dataset, plan, FilterConfig(),
+                    LoopConfig(metric="macro_f1", max_iterations=2, patience=2),
+                    mock_backend(noise_rate=0.3), spec, gen_params=params, feat_cfg=FEAT,
+                    train_cfg=TrainConfig(seed=3, epochs=5), out_dir=str(out_dir),
+                    en_pool=en_pool)
+        return _dir_bytes(out_dir)
+
+    @pytest.mark.parametrize("workload", ["cta", "ata", "incontext"])
+    def test_one_and_eight_workers_write_identical_runs(self, workload, tmp_path,
+                                                        monkeypatch):
+        serial = self._run(workload, 1, tmp_path / "w1", monkeypatch)
+        pooled = self._run(workload, 8, tmp_path / "w8", monkeypatch)
+        assert serial.keys() == pooled.keys()
+        for rel in serial:
+            assert serial[rel] == pooled[rel], rel
+        produced = load_run(tmp_path / "w8")["iterations"][0]["counts"]["produced"]
+        if workload == "ata":
+            assert produced == 17
+        else:
+            assert produced > 0
