@@ -41,7 +41,6 @@ class Candidate:
     source_id: str
     generated_turns: tuple[int, ...] = ()  # 0-based indices into payload.turns
     silver_label: str | None = None
-    prob: list[float] | None = None
     entropy: float | None = None
     verdict: str = "pending"
     hidden_label: str | None = None  # planted true label of the final generated turn (mock only)
@@ -112,11 +111,13 @@ def last_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: Prom
 
 def all_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
                      label_space: LabelSpace, params: GenParams, id_prefix: str,
-                     seed: int) -> list[Candidate]:
+                     seed: int, keep: int | None = None) -> list[Candidate]:
     """Replace each turn i in 2..n against all-gold context: n-1 candidates of
-    lengths 2 through n. Parse failures drop only the affected candidate."""
+    lengths 2 through n, or only the first `keep` of them. Parse failures drop
+    only the affected candidate."""
+    last = conv.n if keep is None else min(conv.n, keep + 1)
     out = []
-    for i in range(2, conv.n + 1):  # candidate length i, replacing turn i
+    for i in range(2, last + 1):  # candidate length i, replacing turn i
         cand_id = f"{id_prefix}-t{i}"
         rng = random.Random(seed + i)
         target = conv.turns[i - 1]
@@ -290,7 +291,7 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
         conv, prefix, seed, keep = job
         if plan.strategy == "ata":
             return all_turn_augment(conv, plan, backend, spec, label_space,
-                                    params, prefix, seed)[:keep]
+                                    params, prefix, seed, keep)
         if plan.strategy == "cta" and conv.n >= 3:
             return [trajectory_augment(conv, plan, backend, spec, label_space,
                                        params, prefix, seed)]

@@ -188,7 +188,6 @@ def parse_completion(raw: str, speaker_names=(), stop_markers=()) -> str | None:
 def generate(prompt: RenderedPrompt, params: GenParams, backend) -> list[Completion]:
     """Run the backend and attach parsed utterances to each completion."""
     completions = backend.complete(prompt, params)
-    speaker_names = ()
     for c in completions:
-        c.parsed = parse_completion(c.raw, speaker_names, params.stop_markers)
+        c.parsed = parse_completion(c.raw, stop_markers=params.stop_markers)
     return completions

@@ -127,15 +127,6 @@ def report_from_predictions(gold, pred, label_space: LabelSpace, majority: int |
     return report_from_cm(cm, majority)
 
 
-def cm_to_csv(cm: np.ndarray, path, labels=None) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        if labels is not None:
-            f.write("," + ",".join(labels) + "\n")
-        for r in range(cm.shape[0]):
-            prefix = f"{labels[r]}," if labels is not None else ""
-            f.write(prefix + ",".join(str(int(x)) for x in cm[r]) + "\n")
-
-
 def export_features(instances, tags, model, path) -> None:
     """Write one sparse feature row per instance with its provenance tag, for
     external projection tools (t-SNE and friends). Deterministic given the

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .corpus import ACT_LABELS, EMOTION_LABELS, LabeledUtterance, Turn
+from .corpus import LabeledUtterance, Turn
 
 EMOTION_ADJECTIVES = {
     "neutral": "neutral",
@@ -129,11 +129,3 @@ def render_intent_prompt(reference: LabeledUtterance, examples, spec: PromptSpec
         prescribed_label=reference.intent,
         context_turn_count=len(examples) + 1,
     )
-
-
-def verify_total_maps() -> None:
-    """Cue rendering must succeed for every emotion and act label."""
-    for e in EMOTION_LABELS:
-        render_emotion_cue("Alice", e)
-    for a in ACT_LABELS:
-        render_act_cue("Alice", "Bob", a)

@@ -164,28 +164,43 @@ class WeakLabeler:
         return [self.label_space.labels[i] for i in probs.argmax(axis=1)]
 
     def save(self, path) -> None:
+        """Checkpoint v2: only the feature columns with a nonzero weight are
+        written, as `columns` plus a C x len(columns) `weights` block."""
+        columns = np.flatnonzero(np.any(self.weights != 0, axis=0))
         doc = {
-            "version": 1,
+            "version": 2,
             "featurizer": asdict(self.featurizer.config),
             "label_space": self.label_space.to_dict(),
-            "weights": [[float(w) for w in row] for row in self.weights],
+            "columns": columns.tolist(),
+            "weights": self.weights[:, columns].tolist(),
             "bias": [float(b) for b in self.bias],
         }
+        # json.dumps runs the C encoder; json.dump streams through the Python one
         with open(path, "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True)
+            f.write(json.dumps(doc, sort_keys=True))
 
     @classmethod
     def load(cls, path, expected_label_space: LabelSpace | None = None) -> "WeakLabeler":
+        """Read a v2 (sparse columns) or v1 (dense C x dim) checkpoint."""
         with open(path, encoding="utf-8") as f:
             doc = json.load(f)
+        version = doc.get("version")
+        if version not in (1, 2):
+            raise WeakLabelError(f"unsupported checkpoint version {version!r}")
         label_space = LabelSpace.from_dict(doc["label_space"])
         if expected_label_space is not None and tuple(label_space.labels) != tuple(expected_label_space.labels):
             raise WeakLabelError("checkpoint label space does not match data label space")
         fcfg = doc["featurizer"]
         fcfg["word_ngrams"] = tuple(fcfg["word_ngrams"])
         featurizer = HashedFeaturizer(FeaturizerConfig(**fcfg))
-        return cls(featurizer, np.array(doc["weights"], dtype=np.float64),
-                   np.array(doc["bias"], dtype=np.float64), label_space)
+        if version == 1:
+            weights = np.array(doc["weights"], dtype=np.float64)
+        else:
+            columns = np.array(doc["columns"], dtype=np.intp)
+            block = np.array(doc["weights"], dtype=np.float64).reshape(len(label_space), len(columns))
+            weights = np.zeros((len(label_space), featurizer.config.dim))
+            weights[:, columns] = block
+        return cls(featurizer, weights, np.array(doc["bias"], dtype=np.float64), label_space)
 
 
 def train(instances, labels, label_space: LabelSpace,
@@ -194,7 +209,8 @@ def train(instances, labels, label_space: LabelSpace,
           val_instances=None, val_labels=None) -> WeakLabeler:
     """Fit the weak labeler with seeded mini-batch gradient descent and early
     stopping on validation loss (an internal split when no validation set is
-    given). Deterministic under the config seed."""
+    given, the training loss when that split is empty). Deterministic under
+    the config seed; a step costs O(nonzeros in the batch x classes)."""
     feat_cfg = feat_cfg or FeaturizerConfig()
     cfg = train_cfg or TrainConfig()
     instances = list(instances)
@@ -224,9 +240,17 @@ def train(instances, labels, label_space: LabelSpace,
         Xval = featurizer.transform(list(val_instances))
         yval = np.array([label_space.index(l) for l in val_labels])
 
-    W = np.zeros((C, feat_cfg.dim))
+    if Xval is None or Xval.shape[0] == 0:
+        Xval, yval = Xtr, ytr
+    # W = s * V.T: the L2 decay of every step only rescales s, so a step
+    # touches just the rows of V for the batch's feature columns.
+    decay = 1.0 - cfg.learning_rate * cfg.l2
+    if decay <= 0:
+        raise WeakLabelError("learning_rate * l2 must be < 1")
+    V = np.zeros((feat_cfg.dim, C))
+    s = 1.0
     b = np.zeros(C)
-    best = (math.inf, W.copy(), b.copy())
+    best = (math.inf, np.zeros((C, feat_cfg.dim)), b.copy())
     stall = 0
     np_rng = np.random.default_rng(cfg.seed)
     ntr = Xtr.shape[0]
@@ -234,23 +258,27 @@ def train(instances, labels, label_space: LabelSpace,
 
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
+        Xp, Yp = Xtr[perm], onehot[perm]
         for start in range(0, ntr, cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
-            Xb = Xtr[idx]
-            P = _softmax(Xb @ W.T + b)
-            err = P - onehot[idx]
-            grad_W = (err.T @ Xb) / len(idx) + cfg.l2 * W
-            grad_b = err.mean(axis=0)
-            W -= cfg.learning_rate * grad_W
-            b -= cfg.learning_rate * grad_b
-        if Xval is not None and Xval.shape[0] > 0:
-            P = _softmax(Xval @ W.T + b)
-            val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
-        else:
-            P = _softmax(Xtr @ W.T + b)
-            val_loss = -np.log(np.clip(P[np.arange(ntr), ytr], 1e-12, None)).mean()
+            stop = min(start + cfg.batch_size, ntr)
+            lo, hi = Xp.indptr[start], Xp.indptr[stop]
+            cols, local = np.unique(Xp.indices[lo:hi], return_inverse=True)
+            Xb = sparse.csr_matrix((Xp.data[lo:hi], local, Xp.indptr[start:stop + 1] - lo),
+                                   shape=(stop - start, len(cols)))
+            Vb = V[cols]
+            err = _softmax(s * (Xb @ Vb) + b) - Yp[start:stop]
+            s *= decay
+            V[cols] = Vb - cfg.learning_rate / ((stop - start) * s) * (Xb.T @ err)
+            b -= cfg.learning_rate * err.mean(axis=0)
+            if s < 1e-6:
+                V *= s
+                s = 1.0
+        P = _softmax(s * (Xval @ V) + b)
+        val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
         if val_loss < best[0] - 1e-9:
-            best = (val_loss, W.copy(), b.copy())
+            W = np.empty((C, feat_cfg.dim))
+            np.multiply(V.T, s, out=W)
+            best = (val_loss, W, b.copy())
             stall = 0
         else:
             stall += 1
@@ -300,7 +328,6 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     probs = model.predict_proba([candidate_instance_text(c, window) for c in scorable])
     mismatched = []
     for cand, p in zip(scorable, probs):
-        cand.prob = [float(x) for x in p]
         cand.silver_label = model.label_space.labels[int(p.argmax())]
         cand.entropy = entropy_bits(p)
         if not config.enabled or cand.silver_label == cand.prescribed_label:

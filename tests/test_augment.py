@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 import time
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from weakdap.augment import (
     AugmentPlan,
     Candidate,
+    _plan_jobs,
     all_turn_augment,
     cross_lingual_augment,
     dedup,
@@ -243,6 +245,31 @@ class TestBudgetScheduler:
         plan = AugmentPlan(strategy="ata", multiplier=3.0, seed=2)
         cands = run_augmentation(gold, plan, mock_backend(), SPEC, SPACE, GenParams())
         assert len(cands) == 12  # ceil(3.0 * 4)
+
+    def test_ata_requests_only_kept_turns(self):
+        class CountingBackend:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls = 0
+                self._lock = threading.Lock()
+
+            def complete(self, prompt, params):
+                with self._lock:
+                    self.calls += 1
+                return self.inner.complete(prompt, params)
+
+        rng = random.Random(18)
+        gold = [toy_conversation(f"g{i}", rng, n=6) for i in range(10)]
+        plan = AugmentPlan(strategy="ata", multiplier=0.55, seed=3)
+        backend = CountingBackend(mock_backend(noise_rate=0.3))
+        cands = run_augmentation(gold, plan, backend, SPEC, SPACE, GenParams())
+        assert len(cands) == 6
+        assert backend.calls == 6
+        # generating every turn and cutting the list gives the same candidates
+        expected = [c for conv, prefix, seed, keep in _plan_jobs(gold, plan)
+                    for c in all_turn_augment(conv, plan, mock_backend(noise_rate=0.3), SPEC,
+                                              SPACE, GenParams(), prefix, seed)[:keep]]
+        assert cands == expected
 
     def test_deterministic(self):
         rng = random.Random(17)

@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from weakdap.augment import AugmentPlan, Candidate, run_augmentation
 from weakdap.corpus import LabelSpace, LabeledUtterance
@@ -32,6 +34,47 @@ from conftest import (
 
 SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 FEAT = FeaturizerConfig(dim=1 << 14)
+
+
+def dense_reference_train(texts, labels, feat_cfg, cfg):
+    """Independent oracle for `train` with an internal validation split: the
+    textbook dense minibatch step W -= lr * (err.T @ Xb / B + l2 * W) on the
+    full C x dim matrix, with the same permutation draws and stopping rule."""
+    X = HashedFeaturizer(feat_cfg).transform(texts)
+    y = np.array([SPACE.index(l) for l in labels])
+    n, C = X.shape[0], len(SPACE)
+    order = list(range(n))
+    random.Random(cfg.seed).shuffle(order)
+    n_val = max(1, int(cfg.val_fraction * n))
+    Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
+    Xval, yval = X[order[:n_val]], y[order[:n_val]]
+    W, b = np.zeros((C, feat_cfg.dim)), np.zeros(C)
+    best = (math.inf, W.copy(), b.copy())
+    stall = 0
+    np_rng = np.random.default_rng(cfg.seed)
+    onehot = np.eye(C)[ytr]
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    for _ in range(cfg.epochs):
+        perm = np_rng.permutation(Xtr.shape[0])
+        for start in range(0, Xtr.shape[0], cfg.batch_size):
+            idx = perm[start:start + cfg.batch_size]
+            Xb = Xtr[idx]
+            err = softmax(Xb @ W.T + b) - onehot[idx]
+            W -= cfg.learning_rate * ((err.T @ Xb) / len(idx) + cfg.l2 * W)
+            b -= cfg.learning_rate * err.mean(axis=0)
+        P = softmax(Xval @ W.T + b)
+        val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
+        if val_loss < best[0] - 1e-9:
+            best, stall = (val_loss, W.copy(), b.copy()), 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                break
+    return best[1], best[2]
 
 
 def toy_instances(n, seed):
@@ -123,13 +166,42 @@ class TestTraining:
         probs = model.predict_proba(texts)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("cfg", [
+        TrainConfig(seed=1),
+        TrainConfig(seed=2, batch_size=1, epochs=4),
+        # decay 0.95 a step for ~1600 steps: s drops below 1e-6 several times
+        TrainConfig(seed=3, l2=0.1, batch_size=7, epochs=60, patience=60),
+    ], ids=["default", "batch1", "l2-renormalize"])
+    def test_matches_dense_reference(self, cfg):
+        texts, labels = toy_instances(200, seed=11)
+        model = train(texts, labels, SPACE, FEAT, cfg)
+        W, b = dense_reference_train(texts, labels, FEAT, cfg)
+        assert isinstance(model.weights, np.ndarray) and not sparse.issparse(model.weights)
+        assert model.weights.dtype == np.float64
+        assert model.weights.shape == (len(SPACE), FEAT.dim)
+        assert np.any(W != 0)
+        np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
+
+    def test_l2_decay_of_a_whole_step_rejected(self):
+        texts, labels = toy_instances(40, seed=12)
+        with pytest.raises(WeakLabelError, match="l2"):
+            train(texts, labels, SPACE, FEAT, TrainConfig(learning_rate=0.5, l2=2.0))
+
     def test_checkpoint_round_trip(self, tmp_path):
         texts, labels = toy_instances(60, seed=7)
         model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
         path = tmp_path / "model.json"
         model.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        nonzero = np.flatnonzero(np.any(model.weights != 0, axis=0))
+        assert doc["columns"] == nonzero.tolist()
+        assert 0 < len(nonzero) < FEAT.dim
         loaded = WeakLabeler.load(path)
-        np.testing.assert_allclose(loaded.weights, model.weights)
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+        np.testing.assert_array_equal(loaded.bias, model.bias)
+        assert loaded.weights.shape == (len(SPACE), FEAT.dim)
         assert loaded.predict(texts[:5]) == model.predict(texts[:5])
 
     def test_checkpoint_label_space_mismatch(self, tmp_path):
@@ -140,6 +212,46 @@ class TestTraining:
         other = LabelSpace(task="intent", labels=("x", "y"))
         with pytest.raises(WeakLabelError, match="label space"):
             WeakLabeler.load(path, expected_label_space=other)
+
+
+class TestCheckpoint:
+    def test_v1_dense_checkpoint_loads(self, tmp_path):
+        feat = FeaturizerConfig(dim=8)
+        weights = [[0.0, 1.5, 0.0, 0.0, 0.0, 0.0, -2.0, 0.0] for _ in range(4)]
+        weights[2][0] = 0.25
+        doc = {"version": 1, "featurizer": {"dim": 8, "word_ngrams": [1, 2], "char_ngram": 3,
+                                            "context_window": 1},
+               "label_space": SPACE.to_dict(), "weights": weights, "bias": [0.1, 0.2, 0.3, 0.4]}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        loaded = WeakLabeler.load(path, expected_label_space=SPACE)
+        assert loaded.featurizer.config == feat
+        np.testing.assert_array_equal(loaded.weights, np.array(weights))
+        np.testing.assert_array_equal(loaded.bias, [0.1, 0.2, 0.3, 0.4])
+
+    def test_all_zero_model_round_trip(self, tmp_path):
+        model = WeakLabeler(HashedFeaturizer(FEAT), np.zeros((4, FEAT.dim)),
+                            np.array([0.5, 0.0, -0.5, 1.0]), SPACE)
+        path = tmp_path / "model.json"
+        model.save(path)
+        assert json.loads(path.read_text())["columns"] == []
+        loaded = WeakLabeler.load(path)
+        np.testing.assert_array_equal(loaded.weights, model.weights)
+        np.testing.assert_array_equal(loaded.bias, model.bias)
+
+    @pytest.mark.parametrize("version", [None, 0, 3, "2"])
+    def test_unknown_version_rejected(self, tmp_path, version):
+        model = WeakLabeler(HashedFeaturizer(FEAT), np.zeros((4, FEAT.dim)), np.zeros(4), SPACE)
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        if version is None:
+            del doc["version"]
+        else:
+            doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeakLabelError, match="version"):
+            WeakLabeler.load(path)
 
 
 def brute_force_filter_oracle(matched_flags, entropies, percentile):
