@@ -1,12 +1,18 @@
-"""Candidate silver-data production: the three dialogue strategies (LTA, ATA,
-CTA), cross-lingual single-turn augmentation, deduplication, and the size-
-multiplier budget scheduler.
+"""Candidate silver-data production: one budget scheduler and one job runner
+for every strategy.
 
-All strategies replace turns; context turns are always copied byte-identical
-from the gold conversation. Generation order never affects results: every
-candidate's seed is derived from (plan seed, pass index, source id, position),
-so the scheduler generates up to MAX_WORKERS source records at once and joins
-their candidates in plan order.
+Dialogue strategies replace turns of a gold conversation through one routine
+(`replace_turns`): the context before the first replaced turn is copied
+byte-identical from gold, and each generated turn is fed back as context for
+the next. LTA replaces the last turn, ATA each turn 2..n against gold context
+(one candidate per turn), CTA turns 3..n in one candidate. The in-context
+strategy prompts with same-intent English examples and a Spanish reference and
+keeps up to three beams that duplicate no gold text.
+
+Generation order never affects results: every candidate's seed is derived
+from (plan seed, pass index, source id, position), so the scheduler generates
+up to MAX_WORKERS source records at once and joins their candidates in plan
+order.
 """
 from __future__ import annotations
 
@@ -21,7 +27,9 @@ from dataclasses import dataclass, replace
 
 from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn
 from .genbackend import GenParams, generate
-from .prompt import PromptSpec, RenderedPrompt, render_dialogue_prompt, render_intent_prompt
+from .prompt import PromptSpec, render_dialogue_prompt, render_intent_prompt
+
+STRATEGIES = ("lta", "ata", "cta", "incontext")
 
 # Source records generated at once. Requests in flight are capped by the
 # backend itself (HttpBackend's max_parallel), never by this constant: 8 kept
@@ -29,7 +37,8 @@ from .prompt import PromptSpec, RenderedPrompt, render_dialogue_prompt, render_i
 # by 7% for no gain.
 MAX_WORKERS = 8
 
-VERDICTS = ("pending", "kept", "dropped_mismatch", "dropped_parse", "dropped_duplicate")
+# Most beams one in-context prompt asks for.
+BEAM_CAP = 3
 
 
 @dataclass
@@ -48,12 +57,14 @@ class Candidate:
 
 @dataclass
 class AugmentPlan:
-    strategy: str  # lta | ata | cta | incontext
+    strategy: str  # one of STRATEGIES
     multiplier: float = 2.0
     label_mode: str = "gold"  # gold | random
     seed: int = 0
 
     def __post_init__(self):
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.multiplier <= 0:
             raise ValueError("multiplier must be > 0")
 
@@ -78,35 +89,38 @@ def prescribe_label(gold_turn: Turn, label_space: LabelSpace, mode: str,
     return label
 
 
-def _gen_params(base: GenParams, spec: PromptSpec, seed: int, **overrides) -> GenParams:
-    stop = tuple(base.stop_markers) + tuple(f"{n} " for n in spec.speaker_names)
-    return replace(base, seed=seed, stop_markers=stop, **overrides)
-
-
-def _generate_turn(prompt: RenderedPrompt, params: GenParams, backend):
-    """One completion for a dialogue turn; returns (parsed_or_None, hidden_label)."""
-    completions = generate(prompt, params, backend)
-    c = completions[0]
-    return c.parsed, c.hidden_label
+def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, cand_id: str,
+                  plan: AugmentPlan, backend, spec: PromptSpec, label_space: LabelSpace,
+                  params: GenParams) -> Candidate:
+    """One candidate from generating the 1-based turns of `steps`, a list of
+    consecutive (turn index, generation seed) pairs. Turns before the first
+    step are gold, every generated turn is context for the later steps, and
+    the candidate ends at the last step. Labels are drawn from rng in step
+    order; a parse failure drops the whole candidate."""
+    turns = list(conv.turns[: steps[0][0] - 1])
+    stop = tuple(params.stop_markers) + tuple(f"{n} " for n in spec.speaker_names)
+    for i, seed in steps:
+        target = conv.turns[i - 1]
+        label = prescribe_label(target, label_space, plan.label_mode, rng)
+        prompt = render_dialogue_prompt(turns, spec, label)
+        completion = generate(prompt, replace(params, seed=seed, stop_markers=stop), backend)[0]
+        if completion.parsed is None:
+            return Candidate(id=cand_id, payload=None, prescribed_label=label,
+                             strategy=strategy, source_id=conv.id, verdict="dropped_parse")
+        turns.append(_labeled_turn(target.speaker, completion.parsed, label, label_space.task))
+    payload = Conversation(id=cand_id, turns=tuple(turns), provenance="silver",
+                           source_id=conv.id)
+    return Candidate(id=cand_id, payload=payload, prescribed_label=label, strategy=strategy,
+                     source_id=conv.id, generated_turns=tuple(i - 1 for i, _ in steps),
+                     hidden_label=completion.hidden_label)
 
 
 def last_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
                       label_space: LabelSpace, params: GenParams, cand_id: str,
                       seed: int) -> Candidate:
     """Replace the last turn: one candidate with turns 1..n-1 gold."""
-    rng = random.Random(seed)
-    target = conv.turns[-1]
-    label = prescribe_label(target, label_space, plan.label_mode, rng)
-    prompt = render_dialogue_prompt(conv.turns[:-1], spec, label)
-    text, hidden = _generate_turn(prompt, _gen_params(params, spec, seed), backend)
-    if text is None:
-        return Candidate(id=cand_id, payload=None, prescribed_label=label, strategy="lta",
-                         source_id=conv.id, verdict="dropped_parse")
-    new_turn = _labeled_turn(target.speaker, text, label, label_space.task)
-    payload = Conversation(id=cand_id, turns=conv.turns[:-1] + (new_turn,),
-                           provenance="silver", source_id=conv.id)
-    return Candidate(id=cand_id, payload=payload, prescribed_label=label, strategy="lta",
-                     source_id=conv.id, generated_turns=(conv.n - 1,), hidden_label=hidden)
+    return replace_turns(conv, [(conv.n, seed)], random.Random(seed), "lta", cand_id,
+                         plan, backend, spec, label_space, params)
 
 
 def all_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
@@ -116,25 +130,9 @@ def all_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: Promp
     lengths 2 through n, or only the first `keep` of them. Parse failures drop
     only the affected candidate."""
     last = conv.n if keep is None else min(conv.n, keep + 1)
-    out = []
-    for i in range(2, last + 1):  # candidate length i, replacing turn i
-        cand_id = f"{id_prefix}-t{i}"
-        rng = random.Random(seed + i)
-        target = conv.turns[i - 1]
-        label = prescribe_label(target, label_space, plan.label_mode, rng)
-        prompt = render_dialogue_prompt(conv.turns[: i - 1], spec, label)
-        text, hidden = _generate_turn(prompt, _gen_params(params, spec, seed + i), backend)
-        if text is None:
-            out.append(Candidate(id=cand_id, payload=None, prescribed_label=label,
-                                 strategy="ata", source_id=conv.id, verdict="dropped_parse"))
-            continue
-        new_turn = _labeled_turn(target.speaker, text, label, label_space.task)
-        payload = Conversation(id=cand_id, turns=conv.turns[: i - 1] + (new_turn,),
-                               provenance="silver", source_id=conv.id)
-        out.append(Candidate(id=cand_id, payload=payload, prescribed_label=label,
-                             strategy="ata", source_id=conv.id, generated_turns=(i - 1,),
-                             hidden_label=hidden))
-    return out
+    return [replace_turns(conv, [(i, seed + i)], random.Random(seed + i), "ata",
+                          f"{id_prefix}-t{i}", plan, backend, spec, label_space, params)
+            for i in range(2, last + 1)]
 
 
 def trajectory_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
@@ -145,41 +143,27 @@ def trajectory_augment(conv: Conversation, plan: AugmentPlan, backend, spec: Pro
     candidate of the original length; a parse failure aborts the candidate."""
     if conv.n < 3:
         raise CorpusError(f"conversation {conv.id!r}: trajectory augmentation needs >= 3 turns")
-    rng = random.Random(seed)
-    turns = list(conv.turns[:2])
-    generated = []
-    label = None
-    hidden = None
-    for i in range(3, conv.n + 1):
-        target = conv.turns[i - 1]
-        label = prescribe_label(target, label_space, plan.label_mode, rng)
-        prompt = render_dialogue_prompt(turns, spec, label)
-        text, hidden = _generate_turn(prompt, _gen_params(params, spec, seed + i), backend)
-        if text is None:
-            return Candidate(id=cand_id, payload=None, prescribed_label=label, strategy="cta",
-                             source_id=conv.id, verdict="dropped_parse")
-        turns.append(_labeled_turn(target.speaker, text, label, label_space.task))
-        generated.append(i - 1)
-    payload = Conversation(id=cand_id, turns=tuple(turns), provenance="silver",
-                           source_id=conv.id)
-    return Candidate(id=cand_id, payload=payload, prescribed_label=label, strategy="cta",
-                     source_id=conv.id, generated_turns=tuple(generated), hidden_label=hidden)
+    return replace_turns(conv, [(i, seed + i) for i in range(3, conv.n + 1)],
+                         random.Random(seed), "cta", cand_id, plan, backend, spec,
+                         label_space, params)
 
 
 def cross_lingual_augment(ref: LabeledUtterance, pool, plan: AugmentPlan, backend,
                           spec: PromptSpec, params: GenParams, id_prefix: str,
-                          gold_texts=(), seed: int = 0) -> list[Candidate]:
-    """Beam-generate up to three new Spanish utterances for the reference's
-    intent, mixing it with seeded same-intent English examples; duplicates of
-    gold or of earlier sequences are rejected."""
+                          gold_keys=frozenset(), seed: int = 0) -> list[Candidate]:
+    """Beam-generate up to BEAM_CAP new Spanish utterances for the reference's
+    intent, mixing it with seeded same-intent English examples from the pool;
+    duplicates of gold (gold_keys holds the gold texts after normalize_text)
+    or of earlier sequences are rejected."""
     rng = random.Random(seed)
     same_intent = [u for u in pool if u.intent == ref.intent]
     k = min(spec.k_examples, len(same_intent))
     examples = rng.sample(same_intent, k) if k else []
     prompt = render_intent_prompt(ref, examples, spec)
-    beam_params = replace(params, seed=seed, mode="beam", num_return=min(params.num_return, 3))
+    beam_params = replace(params, seed=seed, mode="beam",
+                          num_return=min(params.num_return, BEAM_CAP))
     completions = generate(prompt, beam_params, backend)
-    seen = {normalize_text(t) for t in gold_texts}
+    seen = set(gold_keys)
     out = []
     for j, c in enumerate(completions):
         if c.parsed is None:
@@ -199,32 +183,6 @@ def cross_lingual_augment(ref: LabeledUtterance, pool, plan: AugmentPlan, backen
 
 def normalize_text(text: str) -> str:
     return re.sub(r"\s+", " ", text.strip().lower())
-
-
-def payload_text(payload) -> str:
-    """Comparable surface text of a candidate payload (all turns joined for
-    conversations)."""
-    if isinstance(payload, Conversation):
-        return " ".join(t.text for t in payload.turns)
-    return payload.text
-
-
-def dedup(candidates, gold_texts=()) -> list[Candidate]:
-    """Drop candidates whose normalized text duplicates an earlier candidate
-    or any gold instance; order preserved."""
-    seen = {normalize_text(t) for t in gold_texts}
-    out = []
-    for cand in candidates:
-        if cand.payload is None:
-            out.append(cand)
-            continue
-        key = normalize_text(payload_text(cand.payload))
-        if key in seen:
-            cand.verdict = "dropped_duplicate"
-            continue
-        seen.add(key)
-        out.append(cand)
-    return out
 
 
 def ordered_map(fn, items) -> list:
@@ -253,13 +211,13 @@ def ordered_map(fn, items) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _plan_jobs(gold, plan: AugmentPlan) -> list[tuple[Conversation, str, int, int]]:
+def _plan_jobs(gold, plan: AugmentPlan, num_return: int = 1) -> list[tuple]:
     """Budget scheduler: repeated full passes over gold with fresh seeds until
-    ceil(multiplier * |gold|) candidates are planned; the final partial pass
-    visits a seeded uniform shuffle of gold. Returns one (conversation,
-    candidate id prefix, seed, candidates kept) job per visit, in output order.
-    ATA yields n-1 candidates per conversation, and the last job keeps only
-    what is left of the budget."""
+    ceil(multiplier * |gold|) candidate slots are planned; the final partial
+    pass visits a seeded uniform shuffle of gold. Returns one (record,
+    candidate id prefix, seed, slots) job per visit, in output order. A visit
+    has n-1 slots under ATA, min(num_return, BEAM_CAP) in-context and 1
+    otherwise; the last job keeps only what is left of the budget."""
     target = math.ceil(plan.multiplier * len(gold))
     jobs = []
     planned = 0
@@ -268,37 +226,57 @@ def _plan_jobs(gold, plan: AugmentPlan) -> list[tuple[Conversation, str, int, in
         order = list(gold)
         if pass_idx > 0 or target < len(gold):
             random.Random(f"{plan.seed}|{pass_idx}").shuffle(order)
-        for conv in order:
+        for rec in order:
             if planned >= target:
                 break
-            keep = min(conv.n - 1 if plan.strategy == "ata" else 1, target - planned)
-            jobs.append((conv, f"{conv.id}-s{plan.strategy}-p{pass_idx}",
-                         _stable_pass_seed(plan.seed, pass_idx, conv.id), keep))
+            if plan.strategy == "ata":
+                slots = rec.n - 1
+            elif plan.strategy == "incontext":
+                slots = min(num_return, BEAM_CAP)
+            else:
+                slots = 1
+            keep = min(slots, target - planned)
+            jobs.append((rec, f"{rec.id}-s{plan.strategy}-p{pass_idx}",
+                         _stable_pass_seed(plan.seed, pass_idx, rec.id), keep))
             planned += keep
         pass_idx += 1
     return jobs
 
 
 def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
-                     label_space: LabelSpace, params: GenParams) -> list[Candidate]:
+                     label_space: LabelSpace, params: GenParams,
+                     en_pool=None) -> list[Candidate]:
     """Candidates for the jobs of _plan_jobs, generated concurrently across
-    conversations (see ordered_map) and returned in plan order. Never produces
-    more than the budget; parse failures count as produced candidates."""
-    if plan.strategy not in ("lta", "ata", "cta"):
-        raise ValueError(f"unknown strategy {plan.strategy!r}")
+    source records (see ordered_map) and returned in plan order. Never
+    produces more than the budget; parse failures count as produced
+    candidates. In-context examples come from en_pool, or else from the gold
+    utterances with lang "en"; the strategy must fit the records' schema."""
+    gold = list(gold)
+    dialogue = plan.strategy != "incontext"
+    if any(isinstance(rec, Conversation) != dialogue for rec in gold):
+        raise ValueError(f"strategy {plan.strategy!r} needs "
+                         f"{'dialogue' if dialogue else 'utterance'} records")
+    if not dialogue:
+        pool = en_pool if en_pool is not None else [u for u in gold if u.lang == "en"]
+        gold_keys = frozenset(normalize_text(u.text) for u in gold)
 
     def run(job) -> list[Candidate]:
-        conv, prefix, seed, keep = job
+        rec, prefix, seed, keep = job
+        if plan.strategy == "incontext":
+            return cross_lingual_augment(rec, pool, plan, backend, spec,
+                                         replace(params, num_return=keep), prefix,
+                                         gold_keys, seed)
         if plan.strategy == "ata":
-            return all_turn_augment(conv, plan, backend, spec, label_space,
+            return all_turn_augment(rec, plan, backend, spec, label_space,
                                     params, prefix, seed, keep)
-        if plan.strategy == "cta" and conv.n >= 3:
-            return [trajectory_augment(conv, plan, backend, spec, label_space,
+        if plan.strategy == "cta" and rec.n >= 3:
+            return [trajectory_augment(rec, plan, backend, spec, label_space,
                                        params, prefix, seed)]
-        return [last_turn_augment(conv, plan, backend, spec, label_space,
+        return [last_turn_augment(rec, plan, backend, spec, label_space,
                                   params, prefix, seed)]
 
-    return [c for cands in ordered_map(run, _plan_jobs(list(gold), plan)) for c in cands]
+    jobs = _plan_jobs(gold, plan, params.num_return)
+    return [c for cands in ordered_map(run, jobs) for c in cands]
 
 
 def _stable_pass_seed(base: int, pass_idx: int, source_id: str) -> int:

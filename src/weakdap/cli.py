@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from . import baselines, metrics
-from .augment import AugmentPlan, run_augmentation, write_candidates
+from .augment import STRATEGIES, AugmentPlan, run_augmentation, write_candidates
 from .corpus import (
     CorpusError,
     Dataset,
@@ -27,10 +27,9 @@ from .corpus import (
     write_jsonl,
 )
 from .genbackend import BackendError, GenParams, HttpBackend, MockBackend, MockGenConfig
-from .loop import LoopConfig, evaluate_model, run_weakdap
+from .loop import LoopConfig, evaluate_model, instances_of, run_weakdap
 from .prompt import PromptSpec
 from .weaklabel import FeaturizerConfig, FilterConfig, TrainConfig, WeakLabeler, train
-from .loop import instances_of
 
 DEFAULTS = {
     "seed": 0,
@@ -69,10 +68,6 @@ def resolve(args, config: dict, key: str, env_var: str | None = None):
     if env_var and os.environ.get(env_var) is not None:
         return os.environ[env_var]
     return DEFAULTS.get(key)
-
-
-def effective_config(args, config: dict, keys) -> dict:
-    return {k: resolve(args, config, k) for k in keys}
 
 
 def _make_backend(args, config):
@@ -131,7 +126,7 @@ def cmd_sample(args, config):
 
 def cmd_augment(args, config):
     label_space = load_label_space(args.labels)
-    gold = load_jsonl(args.data, "dialogue", label_space)
+    gold = load_jsonl(args.data, resolve(args, config, "schema"), label_space)
     plan = AugmentPlan(
         strategy=resolve(args, config, "strategy"),
         multiplier=float(resolve(args, config, "multiplier")),
@@ -139,8 +134,7 @@ def cmd_augment(args, config):
         seed=int(resolve(args, config, "seed")),
     )
     backend = _make_backend(args, config)
-    spec = PromptSpec(task=label_space.task, strategy=plan.strategy,
-                      label_mode=plan.label_mode)
+    spec = PromptSpec(task=label_space.task, strategy=plan.strategy)
     candidates = run_augmentation(gold, plan, backend, spec, label_space,
                                   _gen_params(args, config))
     write_candidates(candidates, args.out)
@@ -189,8 +183,7 @@ def cmd_weakdap(args, config):
         regen=resolve(args, config, "regen"),
     )
     backend = _make_backend(args, config)
-    spec = PromptSpec(task=label_space.task, strategy=plan.strategy,
-                      label_mode=plan.label_mode)
+    spec = PromptSpec(task=label_space.task, strategy=plan.strategy)
     _, _, state = run_weakdap(dataset, plan, filter_cfg, loop_cfg, backend, spec,
                               gen_params=_gen_params(args, config), out_dir=args.out)
     print(f"ran {state.iteration + 1} iterations; best score "
@@ -286,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="produce candidate silver data")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--strategy", choices=["lta", "ata", "cta"])
+    p.add_argument("--schema", choices=["dialogue", "utterance"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--multiplier", type=float)
     p.add_argument("--label-mode", dest="label_mode", choices=["gold", "random"])
     p.add_argument("--seed", type=int)
@@ -307,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--schema", choices=["dialogue", "utterance"])
-    p.add_argument("--strategy", choices=["lta", "ata", "cta"])
+    p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--multiplier", type=float)
     p.add_argument("--label-mode", dest="label_mode", choices=["gold", "random"])
     p.add_argument("--filter-percentile", dest="filter_percentile", type=float)

@@ -16,15 +16,17 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 
 from . import metrics
-from .augment import (
+# cross_lingual_augment is not called here: the benchmark tracer
+# (perfbench/spans.py) patches this module's name for it, so it stays until
+# that patch is dropped.
+from .augment import (  # noqa: F401
     AugmentPlan,
     Candidate,
     cross_lingual_augment,
-    ordered_map,
     run_augmentation,
     write_candidates,
 )
-from .corpus import Conversation, Dataset, LabelSpace, LabeledUtterance, majority_label
+from .corpus import Conversation, Dataset, LabelSpace, majority_label
 from .genbackend import GenParams
 from .prompt import PromptSpec
 from .weaklabel import (
@@ -133,24 +135,6 @@ def evaluate_model(model: WeakLabeler, records, label_space: LabelSpace,
     return metrics.report_from_predictions(gold, pred, label_space, majority)
 
 
-def _produce_candidates(dataset: Dataset, plan: AugmentPlan, backend, spec: PromptSpec,
-                        params: GenParams, iteration_seed: int, en_pool=None) -> list[Candidate]:
-    plan_t = replace(plan, seed=iteration_seed)
-    first = dataset.train[0]
-    if isinstance(first, Conversation):
-        return run_augmentation(dataset.train, plan_t, backend, spec,
-                                dataset.label_space, params)
-    pool = en_pool if en_pool is not None else dataset.train
-    gold_texts = [u.text for u in dataset.train]
-
-    def run(ref) -> list[Candidate]:
-        return cross_lingual_augment(ref, pool, plan_t, backend, spec, params,
-                                     id_prefix=f"{ref.id}-i{iteration_seed}",
-                                     gold_texts=gold_texts, seed=iteration_seed)
-
-    return [c for cands in ordered_map(run, dataset.train) for c in cands]
-
-
 def _train_on(dataset: Dataset, silver: list[Candidate], feat_cfg, train_cfg,
               label_space: LabelSpace) -> WeakLabeler:
     texts, labels = instances_of(dataset.train, label_space, feat_cfg.context_window)
@@ -165,7 +149,7 @@ def _train_on(dataset: Dataset, silver: list[Candidate], feat_cfg, train_cfg,
 
 def _verdict_counts(candidates) -> dict:
     counts = {"produced": len(candidates)}
-    for v in ("kept", "dropped_mismatch", "dropped_parse", "dropped_duplicate", "pending"):
+    for v in ("kept", "dropped_mismatch", "dropped_parse", "pending"):
         counts[v] = sum(1 for c in candidates if c.verdict == v)
     return counts
 
@@ -181,7 +165,8 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
 
     When out_dir is set, every iteration persists its candidates and model
     checkpoint plus a run.json record; two runs with identical configuration
-    and the mock backend produce byte-identical directories.
+    and the mock backend produce byte-identical directories. en_pool holds
+    the in-context strategy's English examples (see augment.run_augmentation).
     """
     if not dataset.train or not dataset.validation:
         raise LoopError("gold dataset needs train and validation partitions")
@@ -203,8 +188,9 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
 
     for t in range(loop_cfg.max_iterations):
         if t == 0 or loop_cfg.regen == "fresh":
-            candidates = _produce_candidates(dataset, plan, backend, prompt_spec,
-                                             gen_params, plan.seed + 1000 * t, en_pool)
+            plan_t = replace(plan, seed=plan.seed + 1000 * t)
+            candidates = run_augmentation(dataset.train, plan_t, backend, prompt_spec,
+                                          label_space, gen_params, en_pool)
             if t == 0:
                 pool0 = candidates
         else:

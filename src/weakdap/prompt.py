@@ -37,7 +37,6 @@ class PromptSpec:
     task: str  # emotion | act | intent
     strategy: str = "lta"  # lta | ata | cta | incontext
     speaker_names: tuple[str, str] = ("Alice", "Bob")
-    label_mode: str = "gold"  # gold | random
     control_prefix: str | None = None
     k_examples: int = 10
 

@@ -205,12 +205,11 @@ class WeakLabeler:
 
 def train(instances, labels, label_space: LabelSpace,
           feat_cfg: FeaturizerConfig | None = None,
-          train_cfg: TrainConfig | None = None,
-          val_instances=None, val_labels=None) -> WeakLabeler:
+          train_cfg: TrainConfig | None = None) -> WeakLabeler:
     """Fit the weak labeler with seeded mini-batch gradient descent and early
-    stopping on validation loss (an internal split when no validation set is
-    given, the training loss when that split is empty). Deterministic under
-    the config seed; a step costs O(nonzeros in the batch x classes)."""
+    stopping on the loss of an internal validation split (the training loss
+    when that split is empty). Deterministic under the config seed; a step
+    costs O(nonzeros in the batch x classes)."""
     feat_cfg = feat_cfg or FeaturizerConfig()
     cfg = train_cfg or TrainConfig()
     instances = list(instances)
@@ -225,23 +224,15 @@ def train(instances, labels, label_space: LabelSpace,
     X = featurizer.transform(instances)
     n, C = X.shape[0], len(label_space)
 
-    if val_instances is None:
-        rng = random.Random(cfg.seed)
-        order = list(range(n))
-        rng.shuffle(order)
-        n_val = max(1, int(cfg.val_fraction * n)) if n > 2 else 0
-        val_idx, train_idx = order[:n_val], order[n_val:]
-        if not train_idx:
-            train_idx, val_idx = order, []
-        Xtr, ytr = X[train_idx], y[train_idx]
-        Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (None, None)
-    else:
-        Xtr, ytr = X, y
-        Xval = featurizer.transform(list(val_instances))
-        yval = np.array([label_space.index(l) for l in val_labels])
-
-    if Xval is None or Xval.shape[0] == 0:
-        Xval, yval = Xtr, ytr
+    rng = random.Random(cfg.seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    n_val = max(1, int(cfg.val_fraction * n)) if n > 2 else 0
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    if not train_idx:
+        train_idx, val_idx = order, []
+    Xtr, ytr = X[train_idx], y[train_idx]
+    Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (Xtr, ytr)
     # W = s * V.T: the L2 decay of every step only rescales s, so a step
     # touches just the rows of V for the batch's feature columns.
     decay = 1.0 - cfg.learning_rate * cfg.l2

@@ -7,11 +7,9 @@ import pytest
 
 from weakdap.augment import (
     AugmentPlan,
-    Candidate,
     _plan_jobs,
     all_turn_augment,
     cross_lingual_augment,
-    dedup,
     last_turn_augment,
     load_candidates,
     normalize_text,
@@ -28,6 +26,24 @@ from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
 SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 SPEC = PromptSpec(task="emotion")
+
+
+class CountingBackend:
+    """Passes every call on and records (generation params, prompt text)."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.requests = []
+        self._lock = threading.Lock()
+
+    @property
+    def calls(self):
+        return len(self.requests)
+
+    def complete(self, prompt, params):
+        with self._lock:
+            self.requests.append((params, prompt.text))
+        return self.inner.complete(prompt, params)
 
 
 def lta(conv, backend=None, plan=None, seed=0):
@@ -174,11 +190,10 @@ class TestCrossLingual:
 
     def test_gold_duplicate_dropped(self):
         ref, pool, backend, spec = self._setup()
-        gold_texts = ["Despiertame a las  siete", "alarma PARA las ocho",
-                      "pon el despertador"]
+        gold_keys = {"despiertame a las siete", "alarma para las ocho", "pon el despertador"}
         cands = cross_lingual_augment(ref, pool, AugmentPlan(strategy="incontext"),
                                       backend, spec, GenParams(num_return=3), "r",
-                                      gold_texts=gold_texts)
+                                      gold_keys=gold_keys)
         assert cands == []
 
     def test_cap_at_three_sequences(self):
@@ -189,25 +204,7 @@ class TestCrossLingual:
 
 
 class TestDedup:
-    def _cand(self, cid, text):
-        payload = LabeledUtterance(id=cid, text=text, intent="a", lang="en",
-                                   provenance="silver", source_id="g")
-        return Candidate(id=cid, payload=payload, prescribed_label="a",
-                         strategy="incontext", source_id="g")
-
-    def test_repeated_candidate_removed(self):
-        cands = [self._cand("1", "hello there"), self._cand("2", "hello there"),
-                 self._cand("3", "goodbye")]
-        out = dedup(cands)
-        assert [c.id for c in out] == ["1", "3"]
-        assert cands[1].verdict == "dropped_duplicate"
-
-    def test_case_and_whitespace_insensitive_against_gold(self):
-        cands = [self._cand("1", "Hello   THERE")]
-        assert dedup(cands, gold_texts=["hello there"]) == []
-
-    def test_empty_list(self):
-        assert dedup([]) == []
+    """The normalization behind the in-context duplicate check."""
 
     def test_normalize(self):
         assert normalize_text("  A  b\tC ") == "a b c"
@@ -247,17 +244,6 @@ class TestBudgetScheduler:
         assert len(cands) == 12  # ceil(3.0 * 4)
 
     def test_ata_requests_only_kept_turns(self):
-        class CountingBackend:
-            def __init__(self, inner):
-                self.inner = inner
-                self.calls = 0
-                self._lock = threading.Lock()
-
-            def complete(self, prompt, params):
-                with self._lock:
-                    self.calls += 1
-                return self.inner.complete(prompt, params)
-
         rng = random.Random(18)
         gold = [toy_conversation(f"g{i}", rng, n=6) for i in range(10)]
         plan = AugmentPlan(strategy="ata", multiplier=0.55, seed=3)
@@ -283,6 +269,96 @@ class TestBudgetScheduler:
     def test_invalid_multiplier(self):
         with pytest.raises(ValueError):
             AugmentPlan(strategy="lta", multiplier=0)
+
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError):
+            AugmentPlan(strategy="xta")
+
+
+INTENTS = ("alarm/set", "weather/find")
+INTENT_SPACE = LabelSpace(task="intent", labels=INTENTS)
+INTENT_SPEC = PromptSpec(task="intent", k_examples=3)
+
+
+def intent_backend():
+    rng = random.Random(31)
+    templates = {intent: [f"plantilla {intent} {rng.random():.6f}" for _ in range(20)]
+                 for intent in INTENTS}
+    return CountingBackend(MockBackend(MockGenConfig(templates=templates)))
+
+
+def utterances(prefix, lang, per_intent):
+    return [LabeledUtterance(id=f"{prefix}{i}", text=f"{lang} frase {prefix} {i}",
+                             intent=intent, lang=lang)
+            for i, intent in enumerate(INTENTS * per_intent)]
+
+
+class TestInContextBudget:
+    def _run(self, gold, multiplier, num_return, en_pool=None):
+        plan = AugmentPlan(strategy="incontext", multiplier=multiplier, seed=5)
+        backend = intent_backend()
+        params = GenParams(mode="beam", num_return=num_return)
+        cands = run_augmentation(gold, plan, backend, INTENT_SPEC, INTENT_SPACE, params,
+                                 en_pool=en_pool)
+        return plan, backend, cands
+
+    def test_second_pass_has_fresh_prompts(self):
+        refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
+        plan, backend, cands = self._run(refs, 2.0, 1, en_pool=pool)
+        jobs = _plan_jobs(refs, plan, 1)
+        assert sum(keep for *_, keep in jobs) == 16
+        assert backend.calls == 16
+        assert len(cands) == 16
+        assert len({c.id for c in cands}) == 16
+        pass_of = {seed: prefix.rsplit("-p", 1)[1] for _, prefix, seed, _ in jobs}
+        prompts = {"0": set(), "1": set()}
+        for params, text in backend.requests:
+            prompts[pass_of[params.seed]].add(text)
+        assert len(prompts["0"]) == len(prompts["1"]) == 8
+        assert not prompts["0"] & prompts["1"]
+
+    def test_three_beams_fill_three_slots_per_call(self):
+        refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
+        _, backend, cands = self._run(refs, 3.0, 3, en_pool=pool)
+        assert backend.calls == len({text for _, text in backend.requests}) == len(refs)
+        assert len(cands) <= 24
+        assert {c.source_id for c in cands} == {r.id for r in refs}
+
+    def test_last_job_requests_only_the_budget_left(self):
+        refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
+        _, backend, cands = self._run(refs, 1.0, 3, en_pool=pool)
+        assert sorted(params.num_return for params, _ in backend.requests) == [2, 3, 3]
+        assert len(cands) <= 8
+
+    def test_default_pool_is_english_train_only(self):
+        spanish, english = utterances("r", "es", 4), utterances("e", "en", 4)
+        _, backend, _ = self._run(spanish + english, 1.0, 1)
+        spanish_texts = {u.text for u in spanish}
+        example_lines = [line[len("English: "):].split(" => ")[0]
+                         for _, text in backend.requests for line in text.split("\n")
+                         if line.startswith("English: ")]
+        assert example_lines
+        assert not spanish_texts & set(example_lines)
+        assert set(example_lines) <= {u.text for u in english}
+
+    def test_beams_repeating_gold_are_dropped(self):
+        gold = [LabeledUtterance(id=f"r{i}", text=f"Pon  una ALARMA {i}",
+                                 intent="alarm/set", lang="es") for i in range(2)]
+        templates = {"alarm/set": ["pon una alarma 0", "pon una alarma 1"]}
+        backend = MockBackend(MockGenConfig(templates=templates))
+        plan = AugmentPlan(strategy="incontext", multiplier=3.0)
+        assert run_augmentation(gold, plan, backend, INTENT_SPEC, INTENT_SPACE,
+                                GenParams(num_return=3)) == []
+
+    def test_strategy_must_fit_schema(self):
+        rng = random.Random(19)
+        convs = [toy_conversation(f"g{i}", rng) for i in range(3)]
+        with pytest.raises(ValueError, match="utterance"):
+            run_augmentation(convs, AugmentPlan(strategy="incontext"), mock_backend(),
+                             SPEC, SPACE, GenParams())
+        with pytest.raises(ValueError, match="dialogue"):
+            run_augmentation(utterances("r", "es", 2), AugmentPlan(strategy="lta"),
+                             intent_backend(), INTENT_SPEC, INTENT_SPACE, GenParams())
 
 
 class TestOrderedMap:

@@ -26,6 +26,10 @@ def workspace(tmp_path_factory):
         for i, label in enumerate(TOY_LABELS * 8)
     ]
     write_jsonl(utterances, root / "utterances.jsonl")
+    write_jsonl([LabeledUtterance(id=f"v{i}", text=toy_sentence(label, rng),
+                                  intent=label, lang="en")
+                 for i, label in enumerate(TOY_LABELS * 4)],
+                root / "val_utterances.jsonl")
     (root / "labels.json").write_text(json.dumps(
         {"task": "emotion", "labels": list(TOY_LABELS), "majority": 0}))
     (root / "templates.json").write_text(json.dumps(toy_templates()))
@@ -115,6 +119,19 @@ class TestAugment:
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
 
+    def test_schema_flag_selects_in_context(self, workspace, tmp_path):
+        out = tmp_path / "cands.jsonl"
+        rc = main(["augment", "--data", str(workspace / "utterances.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--schema", "utterance", "--strategy", "incontext",
+                   "--multiplier", "1.0", "--seed", "2", "--backend", "mock",
+                   "--mock-templates", str(workspace / "templates.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
+        assert 0 < len(rows) <= 32
+        assert all(r["strategy"] == "incontext" for r in rows)
+
     def test_mock_backend_requires_templates(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
             main(["augment", "--data", str(workspace / "train.jsonl"),
@@ -172,6 +189,30 @@ class TestWeakdapCommand:
         main(_weakdap_args(workspace, tmp_path, ["--regen", "refilter"]))
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["config"]["loop"]["regen"] == "refilter"
+
+    def _utterance_args(self, workspace, out, extra):
+        return ["weakdap", "--schema", "utterance",
+                "--train", str(workspace / "utterances.jsonl"),
+                "--val", str(workspace / "val_utterances.jsonl"),
+                "--labels", str(workspace / "labels.json"),
+                "--backend", "mock",
+                "--mock-templates", str(workspace / "templates.json"),
+                "--max-iterations", "1", "--seed", "5", "--out", str(out), *extra]
+
+    def test_strategy_schema_mismatch_is_usage_error(self, workspace, tmp_path, capsys):
+        rc = main(self._utterance_args(workspace, tmp_path, ["--strategy", "lta"]))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_in_context_loop_honours_multiplier(self, workspace, tmp_path):
+        rc = main(self._utterance_args(workspace, tmp_path,
+                                       ["--strategy", "incontext", "--multiplier", "2.0"]))
+        assert rc == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["config"]["plan"]["strategy"] == "incontext"
+        assert 32 < run["iterations"][0]["counts"]["produced"] <= 64
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
