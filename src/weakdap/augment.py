@@ -7,7 +7,9 @@ byte-identical from gold, and each generated turn is fed back as context for
 the next. LTA replaces the last turn, ATA each turn 2..n against gold context
 (one candidate per turn), CTA turns 3..n in one candidate. The in-context
 strategy prompts with same-intent English examples and a Spanish reference and
-keeps up to three beams that duplicate no gold text.
+keeps up to three beams that duplicate no gold text; the Spanish gold
+utterances are the references, the English ones (or a separate English pool)
+the examples.
 
 Generation order never affects results: every candidate's seed is derived
 from (plan seed, pass index, source id, position), so the scheduler generates
@@ -249,16 +251,22 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     """Candidates for the jobs of _plan_jobs, generated concurrently across
     source records (see ordered_map) and returned in plan order. Never
     produces more than the budget; parse failures count as produced
-    candidates. In-context examples come from en_pool, or else from the gold
-    utterances with lang "en"; the strategy must fit the records' schema."""
+    candidates. The strategy must fit the records' schema. In-context, the
+    references (and the budget's base) are the gold utterances not in
+    English; the examples come from en_pool, or else from the English gold
+    utterances, so no record is both."""
     gold = list(gold)
     dialogue = plan.strategy != "incontext"
     if any(isinstance(rec, Conversation) != dialogue for rec in gold):
         raise ValueError(f"strategy {plan.strategy!r} needs "
                          f"{'dialogue' if dialogue else 'utterance'} records")
     if not dialogue:
-        pool = en_pool if en_pool is not None else [u for u in gold if u.lang == "en"]
         gold_keys = frozenset(normalize_text(u.text) for u in gold)
+        english = [u for u in gold if u.lang == "en"]
+        pool = en_pool if en_pool is not None else english
+        gold = [u for u in gold if u.lang != "en"]
+        if english and not gold:
+            raise ValueError("in-context augmentation needs non-English references")
 
     def run(job) -> list[Candidate]:
         rec, prefix, seed, keep = job

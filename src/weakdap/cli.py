@@ -34,7 +34,6 @@ from .weaklabel import FeaturizerConfig, FilterConfig, TrainConfig, WeakLabeler,
 DEFAULTS = {
     "seed": 0,
     "schema": "dialogue",
-    "strategy": "lta",
     "multiplier": 2.0,
     "label_mode": "gold",
     "backend": "mock",
@@ -124,11 +123,24 @@ def cmd_sample(args, config):
     print(f"sampled {len(sampled)}/{len(partition)} records -> {args.out}")
 
 
+def _strategy_and_schema(args, config, schema=None) -> tuple[str, str]:
+    """The strategy and the schema of the records it reads: utterances for
+    incontext, dialogues for the others. A given schema picks the default
+    strategy (incontext for utterances, else lta) and must fit the strategy."""
+    strategy = resolve(args, config, "strategy") or (
+        "incontext" if schema == "utterance" else "lta")
+    needed = "utterance" if strategy == "incontext" else "dialogue"
+    if schema not in (None, needed):
+        raise ValueError(f"strategy {strategy!r} needs {needed} records, not {schema}")
+    return strategy, needed
+
+
 def cmd_augment(args, config):
     label_space = load_label_space(args.labels)
-    gold = load_jsonl(args.data, resolve(args, config, "schema"), label_space)
+    strategy, schema = _strategy_and_schema(args, config)
+    gold = load_jsonl(args.data, schema, label_space)
     plan = AugmentPlan(
-        strategy=resolve(args, config, "strategy"),
+        strategy=strategy,
         multiplier=float(resolve(args, config, "multiplier")),
         label_mode=resolve(args, config, "label_mode"),
         seed=int(resolve(args, config, "seed")),
@@ -166,10 +178,11 @@ def cmd_train(args, config):
 
 def cmd_weakdap(args, config):
     label_space = load_label_space(args.labels)
-    schema = resolve(args, config, "schema")
+    strategy, schema = _strategy_and_schema(args, config,
+                                            args.schema or config.get("schema"))
     dataset = _load_dataset(args.train, args.val, None, schema, label_space)
     plan = AugmentPlan(
-        strategy=resolve(args, config, "strategy"),
+        strategy=strategy,
         multiplier=float(resolve(args, config, "multiplier")),
         label_mode=resolve(args, config, "label_mode"),
         seed=int(resolve(args, config, "seed")),
@@ -279,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="produce candidate silver data")
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
-    p.add_argument("--schema", choices=["dialogue", "utterance"])
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--multiplier", type=float)
     p.add_argument("--label-mode", dest="label_mode", choices=["gold", "random"])

@@ -330,16 +330,28 @@ class TestInContextBudget:
         assert sorted(params.num_return for params, _ in backend.requests) == [2, 3, 3]
         assert len(cands) <= 8
 
-    def test_default_pool_is_english_train_only(self):
+    def test_english_gold_are_examples_and_spanish_gold_references(self):
         spanish, english = utterances("r", "es", 4), utterances("e", "en", 4)
-        _, backend, _ = self._run(spanish + english, 1.0, 1)
-        spanish_texts = {u.text for u in spanish}
-        example_lines = [line[len("English: "):].split(" => ")[0]
-                         for _, text in backend.requests for line in text.split("\n")
-                         if line.startswith("English: ")]
-        assert example_lines
-        assert not spanish_texts & set(example_lines)
-        assert set(example_lines) <= {u.text for u in english}
+        _, backend, cands = self._run(english[:4] + spanish + english[4:], 1.0, 1)
+        assert backend.calls == len(cands) == len(spanish)
+        assert {c.source_id for c in cands} == {u.id for u in spanish}
+
+        def texts(prompt, tag):
+            return [line[len(tag):].split(" => ")[0]
+                    for line in prompt.split("\n") if line.startswith(tag)]
+
+        english_texts = {u.text for u in english}
+        references = set()
+        for _, prompt in backend.requests:
+            examples, (reference,) = texts(prompt, "English: "), texts(prompt, "Spanish: ")
+            assert examples and set(examples) <= english_texts
+            assert reference not in examples
+            references.add(reference)
+        assert references == {u.text for u in spanish}
+
+    def test_english_only_gold_has_no_references(self):
+        with pytest.raises(ValueError, match="non-English"):
+            self._run(utterances("e", "en", 4), 1.0, 1)
 
     def test_beams_repeating_gold_are_dropped(self):
         gold = [LabeledUtterance(id=f"r{i}", text=f"Pon  una ALARMA {i}",

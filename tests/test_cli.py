@@ -26,8 +26,16 @@ def workspace(tmp_path_factory):
         for i, label in enumerate(TOY_LABELS * 8)
     ]
     write_jsonl(utterances, root / "utterances.jsonl")
+    # in-context gold: 32 Spanish references and 16 English examples
+    write_jsonl([LabeledUtterance(id=f"es{i}", text=toy_sentence(label, rng),
+                                  intent=label, lang="es")
+                 for i, label in enumerate(TOY_LABELS * 8)]
+                + [LabeledUtterance(id=f"en{i}", text=toy_sentence(label, rng),
+                                    intent=label, lang="en")
+                   for i, label in enumerate(TOY_LABELS * 4)],
+                root / "intent_train.jsonl")
     write_jsonl([LabeledUtterance(id=f"v{i}", text=toy_sentence(label, rng),
-                                  intent=label, lang="en")
+                                  intent=label, lang="es")
                  for i, label in enumerate(TOY_LABELS * 4)],
                 root / "val_utterances.jsonl")
     (root / "labels.json").write_text(json.dumps(
@@ -119,11 +127,10 @@ class TestAugment:
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
 
-    def test_schema_flag_selects_in_context(self, workspace, tmp_path):
+    def test_in_context_reads_utterances(self, workspace, tmp_path):
         out = tmp_path / "cands.jsonl"
-        rc = main(["augment", "--data", str(workspace / "utterances.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
-                   "--schema", "utterance", "--strategy", "incontext",
+        rc = main(["augment", "--data", str(workspace / "intent_train.jsonl"),
+                   "--labels", str(workspace / "labels.json"), "--strategy", "incontext",
                    "--multiplier", "1.0", "--seed", "2", "--backend", "mock",
                    "--mock-templates", str(workspace / "templates.json"),
                    "--out", str(out)])
@@ -131,6 +138,7 @@ class TestAugment:
         rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
         assert 0 < len(rows) <= 32
         assert all(r["strategy"] == "incontext" for r in rows)
+        assert {r["source_id"][:2] for r in rows} == {"es"}
 
     def test_mock_backend_requires_templates(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
@@ -192,7 +200,7 @@ class TestWeakdapCommand:
 
     def _utterance_args(self, workspace, out, extra):
         return ["weakdap", "--schema", "utterance",
-                "--train", str(workspace / "utterances.jsonl"),
+                "--train", str(workspace / "intent_train.jsonl"),
                 "--val", str(workspace / "val_utterances.jsonl"),
                 "--labels", str(workspace / "labels.json"),
                 "--backend", "mock",
@@ -213,6 +221,17 @@ class TestWeakdapCommand:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["config"]["plan"]["strategy"] == "incontext"
         assert 32 < run["iterations"][0]["counts"]["produced"] <= 64
+
+    def test_utterance_schema_defaults_to_in_context(self, workspace, tmp_path):
+        assert main(self._utterance_args(workspace, tmp_path, [])) == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["config"]["plan"]["strategy"] == "incontext"
+
+    def test_in_context_strategy_implies_utterance_schema(self, workspace, tmp_path):
+        args = self._utterance_args(workspace, tmp_path, ["--strategy", "incontext"])
+        args.remove("--schema")
+        args.remove("utterance")
+        assert main(args) == 0
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
