@@ -5,7 +5,10 @@ Dialogue strategies replace turns of a gold conversation through one routine
 (`replace_turns`): the context before the first replaced turn is copied
 byte-identical from gold, and each generated turn is fed back as context for
 the next. LTA replaces the last turn, ATA each turn 2..n against gold context
-(one candidate per turn), CTA turns 3..n in one candidate. The in-context
+(one candidate per turn), CTA turns 3..n in one candidate. `random` is the
+context-free contrast condition: it plans and labels like LTA, but its prompt
+holds seeded same-label gold turns of other conversations instead of the
+dialogue, and its candidate is the generated turn alone. The in-context
 strategy prompts with same-intent English examples and a Spanish reference and
 keeps up to three beams that duplicate no gold text; the Spanish gold
 utterances are the references, the English ones (or a separate English pool)
@@ -29,9 +32,14 @@ from dataclasses import dataclass, replace
 
 from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn
 from .genbackend import GenParams, generate
-from .prompt import PromptSpec, render_dialogue_prompt, render_intent_prompt
+from .prompt import (
+    PromptSpec,
+    render_context_free_prompt,
+    render_dialogue_prompt,
+    render_intent_prompt,
+)
 
-STRATEGIES = ("lta", "ata", "cta", "incontext")
+STRATEGIES = ("lta", "ata", "cta", "incontext", "random")
 
 # Source records generated at once. Requests in flight are capped by the
 # backend itself (HttpBackend's max_parallel), never by this constant: 8 kept
@@ -93,18 +101,26 @@ def prescribe_label(gold_turn: Turn, label_space: LabelSpace, mode: str,
 
 def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, cand_id: str,
                   plan: AugmentPlan, backend, spec: PromptSpec, label_space: LabelSpace,
-                  params: GenParams) -> Candidate:
+                  params: GenParams, pool=None) -> Candidate:
     """One candidate from generating the 1-based turns of `steps`, a list of
     consecutive (turn index, generation seed) pairs. Turns before the first
     step are gold, every generated turn is context for the later steps, and
     the candidate ends at the last step. Labels are drawn from rng in step
-    order; a parse failure drops the whole candidate."""
-    turns = list(conv.turns[: steps[0][0] - 1])
+    order; a parse failure drops the whole candidate. With a pool (label ->
+    [(conversation id, turn text)]) a turn is generated without context: its
+    prompt holds up to k_examples turns of other conversations drawn from rng
+    after the label, and the candidate holds the generated turns alone."""
+    turns = [] if pool is not None else list(conv.turns[: steps[0][0] - 1])
     stop = tuple(params.stop_markers) + tuple(f"{n} " for n in spec.speaker_names)
     for i, seed in steps:
         target = conv.turns[i - 1]
         label = prescribe_label(target, label_space, plan.label_mode, rng)
-        prompt = render_dialogue_prompt(turns, spec, label)
+        if pool is None:
+            prompt = render_dialogue_prompt(turns, spec, label)
+        else:
+            others = [text for cid, text in pool.get(label, ()) if cid != conv.id]
+            examples = rng.sample(others, min(spec.k_examples, len(others)))
+            prompt = render_context_free_prompt(examples, spec, target.speaker, label)
         completion = generate(prompt, replace(params, seed=seed, stop_markers=stop), backend)[0]
         if completion.parsed is None:
             return Candidate(id=cand_id, payload=None, prescribed_label=label,
@@ -113,16 +129,20 @@ def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, 
     payload = Conversation(id=cand_id, turns=tuple(turns), provenance="silver",
                            source_id=conv.id)
     return Candidate(id=cand_id, payload=payload, prescribed_label=label, strategy=strategy,
-                     source_id=conv.id, generated_turns=tuple(i - 1 for i, _ in steps),
+                     source_id=conv.id,
+                     generated_turns=tuple(range(len(turns) - len(steps), len(turns))),
                      hidden_label=completion.hidden_label)
 
 
 def last_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
                       label_space: LabelSpace, params: GenParams, cand_id: str,
-                      seed: int) -> Candidate:
-    """Replace the last turn: one candidate with turns 1..n-1 gold."""
-    return replace_turns(conv, [(conv.n, seed)], random.Random(seed), "lta", cand_id,
-                         plan, backend, spec, label_space, params)
+                      seed: int, pool=None) -> Candidate:
+    """Replace the last turn: one candidate with turns 1..n-1 gold, or, with
+    a pool, the `random` candidate of the generated turn alone (see
+    replace_turns)."""
+    return replace_turns(conv, [(conv.n, seed)], random.Random(seed),
+                         "lta" if pool is None else "random", cand_id,
+                         plan, backend, spec, label_space, params, pool)
 
 
 def all_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
@@ -251,15 +271,23 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     """Candidates for the jobs of _plan_jobs, generated concurrently across
     source records (see ordered_map) and returned in plan order. Never
     produces more than the budget; parse failures count as produced
-    candidates. The strategy must fit the records' schema. In-context, the
-    references (and the budget's base) are the gold utterances not in
-    English; the examples come from en_pool, or else from the English gold
-    utterances, so no record is both."""
+    candidates. The strategy must fit the records' schema. The `random`
+    strategy draws its examples from the turns of all gold conversations.
+    In-context, the references (and the budget's base) are the gold
+    utterances not in English; the examples come from en_pool, or else from
+    the English gold utterances, so no record is both."""
     gold = list(gold)
     dialogue = plan.strategy != "incontext"
     if any(isinstance(rec, Conversation) != dialogue for rec in gold):
         raise ValueError(f"strategy {plan.strategy!r} needs "
                          f"{'dialogue' if dialogue else 'utterance'} records")
+    turn_pool = None
+    if plan.strategy == "random":
+        turn_pool = {}
+        for conv in gold:
+            for turn in conv.turns:
+                turn_pool.setdefault(turn.label(label_space.task), []).append(
+                    (conv.id, turn.text))
     if not dialogue:
         gold_keys = frozenset(normalize_text(u.text) for u in gold)
         english = [u for u in gold if u.lang == "en"]
@@ -281,7 +309,7 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
             return [trajectory_augment(rec, plan, backend, spec, label_space,
                                        params, prefix, seed)]
         return [last_turn_augment(rec, plan, backend, spec, label_space,
-                                  params, prefix, seed)]
+                                  params, prefix, seed, turn_pool)]
 
     jobs = _plan_jobs(gold, plan, params.num_return)
     return [c for cands in ordered_map(run, jobs) for c in cands]

@@ -1,20 +1,19 @@
-"""Perturbation baselines (EDA, AEDA) and the random same-label in-context
-prompting baseline.
+"""Perturbation baselines (EDA, AEDA) over single-turn utterance records.
 
 All operations are pure given their seed. EDA uses a bundled plain-text
 synonym lexicon (word TAB comma-separated synonyms) instead of an external
-lexical database.
+lexical database. The context-free prompting baseline is the `random`
+strategy of `weakdap.augment`, so it runs through the weak filter like the
+other generators.
 """
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 
-from .corpus import LabelSpace
-from .genbackend import GenParams, generate
-from .prompt import PromptSpec, RenderedPrompt, render_act_cue, render_emotion_cue
+from .corpus import LabeledUtterance
 
 
 class BaselineError(ValueError):
@@ -148,46 +147,27 @@ def aeda_augment(text: str, cfg: AedaConfig) -> str:
     return " ".join(out)
 
 
-def random_in_context_prompt(label: str, pool, spec: PromptSpec, k: int = 10,
-                             seed: int = 0) -> RenderedPrompt:
-    """Context-free in-context prompt: min(k, |pool|) seeded same-label
-    utterances, then a bare generation cue. The contrast condition against
-    dialogue-context prompting."""
-    pool = list(pool)
-    if not pool:
-        raise BaselineError("empty example pool")
-    rng = random.Random(seed)
-    examples = rng.sample(pool, min(k, len(pool)))
-    name, other = spec.speaker_names
-    if spec.task == "emotion":
-        cue = render_emotion_cue(name, label)
-    elif spec.task == "act":
-        cue = render_act_cue(name, other, label)
+def perturb_records(records, method: str, seed: int = 0, lexicon_path=None,
+                    **options) -> list[LabeledUtterance]:
+    """Silver copies of utterance records: n_aug EDA variants each (ids
+    <id>-eda<j>, synonyms from the lexicon at lexicon_path or the bundled
+    one), or one AEDA variant each (<id>-aeda), seeded by (seed, record id).
+    options are EdaConfig or AedaConfig fields; the rest keep their
+    defaults."""
+    if method == "eda":
+        cfg = EdaConfig(synonym_lexicon=load_lexicon(lexicon_path), **options)
+    elif method == "aeda":
+        cfg = AedaConfig(**options)
     else:
-        cue = f"intent: {label} =>"
-    lines = [f"{cue} {ex}" for ex in examples]
-    lines.append(cue)
-    return RenderedPrompt(text="\n".join(lines), target_speaker="A",
-                          prescribed_label=label, context_turn_count=len(examples))
-
-
-def random_in_context_augment(label: str, pool, backend, spec: PromptSpec,
-                              label_space: LabelSpace, params: GenParams,
-                              cand_id: str, k: int = 10, seed: int = 0):
-    """Generate one candidate from a random same-label in-context prompt; the
-    candidate carries the label and no dialogue context."""
-    from .augment import Candidate
-    from .corpus import LabeledUtterance
-
-    prompt = random_in_context_prompt(label, pool, spec, k=k, seed=seed)
-    completions = generate(prompt, params, backend)
-    c = completions[0]
-    if c.parsed is None:
-        return Candidate(id=cand_id, payload=None, prescribed_label=label,
-                         strategy="incontext", source_id="pool", verdict="dropped_parse")
-    # single-turn payload regardless of task: the point of this baseline is the
-    # absence of dialogue context, so the label rides in the utterance record
-    payload = LabeledUtterance(id=cand_id, text=c.parsed, intent=label, lang="en",
-                               provenance="silver", source_id="pool")
-    return Candidate(id=cand_id, payload=payload, prescribed_label=label,
-                     strategy="incontext", source_id="pool", hidden_label=c.hidden_label)
+        raise BaselineError(f"unknown baseline method {method!r}")
+    out = []
+    for rec in records:
+        rec_cfg = replace(cfg, seed=f"{seed}|{rec.id}")
+        if method == "eda":
+            variants = [(f"eda{j}", text) for j, text in enumerate(eda_augment(rec.text, rec_cfg))]
+        else:
+            variants = [("aeda", aeda_augment(rec.text, rec_cfg))]
+        out.extend(LabeledUtterance(id=f"{rec.id}-{suffix}", text=text, intent=rec.intent,
+                                    lang=rec.lang, provenance="silver", source_id=rec.id)
+                   for suffix, text in variants)
+    return out

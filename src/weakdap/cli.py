@@ -1,10 +1,10 @@
 """Command-line entry point.
 
 Subcommands: sample | augment | train | weakdap | eval | baseline.
-Option precedence: CLI flags > --config file > environment > built-in
-defaults. The mock backend is configured by a JSON template file mapping each
-label to a list of utterances; the HTTP backend reads its endpoint from
---endpoint or WEAKDAP_ENDPOINT.
+Option precedence: CLI flags > --config file > built-in defaults. The mock
+backend is configured by a JSON template file mapping each label to a list of
+utterances; the HTTP backend reads its endpoint from --endpoint, the config
+file, or else WEAKDAP_ENDPOINT.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import os
 import sys
 from collections import Counter
 
-from . import baselines, metrics
+from . import baselines
 from .augment import STRATEGIES, AugmentPlan, run_augmentation, write_candidates
 from .corpus import (
     CorpusError,
@@ -46,7 +46,6 @@ DEFAULTS = {
     "max_iterations": 20,
     "metric": "micro_f1_no_majority",
     "regen": "fresh",
-    "k": 10,
 }
 
 
@@ -57,15 +56,13 @@ def _load_config(path):
         return json.load(f)
 
 
-def resolve(args, config: dict, key: str, env_var: str | None = None):
-    """flags > config file > env > defaults."""
+def resolve(args, config: dict, key: str):
+    """flags > config file > defaults."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key in config:
         return config[key]
-    if env_var and os.environ.get(env_var) is not None:
-        return os.environ[env_var]
     return DEFAULTS.get(key)
 
 
@@ -83,16 +80,25 @@ def _make_backend(args, config):
             seed=int(resolve(args, config, "seed")),
         ))
     if backend == "http":
-        return HttpBackend(endpoint=resolve(args, config, "endpoint", "WEAKDAP_ENDPOINT"))
+        return HttpBackend(endpoint=resolve(args, config, "endpoint"))
     raise SystemExit(f"unknown backend {backend!r}")
 
 
-def _gen_params(args, config) -> GenParams:
-    return GenParams(
+def _generation(args, config, strategy: str, task: str):
+    """The (AugmentPlan, PromptSpec, backend, GenParams) of augment and weakdap."""
+    seed = int(resolve(args, config, "seed"))
+    plan = AugmentPlan(
+        strategy=strategy,
+        multiplier=float(resolve(args, config, "multiplier")),
+        label_mode=resolve(args, config, "label_mode"),
+        seed=seed,
+    )
+    params = GenParams(
         top_p=float(resolve(args, config, "top_p")),
         max_new_tokens=int(resolve(args, config, "max_new_tokens")),
-        seed=int(resolve(args, config, "seed")),
+        seed=seed,
     )
+    return plan, PromptSpec(task=task, strategy=strategy), _make_backend(args, config), params
 
 
 def cmd_sample(args, config):
@@ -139,16 +145,8 @@ def cmd_augment(args, config):
     label_space = load_label_space(args.labels)
     strategy, schema = _strategy_and_schema(args, config)
     gold = load_jsonl(args.data, schema, label_space)
-    plan = AugmentPlan(
-        strategy=strategy,
-        multiplier=float(resolve(args, config, "multiplier")),
-        label_mode=resolve(args, config, "label_mode"),
-        seed=int(resolve(args, config, "seed")),
-    )
-    backend = _make_backend(args, config)
-    spec = PromptSpec(task=label_space.task, strategy=plan.strategy)
-    candidates = run_augmentation(gold, plan, backend, spec, label_space,
-                                  _gen_params(args, config))
+    plan, spec, backend, params = _generation(args, config, strategy, label_space.task)
+    candidates = run_augmentation(gold, plan, backend, spec, label_space, params)
     write_candidates(candidates, args.out)
     produced = len(candidates)
     dropped = sum(1 for c in candidates if c.verdict.startswith("dropped"))
@@ -181,12 +179,7 @@ def cmd_weakdap(args, config):
     strategy, schema = _strategy_and_schema(args, config,
                                             args.schema or config.get("schema"))
     dataset = _load_dataset(args.train, args.val, None, schema, label_space)
-    plan = AugmentPlan(
-        strategy=strategy,
-        multiplier=float(resolve(args, config, "multiplier")),
-        label_mode=resolve(args, config, "label_mode"),
-        seed=int(resolve(args, config, "seed")),
-    )
+    plan, spec, backend, params = _generation(args, config, strategy, label_space.task)
     filter_cfg = FilterConfig(percentile=float(resolve(args, config, "filter_percentile")))
     loop_cfg = LoopConfig(
         epsilon=float(resolve(args, config, "epsilon")),
@@ -195,10 +188,8 @@ def cmd_weakdap(args, config):
         metric=resolve(args, config, "metric"),
         regen=resolve(args, config, "regen"),
     )
-    backend = _make_backend(args, config)
-    spec = PromptSpec(task=label_space.task, strategy=plan.strategy)
     _, _, state = run_weakdap(dataset, plan, filter_cfg, loop_cfg, backend, spec,
-                              gen_params=_gen_params(args, config), out_dir=args.out)
+                              gen_params=params, out_dir=args.out)
     print(f"ran {state.iteration + 1} iterations; best score "
           f"{state.best_score:.4f} at iteration {state.best_iteration} -> {args.out}")
 
@@ -217,52 +208,22 @@ def cmd_eval(args, config):
             f.write(report.to_json())
 
 
+BASELINE_OPTIONS = {
+    "eda": ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd", "n_aug"),
+    "aeda": ("alpha",),
+}
+
+
 def cmd_baseline(args, config):
     label_space = load_label_space(args.labels)
-    seed = int(resolve(args, config, "seed"))
-    method = args.method
-    if method in ("eda", "aeda"):
-        records = load_jsonl(args.data, "utterance", label_space)
-        out_records = []
-        if method == "eda":
-            lexicon = baselines.load_lexicon(args.lexicon)
-            cfg = baselines.EdaConfig(alpha_sr=args.alpha_sr, alpha_ri=args.alpha_ri,
-                                      alpha_rs=args.alpha_rs, alpha_rd=args.alpha_rd,
-                                      n_aug=args.n_aug, synonym_lexicon=lexicon)
-            for rec in records:
-                eda_cfg = baselines.EdaConfig(**{**cfg.__dict__, "seed": f"{seed}|{rec.id}"})
-                for j, variant in enumerate(baselines.eda_augment(rec.text, eda_cfg)):
-                    out_records.append(rec.__class__(
-                        id=f"{rec.id}-eda{j}", text=variant, intent=rec.intent,
-                        lang=rec.lang, provenance="silver", source_id=rec.id))
-        else:
-            for rec in records:
-                cfg = baselines.AedaConfig(alpha=args.alpha, seed=f"{seed}|{rec.id}")
-                out_records.append(rec.__class__(
-                    id=f"{rec.id}-aeda", text=baselines.aeda_augment(rec.text, cfg),
-                    intent=rec.intent, lang=rec.lang, provenance="silver",
-                    source_id=rec.id))
-        write_jsonl(out_records, args.out)
-        print(f"{method}: wrote {len(out_records)} augmented records -> {args.out}")
-        return
-    if method == "incontext":
-        records = load_jsonl(args.data, "utterance", label_space)
-        backend = _make_backend(args, config)
-        spec = PromptSpec(task=label_space.task, strategy="incontext")
-        params = _gen_params(args, config)
-        k = int(resolve(args, config, "k"))
-        candidates = []
-        for label in label_space.labels:
-            pool = [u.text for u in records if u.intent == label]
-            if not pool:
-                continue
-            candidates.append(baselines.random_in_context_augment(
-                label, pool, backend, spec, label_space, params,
-                cand_id=f"ic-{label}", k=k, seed=seed))
-        write_candidates(candidates, args.out)
-        print(f"incontext: wrote {len(candidates)} candidates -> {args.out}")
-        return
-    raise SystemExit(f"unknown baseline method {method!r}")
+    records = load_jsonl(args.data, "utterance", label_space)
+    options = {key: resolve(args, config, key) for key in BASELINE_OPTIONS[args.method]}
+    out_records = baselines.perturb_records(
+        records, args.method, int(resolve(args, config, "seed")),
+        resolve(args, config, "lexicon"),
+        **{key: value for key, value in options.items() if value is not None})
+    write_jsonl(out_records, args.out)
+    print(f"{args.method}: wrote {len(out_records)} augmented records -> {args.out}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,21 +296,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("baseline", help="EDA / AEDA / random in-context baselines")
-    p.add_argument("--method", required=True, choices=["eda", "aeda", "incontext"])
+    p = sub.add_parser("baseline", help="EDA / AEDA perturbation baselines")
+    p.add_argument("--method", required=True, choices=list(BASELINE_OPTIONS))
     p.add_argument("--data", required=True)
     p.add_argument("--labels", required=True)
     p.add_argument("--lexicon")
-    p.add_argument("--alpha-sr", dest="alpha_sr", type=float, default=0.1)
-    p.add_argument("--alpha-ri", dest="alpha_ri", type=float, default=0.1)
-    p.add_argument("--alpha-rs", dest="alpha_rs", type=float, default=0.1)
-    p.add_argument("--alpha-rd", dest="alpha_rd", type=float, default=0.1)
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--n-aug", dest="n_aug", type=int, default=1)
-    p.add_argument("--k", type=int)
+    p.add_argument("--alpha-sr", dest="alpha_sr", type=float)
+    p.add_argument("--alpha-ri", dest="alpha_ri", type=float)
+    p.add_argument("--alpha-rs", dest="alpha_rs", type=float)
+    p.add_argument("--alpha-rd", dest="alpha_rd", type=float)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--n-aug", dest="n_aug", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
-    add_backend_flags(p)
     p.set_defaults(func=cmd_baseline)
     return parser
 

@@ -2,7 +2,8 @@
 
 Two record shapes are supported:
   - dialogue: conversations of strictly alternating A/B turns, each turn
-    optionally carrying an emotion and/or act label
+    optionally carrying an emotion and/or act label; gold conversations have
+    at least two turns, a silver one may be a single context-free turn
   - utterance: single labeled utterances with an intent label and a language tag
 
 Everything is immutable after load; loading and sampling are single-threaded.
@@ -55,8 +56,9 @@ class Conversation:
 
     def __post_init__(self):
         object.__setattr__(self, "turns", tuple(self.turns))
-        if len(self.turns) < 2:
-            raise CorpusError(f"conversation {self.id!r}: needs >= 2 turns")
+        least = 1 if self.provenance == "silver" else 2
+        if len(self.turns) < least:
+            raise CorpusError(f"conversation {self.id!r}: needs >= {least} turns")
         for prev, cur in zip(self.turns, self.turns[1:]):
             if prev.speaker == cur.speaker:
                 raise CorpusError(f"conversation {self.id!r}: non-alternating speakers")

@@ -15,7 +15,7 @@ import os
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
@@ -165,17 +165,15 @@ class HttpBackend:
                            attempts=self.max_attempts)
 
 
-def parse_completion(raw: str, speaker_names=(), stop_markers=()) -> str | None:
+def parse_completion(raw: str, stop_markers=()) -> str | None:
     """Clean utterance from a raw model continuation.
 
-    Cuts at the first newline, then at the first occurrence of any stop marker
-    (speaker-name cue prefixes are added automatically), trims whitespace, and
-    returns None if nothing usable remains.
+    Cuts at the first newline, then at the first occurrence of any stop
+    marker, trims whitespace, and returns None if nothing usable remains.
     """
-    markers = list(stop_markers) + [f"{name} " for name in speaker_names]
     text = raw.split("\n", 1)[0]
     cut = len(text)
-    for marker in markers:
+    for marker in stop_markers:
         if not marker:
             continue
         idx = text.find(marker)

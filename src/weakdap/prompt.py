@@ -35,7 +35,7 @@ class PromptError(ValueError):
 @dataclass(frozen=True)
 class PromptSpec:
     task: str  # emotion | act | intent
-    strategy: str = "lta"  # lta | ata | cta | incontext
+    strategy: str = "lta"  # lta | ata | cta | incontext | random
     speaker_names: tuple[str, str] = ("Alice", "Bob")
     control_prefix: str | None = None
     k_examples: int = 10
@@ -104,6 +104,22 @@ def render_dialogue_prompt(prefix, spec: PromptSpec, prescribed: str) -> Rendere
         target_speaker=target,
         prescribed_label=prescribed,
         context_turn_count=len(prefix),
+    )
+
+
+def render_context_free_prompt(examples, spec: PromptSpec, speaker: str,
+                               label: str) -> RenderedPrompt:
+    """Context-free prompt: one line per example text after the speaker's cue
+    for the label, then the bare cue. The contrast condition against
+    dialogue-context prompting."""
+    cue = _cue(spec, speaker, label)
+    lines = [f"{cue} {text}" for text in examples]
+    lines.append(cue)
+    return RenderedPrompt(
+        text="\n".join(lines),
+        target_speaker=speaker,
+        prescribed_label=label,
+        context_turn_count=len(lines) - 1,
     )
 
 

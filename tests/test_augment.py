@@ -21,6 +21,7 @@ from weakdap.augment import (
 from weakdap.corpus import CorpusError, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams, MockBackend, MockGenConfig
 from weakdap.prompt import PromptSpec
+from weakdap.weaklabel import candidate_instance_text, candidate_training_instances
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
@@ -273,6 +274,48 @@ class TestBudgetScheduler:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             AugmentPlan(strategy="xta")
+
+
+class TestRandomStrategy:
+    """`random` plans and labels like LTA, but its candidate is the generated
+    turn with no dialogue context."""
+
+    def _run(self, strategy, label_mode="gold", backend=None):
+        rng = random.Random(41)
+        gold = [toy_conversation(f"g{i}", rng, n=4) for i in range(8)]
+        plan = AugmentPlan(strategy=strategy, multiplier=1.5, label_mode=label_mode, seed=7)
+        return run_augmentation(gold, plan, backend or mock_backend(), SPEC, SPACE,
+                                GenParams())
+
+    @pytest.mark.parametrize("label_mode", ["gold", "random"])
+    def test_budget_labels_and_sources_match_lta(self, label_mode):
+        lta_cands, random_cands = self._run("lta", label_mode), self._run("random", label_mode)
+        assert len(random_cands) == len(lta_cands) == 12
+        assert [c.id for c in random_cands] == \
+               [c.id.replace("-slta-", "-srandom-") for c in lta_cands]
+        assert [(c.source_id, c.prescribed_label) for c in random_cands] == \
+               [(c.source_id, c.prescribed_label) for c in lta_cands]
+        assert {c.strategy for c in random_cands} == {"random"}
+
+    def test_training_instance_is_the_bare_text(self, tmp_path):
+        cands = self._run("random")
+        for cand in cands:
+            (turn,) = cand.payload.turns
+            assert cand.generated_turns == (0,)
+            assert candidate_training_instances(cand, "emotion", window=2) == \
+                [(turn.text, cand.prescribed_label)]
+            assert candidate_instance_text(cand, window=2) == turn.text
+        write_candidates(cands, tmp_path / "c.jsonl")
+        loaded = {c.id: c for c in load_candidates(tmp_path / "c.jsonl", "dialogue")}
+        assert all(loaded[c.id].payload == c.payload for c in cands)
+
+    def test_speaker_cues_are_stop_markers(self):
+        for strategy in ("lta", "random"):
+            backend = CountingBackend(mock_backend())
+            self._run(strategy, backend=backend)
+            assert backend.calls == 12
+            assert all({"Alice ", "Bob "} <= set(params.stop_markers)
+                       for params, _ in backend.requests)
 
 
 INTENTS = ("alarm/set", "weather/find")

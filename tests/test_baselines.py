@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weakdap.augment import AugmentPlan, _plan_jobs, run_augmentation
 from weakdap.baselines import (
     AedaConfig,
     BaselineError,
@@ -9,14 +10,13 @@ from weakdap.baselines import (
     aeda_augment,
     eda_augment,
     load_lexicon,
-    random_in_context_augment,
-    random_in_context_prompt,
+    perturb_records,
 )
-from weakdap.corpus import LabelSpace
+from weakdap.corpus import LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
-from weakdap.prompt import PromptSpec
+from weakdap.prompt import PromptSpec, render_context_free_prompt
 
-from conftest import TOY_LABELS, mock_backend, toy_templates
+from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
 SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 
@@ -111,38 +111,105 @@ class TestAeda:
             aeda_augment("", AedaConfig())
 
 
+class TestPerturbRecords:
+    def _records(self):
+        return [LabeledUtterance(id=f"u{i}", text="the good dog runs fast today",
+                                 intent="alarm/set", lang="es") for i in range(3)]
+
+    def test_silver_ids_and_fields(self):
+        out = perturb_records(self._records(), "eda", seed=1, n_aug=2)
+        assert [u.id for u in out] == ["u0-eda0", "u0-eda1", "u1-eda0", "u1-eda1",
+                                       "u2-eda0", "u2-eda1"]
+        assert all(u.provenance == "silver" and u.intent == "alarm/set" and u.lang == "es"
+                   for u in out)
+        assert [u.source_id for u in out] == ["u0", "u0", "u1", "u1", "u2", "u2"]
+
+    def test_each_record_has_its_own_seed(self):
+        rec = self._records()[0]
+        (out,) = perturb_records([rec], "aeda", seed=4, alpha=0.5)
+        assert out.id == "u0-aeda"
+        assert out.text == aeda_augment(rec.text, AedaConfig(alpha=0.5, seed="4|u0"))
+
+    def test_unset_options_keep_config_defaults(self):
+        rec = self._records()[0]
+        (out,) = perturb_records([rec], "eda", seed=2)
+        expected = eda_augment(rec.text, EdaConfig(synonym_lexicon=load_lexicon(), seed="2|u0"))
+        assert out.text == expected[0]
+
+    def test_unknown_method(self):
+        with pytest.raises(BaselineError):
+            perturb_records(self._records(), "incontext")
+
+
 class TestRandomInContext:
-    def _pool(self, n=25):
-        rng = random.Random(0)
-        return [f"happy utterance number {i}" for i in range(n)]
+    """The context-free prompting baseline: the `random` strategy's prompts
+    and candidates."""
+
+    def _gold(self, n_convs=6):
+        rng = random.Random(3)
+        return [toy_conversation(f"g{i}", rng, n=4) for i in range(n_convs)]
+
+    def _run(self, gold, k, seed=0):
+        """(candidate, its prompt) pairs of one `random` pass over gold."""
+        prompts = {}
+        inner = mock_backend()
+
+        class Recording:
+            def complete(self, prompt, params):
+                prompts[params.seed] = prompt
+                return inner.complete(prompt, params)
+
+        plan = AugmentPlan(strategy="random", multiplier=1.0, seed=seed)
+        spec = PromptSpec(task="emotion", k_examples=k)
+        cands = run_augmentation(gold, plan, Recording(), spec, SPACE, GenParams())
+        seeds = {prefix: s for _, prefix, s, _ in _plan_jobs(gold, plan)}
+        return [(c, prompts[seeds[c.id]]) for c in cands]
 
     def test_prompt_has_k_example_lines(self):
         spec = PromptSpec(task="emotion")
-        rp = random_in_context_prompt("happiness", self._pool(25), spec, k=10, seed=1)
+        examples = [f"happy utterance number {i}" for i in range(10)]
+        rp = render_context_free_prompt(examples, spec, "A", "happiness")
         lines = rp.text.split("\n")
-        assert len(lines) == 11
+        assert len(lines) == 11 == rp.context_turn_count + 1
         assert lines[-1] == "Alice in a happy mood:"
-        assert all(l.startswith("Alice in a happy mood: ") for l in lines[:-1])
+        assert lines[:-1] == [f"Alice in a happy mood: {e}" for e in examples]
+        assert (rp.target_speaker, rp.prescribed_label) == ("A", "happiness")
 
     def test_pool_limited(self):
-        spec = PromptSpec(task="emotion")
-        rp = random_in_context_prompt("happiness", self._pool(3), spec, k=10, seed=1)
-        assert len(rp.text.split("\n")) == 4
+        # each prompt holds min(k, |pool|) same-label turns, none of its source
+        gold = self._gold()
+        by_id = {c.id: c for c in gold}
+        for k in (2, 10):
+            for cand, prompt in self._run(gold, k):
+                source = by_id[cand.source_id]
+                pool = [t.text for c in gold if c is not source for t in c.turns
+                        if t.emotion == cand.prescribed_label]
+                *lines, cue = prompt.text.split("\n")
+                examples = [line[len(cue) + 1:] for line in lines]
+                assert len(examples) == min(k, len(pool))
+                assert set(examples) <= set(pool)
+                assert not set(examples) & {t.text for t in source.turns}
 
     def test_deterministic_selection(self):
-        spec = PromptSpec(task="emotion")
-        a = random_in_context_prompt("happiness", self._pool(25), spec, k=10, seed=9)
-        b = random_in_context_prompt("happiness", self._pool(25), spec, k=10, seed=9)
-        assert a.text == b.text
+        gold = self._gold()
+        a, b, c = ([p.text for _, p in self._run(gold, 3, seed)] for seed in (0, 0, 1))
+        assert a == b != c
 
-    def test_empty_pool_rejected(self):
-        with pytest.raises(BaselineError):
-            random_in_context_prompt("happiness", [], PromptSpec(task="emotion"))
+    def test_label_without_pooled_turns_gets_bare_cue(self):
+        assert render_context_free_prompt([], PromptSpec(task="emotion"), "B",
+                                          "sadness").text == "Bob in a sad mood:"
+        rng = random.Random(4)
+        gold = [toy_conversation("g0", rng, labels=["neutral", "sadness"]),
+                toy_conversation("g1", rng, labels=["neutral", "neutral"])]
+        (cand, prompt), _ = self._run(gold, 10)
+        assert (cand.source_id, cand.prescribed_label) == ("g0", "sadness")
+        assert prompt.text == "Bob in a sad mood:"
 
     def test_candidate_carries_label_without_context(self):
-        spec = PromptSpec(task="emotion")
-        cand = random_in_context_augment("happiness", self._pool(), mock_backend(),
-                                         spec, SPACE, GenParams(), "ic0", k=10, seed=0)
-        assert cand.prescribed_label == "happiness"
-        assert cand.strategy == "incontext"
-        assert cand.payload.text in toy_templates()["happiness"]
+        pairs = self._run(self._gold(), 10)
+        assert len(pairs) == 6
+        for cand, _ in pairs:
+            assert cand.strategy == "random"
+            assert cand.payload.n == 1
+            assert cand.payload.turns[0].emotion == cand.prescribed_label
+            assert cand.payload.turns[0].text in toy_templates()[cand.prescribed_label]

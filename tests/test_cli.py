@@ -1,11 +1,13 @@
 import json
 import math
 import random
+import shlex
 import socket
+from pathlib import Path
 
 import pytest
 
-from weakdap.cli import main
+from weakdap.cli import _make_backend, build_parser, main
 from weakdap.corpus import LabeledUtterance, write_jsonl
 
 from conftest import TOY_LABELS, toy_conversation, toy_sentence, toy_templates
@@ -140,6 +142,34 @@ class TestAugment:
         assert all(r["strategy"] == "incontext" for r in rows)
         assert {r["source_id"][:2] for r in rows} == {"es"}
 
+    def test_random_strategy_is_context_free(self, workspace, tmp_path):
+        out = tmp_path / "cands.jsonl"
+        rc = main(["augment", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"), "--strategy", "random",
+                   "--multiplier", "1.5", "--seed", "2", "--backend", "mock",
+                   "--mock-templates", str(workspace / "templates.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
+        assert len(rows) == math.ceil(1.5 * 30)
+        assert all(r["strategy"] == "random" for r in rows)
+        assert all(len(r["payload"]["turns"]) == 1 and r["generated_turns"] == [0]
+                   for r in rows)
+
+    def test_endpoint_flag_beats_config_beats_environment(self, monkeypatch):
+        monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://env")
+        parser = build_parser()
+
+        def endpoint(flags, config):
+            args = parser.parse_args(["augment", "--data", "d", "--labels", "l",
+                                      "--out", "o", "--backend", "http", *flags])
+            return _make_backend(args, config).endpoint
+
+        assert endpoint([], {}) == "http://env"
+        assert endpoint([], {"endpoint": "http://config"}) == "http://config"
+        assert endpoint(["--endpoint", "http://flag"],
+                        {"endpoint": "http://config"}) == "http://flag"
+
     def test_mock_backend_requires_templates(self, workspace, tmp_path):
         with pytest.raises(SystemExit):
             main(["augment", "--data", str(workspace / "train.jsonl"),
@@ -233,6 +263,15 @@ class TestWeakdapCommand:
         args.remove("utterance")
         assert main(args) == 0
 
+    def test_random_strategy_runs_through_the_filter(self, workspace, tmp_path):
+        rc = main(_weakdap_args(workspace, tmp_path, ["--strategy", "random"]))
+        assert rc == 0
+        run = json.loads((tmp_path / "run.json").read_text())
+        assert run["config"]["plan"]["strategy"] == "random"
+        counts = run["iterations"][1]["counts"]
+        assert counts["produced"] == 60
+        assert counts["kept"] + counts["dropped_mismatch"] + counts["dropped_parse"] == 60
+
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(_weakdap_args(workspace, a))
@@ -267,14 +306,41 @@ class TestBaselineCommand:
         assert len(rows) == 32
         assert all(r["source_id"] for r in rows)
 
-    def test_incontext(self, workspace, tmp_path):
-        out = tmp_path / "ic.jsonl"
-        rc = main(["baseline", "--method", "incontext",
-                   "--data", str(workspace / "utterances.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
-                   "--backend", "mock",
-                   "--mock-templates", str(workspace / "templates.json"),
-                   "--seed", "0", "--out", str(out)])
-        assert rc == 0
-        rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
-        assert {r["prescribed_label"] for r in rows} == set(TOY_LABELS)
+    def _aeda(self, workspace, out, config=None, flags=()):
+        head = ["--config", str(config)] if config else []
+        assert main([*head, "baseline", "--method", "aeda",
+                     "--data", str(workspace / "utterances.jsonl"),
+                     "--labels", str(workspace / "labels.json"),
+                     "--seed", "0", "--out", str(out), *flags]) == 0
+        return out.read_bytes()
+
+    def test_config_alpha_reaches_aeda_and_flag_beats_it(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1.0}))
+        default = self._aeda(workspace, tmp_path / "default.jsonl")
+        from_config = self._aeda(workspace, tmp_path / "config.jsonl", cfg)
+        from_flag = self._aeda(workspace, tmp_path / "flag.jsonl", cfg, ["--alpha", "0.3"])
+        assert from_config != default
+        assert from_config == self._aeda(workspace, tmp_path / "flag1.jsonl",
+                                         flags=["--alpha", "1.0"])
+        assert from_flag == default
+
+
+def _readme_commands():
+    """Every `weakdap ...` command in the README's sh blocks, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```sh\n")[1:]:
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        for line in block.splitlines():
+            if line.startswith("weakdap "):
+                commands.append(shlex.split(line)[1:])
+    return commands
+
+
+def test_readme_commands_parse():
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

@@ -45,6 +45,11 @@ class TestInvariants:
         with pytest.raises(CorpusError):
             Conversation(id="x", turns=(Turn(speaker="A", text="hi"),))
 
+    def test_single_silver_turn_accepted(self):
+        conv = Conversation(id="x", turns=(Turn(speaker="B", text="hi"),),
+                            provenance="silver", source_id="g")
+        assert conv.n == 1
+
     def test_empty_text_rejected(self):
         with pytest.raises(CorpusError):
             Turn(speaker="A", text="   ")

@@ -41,10 +41,6 @@ class TestParseCompletion:
     def test_whitespace_only_is_absent(self):
         assert parse_completion("   ") is None
 
-    def test_speaker_names_become_markers(self):
-        raw = "Fine then. Alice in a sad mood: hm"
-        assert parse_completion(raw, speaker_names=("Alice", "Bob")) == "Fine then."
-
     def test_first_marker_wins_char_scan_oracle(self):
         # oracle: earliest occurrence over all markers, scanned char by char
         raw = "one two three four five"

@@ -202,7 +202,7 @@ class TestWorkerCountIndependence:
                     en_pool=en_pool)
         return _dir_bytes(out_dir)
 
-    @pytest.mark.parametrize("workload", ["cta", "ata", "incontext"])
+    @pytest.mark.parametrize("workload", ["cta", "ata", "incontext", "random"])
     def test_one_and_eight_workers_write_identical_runs(self, workload, tmp_path,
                                                         monkeypatch):
         serial = self._run(workload, 1, tmp_path / "w1", monkeypatch)
@@ -210,8 +210,13 @@ class TestWorkerCountIndependence:
         assert serial.keys() == pooled.keys()
         for rel in serial:
             assert serial[rel] == pooled[rel], rel
-        produced = load_run(tmp_path / "w8")["iterations"][0]["counts"]["produced"]
-        if workload == "ata":
+        iterations = load_run(tmp_path / "w8")["iterations"]
+        produced = iterations[0]["counts"]["produced"]
+        if workload in ("ata", "random"):
             assert produced == 17
         else:
             assert produced > 0
+        if workload == "random":
+            # the weak filter judges context-free candidates too
+            assert iterations[1]["counts"]["kept"] > 0
+            assert iterations[1]["counts"]["dropped_mismatch"] > 0
