@@ -29,7 +29,14 @@ from .corpus import (
 from .genbackend import BackendError, GenParams, HttpBackend, MockBackend, MockGenConfig
 from .loop import LoopConfig, evaluate_model, instances_of, run_weakdap
 from .prompt import PromptSpec
-from .weaklabel import FeaturizerConfig, FilterConfig, TrainConfig, WeakLabeler, train
+from .weaklabel import (
+    FeaturizerConfig,
+    FilterConfig,
+    HashedFeaturizer,
+    TrainConfig,
+    WeakLabeler,
+    train,
+)
 
 DEFAULTS = {
     "seed": 0,
@@ -166,9 +173,9 @@ def cmd_train(args, config):
     label_space = load_label_space(args.labels)
     schema = resolve(args, config, "schema")
     records = load_jsonl(args.data, schema, label_space)
-    feat_cfg = FeaturizerConfig()
-    texts, labels = instances_of(records, label_space, feat_cfg.context_window)
-    model = train(texts, labels, label_space, feat_cfg,
+    featurizer = HashedFeaturizer(FeaturizerConfig())
+    texts, labels = instances_of(records, label_space, featurizer.config.context_window)
+    model = train(texts, labels, label_space, featurizer,
                   TrainConfig(seed=int(resolve(args, config, "seed"))))
     model.save(args.out)
     print(f"trained on {len(texts)} instances -> {args.out}")
@@ -189,7 +196,9 @@ def cmd_weakdap(args, config):
         regen=resolve(args, config, "regen"),
     )
     _, _, state = run_weakdap(dataset, plan, filter_cfg, loop_cfg, backend, spec,
-                              gen_params=params, out_dir=args.out)
+                              gen_params=params,
+                              train_cfg=TrainConfig(seed=int(resolve(args, config, "seed"))),
+                              out_dir=args.out)
     print(f"ran {state.iteration + 1} iterations; best score "
           f"{state.best_score:.4f} at iteration {state.best_iteration} -> {args.out}")
 

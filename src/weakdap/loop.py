@@ -32,6 +32,7 @@ from .prompt import PromptSpec
 from .weaklabel import (
     FeaturizerConfig,
     FilterConfig,
+    HashedFeaturizer,
     TrainConfig,
     WeakLabeler,
     candidate_training_instances,
@@ -135,16 +136,16 @@ def evaluate_model(model: WeakLabeler, records, label_space: LabelSpace,
     return metrics.report_from_predictions(gold, pred, label_space, majority)
 
 
-def _train_on(dataset: Dataset, silver: list[Candidate], feat_cfg, train_cfg,
-              label_space: LabelSpace) -> WeakLabeler:
-    texts, labels = instances_of(dataset.train, label_space, feat_cfg.context_window)
+def _train_on(dataset: Dataset, silver: list[Candidate], featurizer: HashedFeaturizer,
+              train_cfg, label_space: LabelSpace) -> WeakLabeler:
+    window = featurizer.config.context_window
+    texts, labels = instances_of(dataset.train, label_space, window)
     for cand in silver:
         if cand.verdict == "kept" and cand.payload is not None:
-            for text, label in candidate_training_instances(
-                    cand, label_space.task, feat_cfg.context_window):
+            for text, label in candidate_training_instances(cand, label_space.task, window):
                 texts.append(text)
                 labels.append(label)
-    return train(texts, labels, label_space, feat_cfg, train_cfg)
+    return train(texts, labels, label_space, featurizer, train_cfg)
 
 
 def _verdict_counts(candidates) -> dict:
@@ -171,7 +172,8 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     if not dataset.train or not dataset.validation:
         raise LoopError("gold dataset needs train and validation partitions")
     gen_params = gen_params or GenParams()
-    feat_cfg = feat_cfg or FeaturizerConfig()
+    # one featurizer for the whole run: every text is hashed once
+    featurizer = HashedFeaturizer(feat_cfg or FeaturizerConfig())
     train_cfg = train_cfg or TrainConfig()
     label_space = dataset.label_space
     majority = label_space.majority if label_space.majority is not None \
@@ -207,7 +209,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             filter_candidates(candidates, model, filter_cfg)
 
         kept = [c for c in candidates if c.verdict == "kept"]
-        model = _train_on(dataset, kept, feat_cfg, train_cfg, label_space)
+        model = _train_on(dataset, kept, featurizer, train_cfg, label_space)
         report = evaluate_model(model, dataset.validation, label_space, majority)
         score = report.score(loop_cfg.metric)
 

@@ -9,6 +9,7 @@ tagged context folded into the features.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -105,10 +106,18 @@ def candidate_training_instances(cand: Candidate, task: str, window: int = 1):
 
 class HashedFeaturizer:
     """Sparse hashed word n-gram + character trigram features (crc32, stable
-    across processes)."""
+    across processes).
+
+    It remembers the finished, l2-normalized row of every text it has
+    featurized, so a text is hashed once however often it is asked for: one
+    featurizer serves a whole `run_weakdap` run, and every model trained in
+    the run scores through it. The memo is not locked; call it from the main
+    thread only."""
 
     def __init__(self, config: FeaturizerConfig):
         self.config = config
+        self._rows = sparse.csr_matrix((0, config.dim))  # every row built so far
+        self._row_of: dict[str, int] = {}  # text -> its row in self._rows
 
     def _indices(self, text: str):
         cfg = self.config
@@ -121,22 +130,31 @@ class HashedFeaturizer:
         grams.extend("#" + compact[i:i + n] for i in range(len(compact) - n + 1))
         return [zlib.crc32(g.encode("utf-8")) % cfg.dim for g in grams]
 
-    def transform(self, texts) -> sparse.csr_matrix:
-        data, indices, indptr = [], [], [0]
-        for text in texts:
-            counts: dict[int, float] = {}
-            for idx in self._indices(text):
-                counts[idx] = counts.get(idx, 0.0) + 1.0
-            for idx in sorted(counts):
-                indices.append(idx)
-                data.append(counts[idx])
-            indptr.append(len(indices))
-        X = sparse.csr_matrix((data, indices, indptr),
-                              shape=(len(indptr) - 1, self.config.dim), dtype=np.float64)
+    def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
+        """Rows of `texts`, each l2-normalized."""
+        dim = self.config.dim
+        grams = [self._indices(text) for text in texts]
+        cols = np.fromiter(itertools.chain.from_iterable(grams), dtype=np.int64)
+        rows = np.repeat(np.arange(len(texts), dtype=np.int64), [len(g) for g in grams])
+        # sorted (row, column) keys: each row's columns ascending, with counts
+        keys, counts = np.unique(rows * dim + cols, return_counts=True)
+        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // dim, minlength=len(texts)), out=indptr[1:])
+        X = sparse.csr_matrix((counts.astype(np.float64), keys % dim, indptr),
+                              shape=(len(texts), dim))
         # l2 row normalization keeps gradients comparable across text lengths
         norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
         norms[norms == 0] = 1.0
         return sparse.diags(1.0 / norms) @ X
+
+    def transform(self, texts) -> sparse.csr_matrix:
+        texts = list(texts)
+        new = [text for text in dict.fromkeys(texts) if text not in self._row_of]
+        if new:
+            first = self._rows.shape[0]
+            self._row_of.update(zip(new, range(first, first + len(new))))
+            self._rows = sparse.vstack([self._rows, self._featurize(new)], format="csr")
+        return self._rows[[self._row_of[text] for text in texts]]
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -204,13 +222,15 @@ class WeakLabeler:
 
 
 def train(instances, labels, label_space: LabelSpace,
-          feat_cfg: FeaturizerConfig | None = None,
+          featurizer: HashedFeaturizer | None = None,
           train_cfg: TrainConfig | None = None) -> WeakLabeler:
     """Fit the weak labeler with seeded mini-batch gradient descent and early
     stopping on the loss of an internal validation split (the training loss
     when that split is empty). Deterministic under the config seed; a step
-    costs O(nonzeros in the batch x classes)."""
-    feat_cfg = feat_cfg or FeaturizerConfig()
+    costs O(nonzeros in the batch x classes). The model scores through
+    `featurizer`, so rows it has built are reused."""
+    featurizer = featurizer or HashedFeaturizer(FeaturizerConfig())
+    dim = featurizer.config.dim
     cfg = train_cfg or TrainConfig()
     instances = list(instances)
     labels = list(labels)
@@ -219,7 +239,6 @@ def train(instances, labels, label_space: LabelSpace,
         if label not in present:
             raise WeakLabelError(f"label {label!r} has no training instances")
 
-    featurizer = HashedFeaturizer(feat_cfg)
     y = np.array([label_space.index(l) for l in labels])
     X = featurizer.transform(instances)
     n, C = X.shape[0], len(label_space)
@@ -238,10 +257,10 @@ def train(instances, labels, label_space: LabelSpace,
     decay = 1.0 - cfg.learning_rate * cfg.l2
     if decay <= 0:
         raise WeakLabelError("learning_rate * l2 must be < 1")
-    V = np.zeros((feat_cfg.dim, C))
+    V = np.zeros((dim, C))
     s = 1.0
     b = np.zeros(C)
-    best = (math.inf, np.zeros((C, feat_cfg.dim)), b.copy())
+    best = (math.inf, np.zeros((C, dim)), b.copy())
     stall = 0
     np_rng = np.random.default_rng(cfg.seed)
     ntr = Xtr.shape[0]
@@ -267,7 +286,7 @@ def train(instances, labels, label_space: LabelSpace,
         P = _softmax(s * (Xval @ V) + b)
         val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
         if val_loss < best[0] - 1e-9:
-            W = np.empty((C, feat_cfg.dim))
+            W = np.empty((C, dim))
             np.multiply(V.T, s, out=W)
             best = (val_loss, W, b.copy())
             stall = 0

@@ -24,6 +24,7 @@ from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
     FeaturizerConfig,
     FilterConfig,
+    HashedFeaturizer,
     TrainConfig,
     entropy_bits,
     filter_candidates,
@@ -251,7 +252,7 @@ def test_criterion_5_end_to_end_denoising(tmp_path):
     space = dataset.label_space
 
     texts, labels = instances_of(dataset.train, space, FEAT.context_window)
-    gold_model = train(texts, labels, space, FEAT, TRAIN)
+    gold_model = train(texts, labels, space, HashedFeaturizer(FEAT), TRAIN)
     val_texts, val_gold = instances_of(dataset.validation, space, FEAT.context_window)
     acc = sum(p == g for p, g in zip(gold_model.predict(val_texts), val_gold)) \
         / len(val_gold)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import weakdap.loop
 from weakdap.cli import _make_backend, build_parser, main
 from weakdap.corpus import LabeledUtterance, write_jsonl
 
@@ -271,6 +272,21 @@ class TestWeakdapCommand:
         counts = run["iterations"][1]["counts"]
         assert counts["produced"] == 60
         assert counts["kept"] + counts["dropped_mismatch"] + counts["dropped_parse"] == 60
+
+    @pytest.mark.parametrize("seed", [5, 9])
+    def test_seed_reaches_the_trainer(self, workspace, tmp_path, monkeypatch, seed):
+        seeds = []
+        train = weakdap.loop.train
+
+        def spy(*args, **kwargs):
+            seeds.append(args[4].seed)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(weakdap.loop, "train", spy)
+        args = _weakdap_args(workspace, tmp_path)
+        args[args.index("--seed") + 1] = str(seed)
+        assert main(args) == 0
+        assert seeds == [seed, seed]
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -17,7 +17,7 @@ from weakdap.loop import (
     run_weakdap,
 )
 from weakdap.prompt import PromptSpec
-from weakdap.weaklabel import FeaturizerConfig, FilterConfig, TrainConfig
+from weakdap.weaklabel import FeaturizerConfig, FilterConfig, HashedFeaturizer, TrainConfig
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_sentence
 
@@ -158,48 +158,56 @@ def _dir_bytes(root):
             if p.is_file()}
 
 
+def _dialogues():
+    rng = random.Random(21)
+    space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
+    return Dataset(label_space=space,
+                   train=[toy_conversation(f"tr{i}", rng, n=4) for i in range(10)],
+                   validation=[toy_conversation(f"va{i}", rng, n=4) for i in range(10)])
+
+
+def _utterances():
+    rng = random.Random(22)
+
+    def utts(prefix, lang, per_label):
+        return [LabeledUtterance(id=f"{prefix}{i}", text=toy_sentence(label, rng),
+                                 intent=label, lang=lang)
+                for i, label in enumerate(TOY_LABELS * per_label)]
+
+    space = LabelSpace(task="intent", labels=TOY_LABELS)
+    return (Dataset(label_space=space, train=utts("tr", "es", 3),
+                    validation=utts("va", "es", 3)), utts("en", "en", 4))
+
+
+def _small_run(strategy, out_dir, iterations=2, regen="fresh"):
+    """A short `run_weakdap` over `_dialogues` (or `_utterances` in context)."""
+    en_pool = None
+    params = GenParams()
+    if strategy == "incontext":
+        dataset, en_pool = _utterances()
+        plan = AugmentPlan(strategy="incontext", seed=4)
+        spec = PromptSpec(task="intent")
+        params = GenParams(mode="beam", num_return=3)
+    else:
+        dataset = _dialogues()
+        # ATA at 1.7: 17 candidates, so the 6th conversation keeps 2 of its 3
+        plan = AugmentPlan(strategy=strategy, multiplier=1.7, seed=4)
+        spec = PromptSpec(task="emotion")
+    run_weakdap(dataset, plan, FilterConfig(),
+                LoopConfig(metric="macro_f1", max_iterations=iterations,
+                           patience=iterations, regen=regen),
+                mock_backend(noise_rate=0.3), spec, gen_params=params, feat_cfg=FEAT,
+                train_cfg=TrainConfig(seed=3, epochs=5), out_dir=str(out_dir),
+                en_pool=en_pool)
+
+
 class TestWorkerCountIndependence:
     """The run directory is the same byte for byte whatever the number of
     generation threads."""
 
-    def _dialogues(self):
-        rng = random.Random(21)
-        space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
-        return Dataset(label_space=space,
-                       train=[toy_conversation(f"tr{i}", rng, n=4) for i in range(10)],
-                       validation=[toy_conversation(f"va{i}", rng, n=4) for i in range(10)])
-
-    def _utterances(self):
-        rng = random.Random(22)
-
-        def utts(prefix, lang, per_label):
-            return [LabeledUtterance(id=f"{prefix}{i}", text=toy_sentence(label, rng),
-                                     intent=label, lang=lang)
-                    for i, label in enumerate(TOY_LABELS * per_label)]
-
-        space = LabelSpace(task="intent", labels=TOY_LABELS)
-        return (Dataset(label_space=space, train=utts("tr", "es", 3),
-                        validation=utts("va", "es", 3)), utts("en", "en", 4))
-
     def _run(self, workload, workers, out_dir, monkeypatch):
         monkeypatch.setattr(augment, "MAX_WORKERS", workers)
-        en_pool = None
-        params = GenParams()
-        if workload == "incontext":
-            dataset, en_pool = self._utterances()
-            plan = AugmentPlan(strategy="incontext", seed=4)
-            spec = PromptSpec(task="intent")
-            params = GenParams(mode="beam", num_return=3)
-        else:
-            dataset = self._dialogues()
-            # ATA at 1.7: 17 candidates, so the 6th conversation keeps 2 of its 3
-            plan = AugmentPlan(strategy=workload, multiplier=1.7, seed=4)
-            spec = PromptSpec(task="emotion")
-        run_weakdap(dataset, plan, FilterConfig(),
-                    LoopConfig(metric="macro_f1", max_iterations=2, patience=2),
-                    mock_backend(noise_rate=0.3), spec, gen_params=params, feat_cfg=FEAT,
-                    train_cfg=TrainConfig(seed=3, epochs=5), out_dir=str(out_dir),
-                    en_pool=en_pool)
+        _small_run(workload, out_dir)
         return _dir_bytes(out_dir)
 
     @pytest.mark.parametrize("workload", ["cta", "ata", "incontext", "random"])
@@ -220,3 +228,30 @@ class TestWorkerCountIndependence:
             # the weak filter judges context-free candidates too
             assert iterations[1]["counts"]["kept"] > 0
             assert iterations[1]["counts"]["dropped_mismatch"] > 0
+
+
+class TestFeaturizeOnce:
+    """One featurizer serves the whole run, so every distinct text is hashed
+    once however often training, filtering and evaluation ask for it."""
+
+    @pytest.mark.parametrize("strategy,regen", [("lta", "fresh"), ("incontext", "refilter")])
+    def test_each_distinct_text_is_hashed_once(self, strategy, regen, tmp_path, monkeypatch):
+        hashed, requested = [], []
+        indices, transform = HashedFeaturizer._indices, HashedFeaturizer.transform
+
+        def counting_indices(self, text):
+            hashed.append(text)
+            return indices(self, text)
+
+        def counting_transform(self, texts):
+            texts = list(texts)
+            requested.extend(texts)
+            return transform(self, texts)
+
+        monkeypatch.setattr(HashedFeaturizer, "_indices", counting_indices)
+        monkeypatch.setattr(HashedFeaturizer, "transform", counting_transform)
+        _small_run(strategy, tmp_path, iterations=3, regen=regen)
+        assert len(load_run(tmp_path)["iterations"]) == 3
+        assert len(hashed) == len(set(hashed))
+        assert set(hashed) == set(requested)
+        assert len(requested) > len(hashed)  # texts are asked for again

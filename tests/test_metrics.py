@@ -13,7 +13,7 @@ from weakdap.metrics import (
     report_from_cm,
     report_from_predictions,
 )
-from weakdap.weaklabel import FeaturizerConfig, TrainConfig, train
+from weakdap.weaklabel import FeaturizerConfig, HashedFeaturizer, TrainConfig, train
 
 from conftest import TOY_LABELS
 
@@ -135,7 +135,7 @@ class TestExportFeatures:
         texts = [toy_sentence(l, rng) for l in TOY_LABELS for _ in range(10)]
         labels = [l for l in TOY_LABELS for _ in range(10)]
         space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
-        return train(texts, labels, space, FeaturizerConfig(dim=1 << 12),
+        return train(texts, labels, space, HashedFeaturizer(FeaturizerConfig(dim=1 << 12)),
                      TrainConfig(seed=0, epochs=5))
 
     def test_row_count_and_tags(self, tmp_path):

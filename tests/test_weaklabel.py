@@ -77,6 +77,27 @@ def dense_reference_train(texts, labels, feat_cfg, cfg):
     return best[1], best[2]
 
 
+def reference_transform(feat_cfg, texts):
+    """Independent oracle for `HashedFeaturizer.transform`: per-text dict
+    counting over the hashed grams, columns sorted, rows l2-normalized, with
+    no memo."""
+    hasher = HashedFeaturizer(feat_cfg)
+    data, indices, indptr = [], [], [0]
+    for text in texts:
+        counts = {}
+        for idx in hasher._indices(text):
+            counts[idx] = counts.get(idx, 0.0) + 1.0
+        for idx in sorted(counts):
+            indices.append(idx)
+            data.append(counts[idx])
+        indptr.append(len(indices))
+    X = sparse.csr_matrix((data, indices, indptr),
+                          shape=(len(indptr) - 1, feat_cfg.dim), dtype=np.float64)
+    norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
+    norms[norms == 0] = 1.0
+    return sparse.diags(1.0 / norms) @ X
+
+
 def toy_instances(n, seed):
     rng = random.Random(seed)
     texts, labels = [], []
@@ -119,23 +140,86 @@ class TestEntropy:
             assert 0 <= h <= math.log2(c) + 1e-12
 
 
+FEATURIZER_TEXTS = [
+    "",
+    "   \t\n ",
+    "again and again and again and again",
+    "aaaaaaaa",
+    "¿Dónde está el baño? ñandú über straße 東京 😀",
+    "A:okay A:fine B:furious outrage angry",
+    "okay",
+]
+
+
+def assert_same_csr(got, want):
+    assert isinstance(got, sparse.csr_matrix)
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+
+
+class TestFeaturizer:
+    def test_cold_matches_reference(self):
+        texts = FEATURIZER_TEXTS + FEATURIZER_TEXTS[2:5]  # repeats within one batch
+        assert_same_csr(HashedFeaturizer(FEAT).transform(texts),
+                        reference_transform(FEAT, texts))
+
+    def test_memo_matches_reference(self):
+        featurizer = HashedFeaturizer(FEAT)
+        featurizer.transform(FEATURIZER_TEXTS)
+        texts = list(reversed(FEATURIZER_TEXTS)) + FEATURIZER_TEXTS[:3]
+        assert_same_csr(featurizer.transform(texts), reference_transform(FEAT, texts))
+
+    def test_mixed_batch_matches_reference(self):
+        featurizer = HashedFeaturizer(FEAT)
+        featurizer.transform(FEATURIZER_TEXTS[::2])
+        texts, _ = toy_instances(30, seed=13)
+        texts = FEATURIZER_TEXTS + texts + texts[:7] + FEATURIZER_TEXTS[1::2]
+        assert_same_csr(featurizer.transform(texts), reference_transform(FEAT, texts))
+
+    def test_small_dimension_collisions_match_reference(self):
+        feat = FeaturizerConfig(dim=7)
+        texts, _ = toy_instances(20, seed=14)
+        texts = FEATURIZER_TEXTS + texts
+        assert_same_csr(HashedFeaturizer(feat).transform(texts), reference_transform(feat, texts))
+
+    def test_hashes_each_distinct_text_once(self, monkeypatch):
+        featurizer = HashedFeaturizer(FEAT)
+        hashed, indices = [], featurizer._indices
+        monkeypatch.setattr(featurizer, "_indices",
+                            lambda text: hashed.append(text) or indices(text))
+        featurizer.transform(FEATURIZER_TEXTS * 2)
+        featurizer.transform(FEATURIZER_TEXTS[::-1])
+        assert sorted(hashed) == sorted(FEATURIZER_TEXTS)
+
+    def test_empty_batch(self):
+        featurizer = HashedFeaturizer(FEAT)
+        for _ in range(2):  # cold, then with a filled memo
+            X = featurizer.transform([])
+            assert_same_csr(X, reference_transform(FEAT, []))
+            assert X.shape == (0, FEAT.dim)
+            featurizer.transform(FEATURIZER_TEXTS)
+
+
 class TestTraining:
     def test_separable_training_accuracy(self):
         texts, labels = toy_instances(120, seed=0)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         assert model.predict(texts) == labels
 
     def test_deterministic_weights(self):
         texts, labels = toy_instances(80, seed=2)
-        m1 = train(texts, labels, SPACE, FEAT, TrainConfig(seed=5))
-        m2 = train(texts, labels, SPACE, FEAT, TrainConfig(seed=5))
+        m1 = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=5))
+        m2 = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=5))
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
     def test_validation_accuracy_beats_nearest_centroid_floor(self):
         texts, labels = toy_instances(200, seed=3)
         val_texts, val_labels = toy_instances(120, seed=4)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         pred = model.predict(val_texts)
         acc = sum(p == g for p, g in zip(pred, val_labels)) / len(val_labels)
         assert acc > 0.9
@@ -152,7 +236,7 @@ class TestTraining:
         filtered = [(t, l) for t, l in zip(texts, labels) if l != "sadness"]
         texts, labels = zip(*filtered)
         with pytest.raises(WeakLabelError, match="sadness"):
-            train(list(texts), list(labels), SPACE, FEAT, TrainConfig())
+            train(list(texts), list(labels), SPACE, HashedFeaturizer(FEAT), TrainConfig())
 
     def test_zero_weights_give_uniform_probs(self):
         featurizer = HashedFeaturizer(FEAT)
@@ -162,7 +246,7 @@ class TestTraining:
 
     def test_probs_sum_to_one(self):
         texts, labels = toy_instances(60, seed=6)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         probs = model.predict_proba(texts)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
@@ -174,7 +258,7 @@ class TestTraining:
     ], ids=["default", "batch1", "l2-renormalize"])
     def test_matches_dense_reference(self, cfg):
         texts, labels = toy_instances(200, seed=11)
-        model = train(texts, labels, SPACE, FEAT, cfg)
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), cfg)
         W, b = dense_reference_train(texts, labels, FEAT, cfg)
         assert isinstance(model.weights, np.ndarray) and not sparse.issparse(model.weights)
         assert model.weights.dtype == np.float64
@@ -186,11 +270,12 @@ class TestTraining:
     def test_l2_decay_of_a_whole_step_rejected(self):
         texts, labels = toy_instances(40, seed=12)
         with pytest.raises(WeakLabelError, match="l2"):
-            train(texts, labels, SPACE, FEAT, TrainConfig(learning_rate=0.5, l2=2.0))
+            train(texts, labels, SPACE, HashedFeaturizer(FEAT),
+                  TrainConfig(learning_rate=0.5, l2=2.0))
 
     def test_checkpoint_round_trip(self, tmp_path):
         texts, labels = toy_instances(60, seed=7)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text())
@@ -206,7 +291,7 @@ class TestTraining:
 
     def test_checkpoint_label_space_mismatch(self, tmp_path):
         texts, labels = toy_instances(60, seed=8)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         path = tmp_path / "model.json"
         model.save(path)
         other = LabelSpace(task="intent", labels=("x", "y"))
@@ -402,7 +487,7 @@ class TestPlantedNoise:
         cands = run_augmentation(gold, plan, mock_backend(noise_rate=q), spec,
                                  SPACE, GenParams())
         texts, labels = toy_instances(200, seed=seed + 1)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         return cands, model
 
     def test_zero_noise_zero_kept_noise(self):
@@ -431,6 +516,6 @@ class TestPlantedNoise:
         cand = Candidate(id="c", payload=payload, prescribed_label="neutral",
                          strategy="lta", source_id="g")
         texts, labels = toy_instances(60, seed=0)
-        model = train(texts, labels, SPACE, FEAT, TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         with pytest.raises(WeakLabelError):
             planted_noise_retention([cand], model, FilterConfig())
