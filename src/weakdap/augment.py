@@ -4,15 +4,17 @@ for every strategy.
 Dialogue strategies replace turns of a gold conversation through one routine
 (`replace_turns`): the context before the first replaced turn is copied
 byte-identical from gold, and each generated turn is fed back as context for
-the next. LTA replaces the last turn, ATA each turn 2..n against gold context
-(one candidate per turn), CTA turns 3..n in one candidate. `random` is the
-context-free contrast condition: it plans and labels like LTA, but its prompt
-holds seeded same-label gold turns of other conversations instead of the
-dialogue, and its candidate is the generated turn alone. The in-context
-strategy prompts with same-intent English examples and a Spanish reference and
-keeps up to three beams that duplicate no gold text; the Spanish gold
-utterances are the references, the English ones (or a separate English pool)
-the examples.
+the next. One function, `visit_steps`, defines which candidates a visit to a
+gold conversation makes: LTA replaces the last turn, ATA each turn 2..n
+against gold context (one candidate per turn), CTA turns 3..n in one
+candidate; CTA on a dialogue of fewer than 3 turns makes an LTA candidate
+instead. `random` is the context-free contrast condition: it plans and labels
+like LTA, but its prompt holds seeded same-label gold turns of other
+conversations instead of the dialogue, and its candidate is the generated
+turn alone. The in-context strategy prompts with same-intent English examples
+and a Spanish reference and keeps up to three beams that duplicate no gold
+text; the Spanish gold utterances are the references, the English ones (or a
+separate English pool) the examples.
 
 Generation order never affects results: every candidate's seed is derived
 from (plan seed, pass index, source id, position), so the scheduler generates
@@ -21,7 +23,6 @@ order.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import random
@@ -31,7 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn
-from .genbackend import GenParams, generate
+from .genbackend import GenParams, generate, stable_seed
 from .prompt import (
     PromptSpec,
     render_context_free_prompt,
@@ -134,40 +135,18 @@ def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, 
                      hidden_label=completion.hidden_label)
 
 
-def last_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
-                      label_space: LabelSpace, params: GenParams, cand_id: str,
-                      seed: int, pool=None) -> Candidate:
-    """Replace the last turn: one candidate with turns 1..n-1 gold, or, with
-    a pool, the `random` candidate of the generated turn alone (see
-    replace_turns)."""
-    return replace_turns(conv, [(conv.n, seed)], random.Random(seed),
-                         "lta" if pool is None else "random", cand_id,
-                         plan, backend, spec, label_space, params, pool)
-
-
-def all_turn_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
-                     label_space: LabelSpace, params: GenParams, id_prefix: str,
-                     seed: int, keep: int | None = None) -> list[Candidate]:
-    """Replace each turn i in 2..n against all-gold context: n-1 candidates of
-    lengths 2 through n, or only the first `keep` of them. Parse failures drop
-    only the affected candidate."""
-    last = conv.n if keep is None else min(conv.n, keep + 1)
-    return [replace_turns(conv, [(i, seed + i)], random.Random(seed + i), "ata",
-                          f"{id_prefix}-t{i}", plan, backend, spec, label_space, params)
-            for i in range(2, last + 1)]
-
-
-def trajectory_augment(conv: Conversation, plan: AugmentPlan, backend, spec: PromptSpec,
-                       label_space: LabelSpace, params: GenParams, cand_id: str,
-                       seed: int) -> Candidate:
-    """Keep each speaker's first turn (turns 1-2) as gold, then autoregressively
-    generate turns 3..n, feeding each generated turn back as context. One
-    candidate of the original length; a parse failure aborts the candidate."""
-    if conv.n < 3:
-        raise CorpusError(f"conversation {conv.id!r}: trajectory augmentation needs >= 3 turns")
-    return replace_turns(conv, [(i, seed + i) for i in range(3, conv.n + 1)],
-                         random.Random(seed), "cta", cand_id, plan, backend, spec,
-                         label_space, params)
+def visit_steps(conv: Conversation, strategy: str, seed: int) -> list[tuple]:
+    """The candidates of one visit to a gold conversation, in output order:
+    one (strategy name, id suffix, replace_turns steps, label rng seed) layout
+    each. LTA and `random` replace the last turn; ATA replaces each turn i in
+    2..n against gold context, one candidate per turn, seeded with seed + i;
+    CTA replaces turns 3..n in one candidate, and falls back to LTA on a
+    dialogue of fewer than 3 turns."""
+    if strategy == "ata":
+        return [("ata", f"-t{i}", [(i, seed + i)], seed + i) for i in range(2, conv.n + 1)]
+    if strategy == "cta" and conv.n >= 3:
+        return [("cta", "", [(i, seed + i) for i in range(3, conv.n + 1)], seed)]
+    return [("random" if strategy == "random" else "lta", "", [(conv.n, seed)], seed)]
 
 
 def cross_lingual_augment(ref: LabeledUtterance, pool, plan: AugmentPlan, backend,
@@ -238,8 +217,9 @@ def _plan_jobs(gold, plan: AugmentPlan, num_return: int = 1) -> list[tuple]:
     ceil(multiplier * |gold|) candidate slots are planned; the final partial
     pass visits a seeded uniform shuffle of gold. Returns one (record,
     candidate id prefix, seed, slots) job per visit, in output order. A visit
-    has n-1 slots under ATA, min(num_return, BEAM_CAP) in-context and 1
-    otherwise; the last job keeps only what is left of the budget."""
+    has min(num_return, BEAM_CAP) slots in-context and one per layout of
+    visit_steps otherwise; the last job keeps only what is left of the
+    budget."""
     target = math.ceil(plan.multiplier * len(gold))
     jobs = []
     planned = 0
@@ -251,15 +231,13 @@ def _plan_jobs(gold, plan: AugmentPlan, num_return: int = 1) -> list[tuple]:
         for rec in order:
             if planned >= target:
                 break
-            if plan.strategy == "ata":
-                slots = rec.n - 1
-            elif plan.strategy == "incontext":
+            seed = stable_seed(f"{plan.seed}|{pass_idx}|{rec.id}")
+            if plan.strategy == "incontext":
                 slots = min(num_return, BEAM_CAP)
             else:
-                slots = 1
+                slots = len(visit_steps(rec, plan.strategy, seed))
             keep = min(slots, target - planned)
-            jobs.append((rec, f"{rec.id}-s{plan.strategy}-p{pass_idx}",
-                         _stable_pass_seed(plan.seed, pass_idx, rec.id), keep))
+            jobs.append((rec, f"{rec.id}-s{plan.strategy}-p{pass_idx}", seed, keep))
             planned += keep
         pass_idx += 1
     return jobs
@@ -302,23 +280,13 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
             return cross_lingual_augment(rec, pool, plan, backend, spec,
                                          replace(params, num_return=keep), prefix,
                                          gold_keys, seed)
-        if plan.strategy == "ata":
-            return all_turn_augment(rec, plan, backend, spec, label_space,
-                                    params, prefix, seed, keep)
-        if plan.strategy == "cta" and rec.n >= 3:
-            return [trajectory_augment(rec, plan, backend, spec, label_space,
-                                       params, prefix, seed)]
-        return [last_turn_augment(rec, plan, backend, spec, label_space,
-                                  params, prefix, seed, turn_pool)]
+        # cut before generating: only kept layouts send requests
+        return [replace_turns(rec, steps, random.Random(rng_seed), name, prefix + suffix,
+                              plan, backend, spec, label_space, params, turn_pool)
+                for name, suffix, steps, rng_seed in visit_steps(rec, plan.strategy, seed)[:keep]]
 
     jobs = _plan_jobs(gold, plan, params.num_return)
     return [c for cands in ordered_map(run, jobs) for c in cands]
-
-
-def _stable_pass_seed(base: int, pass_idx: int, source_id: str) -> int:
-    # stable across runs and process boundaries, unlike hash()
-    digest = hashlib.sha256(f"{base}|{pass_idx}|{source_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def candidate_to_dict(cand: Candidate) -> dict:

@@ -27,7 +27,7 @@ from .corpus import (
     write_jsonl,
 )
 from .genbackend import BackendError, GenParams, HttpBackend, MockBackend, MockGenConfig
-from .loop import LoopConfig, evaluate_model, instances_of, run_weakdap
+from .loop import LoopConfig, evaluate_model, run_weakdap
 from .prompt import PromptSpec
 from .weaklabel import (
     FeaturizerConfig,
@@ -35,6 +35,7 @@ from .weaklabel import (
     HashedFeaturizer,
     TrainConfig,
     WeakLabeler,
+    instances_of,
     train,
 )
 
@@ -160,12 +161,11 @@ def cmd_augment(args, config):
     print(f"produced {produced} candidates ({dropped} dropped) -> {args.out}")
 
 
-def _load_dataset(train_path, val_path, test_path, schema, label_space) -> Dataset:
+def _load_dataset(train_path, val_path, schema, label_space) -> Dataset:
     return Dataset(
         label_space=label_space,
         train=load_jsonl(train_path, schema, label_space) if train_path else [],
         validation=load_jsonl(val_path, schema, label_space) if val_path else [],
-        test=load_jsonl(test_path, schema, label_space) if test_path else [],
     )
 
 
@@ -185,7 +185,7 @@ def cmd_weakdap(args, config):
     label_space = load_label_space(args.labels)
     strategy, schema = _strategy_and_schema(args, config,
                                             args.schema or config.get("schema"))
-    dataset = _load_dataset(args.train, args.val, None, schema, label_space)
+    dataset = _load_dataset(args.train, args.val, schema, label_space)
     plan, spec, backend, params = _generation(args, config, strategy, label_space.task)
     filter_cfg = FilterConfig(percentile=float(resolve(args, config, "filter_percentile")))
     loop_cfg = LoopConfig(

@@ -129,16 +129,15 @@ class Dataset:
     label_space: LabelSpace
     train: list = field(default_factory=list)
     validation: list = field(default_factory=list)
-    test: list = field(default_factory=list)
 
     def __post_init__(self):
         seen = {}
-        for name, part in (("train", self.train), ("validation", self.validation), ("test", self.test)):
+        for name, part in (("train", self.train), ("validation", self.validation)):
             for rec in part:
                 if rec.id in seen and seen[rec.id] != name:
                     raise CorpusError(f"id {rec.id!r} appears in both {seen[rec.id]} and {name}")
                 seen[rec.id] = name
-        for part in (self.train, self.validation, self.test):
+        for part in (self.train, self.validation):
             for rec in part:
                 for label in record_labels(rec, self.label_space.task):
                     if label not in self.label_space:

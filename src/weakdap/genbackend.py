@@ -57,7 +57,6 @@ class GenParams:
 class Completion:
     raw: str
     parsed: str | None
-    backend_id: str
     hidden_label: str | None = None  # mock backend only; template's true label
 
 
@@ -75,9 +74,9 @@ class MockGenConfig:
             raise ValueError("noise_rate must be in [0, 1]")
 
 
-def _stable_seed(*parts) -> int:
-    digest = hashlib.sha256("\x1f".join(str(p) for p in parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+def stable_seed(text: str) -> int:
+    """A seed from text, stable across runs and processes, unlike hash()."""
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 class MockBackend:
@@ -86,8 +85,6 @@ class MockBackend:
     With probability noise_rate the template comes from a uniformly chosen
     wrong label, planting measurable label noise in the generated data.
     """
-
-    backend_id = "mock"
 
     def __init__(self, config: MockGenConfig):
         self.config = config
@@ -98,15 +95,15 @@ class MockBackend:
             raise BackendError(f"mock has no templates for label {prompt.prescribed_label!r}")
         out = []
         for i in range(params.num_return):
-            rng = random.Random(_stable_seed(prompt.text, params.seed, self.config.seed, i))
+            rng = random.Random(stable_seed(
+                f"{prompt.text}\x1f{params.seed}\x1f{self.config.seed}\x1f{i}"))
             label = prompt.prescribed_label
             if rng.random() < self.config.noise_rate:
                 wrong = [l for l in labels if l != label]
                 if wrong:
                     label = rng.choice(wrong)
             raw = rng.choice(self.config.templates[label])
-            out.append(Completion(raw=raw, parsed=None, backend_id=self.backend_id,
-                                  hidden_label=label))
+            out.append(Completion(raw=raw, parsed=None, hidden_label=label))
         return out
 
 
@@ -121,8 +118,6 @@ class HttpBackend:
     semaphore so concurrent augmentation cannot overload the server. An
     explicit endpoint beats WEAKDAP_ENDPOINT.
     """
-
-    backend_id = "http"
 
     def __init__(self, endpoint: str | None = None, max_parallel: int = 4,
                  max_attempts: int = 3, backoff: float = 0.5, timeout: float = 60.0):
@@ -152,8 +147,7 @@ class HttpBackend:
                                          timeout=self.timeout)
                 if resp.status_code < 500:
                     resp.raise_for_status()
-                    return [Completion(raw=c, parsed=None, backend_id=self.backend_id)
-                            for c in resp.json()["completions"]]
+                    return [Completion(raw=c, parsed=None) for c in resp.json()["completions"]]
                 last_err = f"HTTP {resp.status_code}"
             except _TRANSIENT as e:
                 last_err = e

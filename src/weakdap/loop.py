@@ -19,14 +19,14 @@ from . import metrics
 # cross_lingual_augment is not called here: the benchmark tracer
 # (perfbench/spans.py) patches this module's name for it, so it stays until
 # that patch is dropped.
-from .augment import (  # noqa: F401
+from .augment import (
     AugmentPlan,
     Candidate,
-    cross_lingual_augment,
+    cross_lingual_augment,  # noqa: F401
     run_augmentation,
     write_candidates,
 )
-from .corpus import Conversation, Dataset, LabelSpace, majority_label
+from .corpus import Dataset, LabelSpace, majority_label
 from .genbackend import GenParams
 from .prompt import PromptSpec
 from .weaklabel import (
@@ -35,9 +35,8 @@ from .weaklabel import (
     HashedFeaturizer,
     TrainConfig,
     WeakLabeler,
-    candidate_training_instances,
-    dialogue_instances,
     filter_candidates,
+    instances_of,
     train,
 )
 
@@ -114,38 +113,12 @@ def run_scripted(scores, config: LoopConfig) -> LoopState:
     return tracker.state
 
 
-def instances_of(records, label_space: LabelSpace, window: int):
-    """(texts, labels) for a list of gold records."""
-    texts, labels = [], []
-    for rec in records:
-        if isinstance(rec, Conversation):
-            for text, label in dialogue_instances(rec, label_space.task, window):
-                texts.append(text)
-                labels.append(label)
-        else:
-            texts.append(rec.text)
-            labels.append(rec.intent)
-    return texts, labels
-
-
 def evaluate_model(model: WeakLabeler, records, label_space: LabelSpace,
                    majority: int) -> metrics.MetricReport:
     window = model.featurizer.config.context_window
     texts, gold = instances_of(records, label_space, window)
     pred = model.predict(texts)
     return metrics.report_from_predictions(gold, pred, label_space, majority)
-
-
-def _train_on(dataset: Dataset, silver: list[Candidate], featurizer: HashedFeaturizer,
-              train_cfg, label_space: LabelSpace) -> WeakLabeler:
-    window = featurizer.config.context_window
-    texts, labels = instances_of(dataset.train, label_space, window)
-    for cand in silver:
-        if cand.verdict == "kept" and cand.payload is not None:
-            for text, label in candidate_training_instances(cand, label_space.task, window):
-                texts.append(text)
-                labels.append(label)
-    return train(texts, labels, label_space, featurizer, train_cfg)
 
 
 def _verdict_counts(candidates) -> dict:
@@ -209,7 +182,9 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             filter_candidates(candidates, model, filter_cfg)
 
         kept = [c for c in candidates if c.verdict == "kept"]
-        model = _train_on(dataset, kept, featurizer, train_cfg, label_space)
+        model = train(*instances_of(dataset.train + kept, label_space,
+                                    featurizer.config.context_window),
+                      label_space, featurizer, train_cfg)
         report = evaluate_model(model, dataset.validation, label_space, majority)
         score = report.score(loop_cfg.metric)
 

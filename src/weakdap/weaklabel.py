@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .augment import Candidate
-from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance
+from .corpus import Conversation, LabelSpace, LabeledUtterance
 
 
 class WeakLabelError(ValueError):
@@ -72,36 +72,34 @@ def dialogue_instance_text(conv: Conversation, turn_idx: int, window: int = 1) -
     return " ".join(parts)
 
 
-def dialogue_instances(conv: Conversation, task: str, window: int = 1):
-    """All (text, label) turn instances of a conversation that carry the task label."""
-    out = []
-    for i, turn in enumerate(conv.turns):
-        label = turn.label(task)
-        if label is not None:
-            out.append((dialogue_instance_text(conv, i, window), label))
-    return out
+def instances_of(records, label_space: LabelSpace, window: int = 1):
+    """(texts, labels) of the classifier instances of gold records and
+    candidates: every labeled turn of a conversation, every generated turn of
+    a dialogue candidate in its generated context under its prescribed label,
+    and the text of an utterance or utterance candidate."""
+    texts, labels = [], []
+    for rec in records:
+        turns = None
+        if isinstance(rec, Candidate):
+            rec, turns = rec.payload, rec.generated_turns
+        if isinstance(rec, LabeledUtterance):
+            texts.append(rec.text)
+            labels.append(rec.intent)
+            continue
+        for i in (range(rec.n) if turns is None else turns):
+            label = rec.turns[i].label(label_space.task)
+            if label is not None:
+                texts.append(dialogue_instance_text(rec, i, window))
+                labels.append(label)
+    return texts, labels
 
-def candidate_instance_text(cand: Candidate, window: int = 1) -> str:
-    """Scoring instance for a candidate: its final generated turn in context,
-    or the utterance itself for single-turn payloads."""
+
+def candidate_instance_text(cand: Candidate, label_space: LabelSpace, window: int = 1) -> str:
+    """Scoring instance for a candidate: the last of its instances_of, so a
+    dialogue candidate's final generated turn in context."""
     if cand.payload is None:
         raise WeakLabelError(f"candidate {cand.id!r} has no payload")
-    if isinstance(cand.payload, LabeledUtterance):
-        return cand.payload.text
-    idx = cand.generated_turns[-1] if cand.generated_turns else len(cand.payload.turns) - 1
-    return dialogue_instance_text(cand.payload, idx, window)
-
-
-def candidate_training_instances(cand: Candidate, task: str, window: int = 1):
-    """(text, label) pairs contributed by a kept candidate: every generated
-    turn under its prescribed turn label, or the single utterance."""
-    if isinstance(cand.payload, LabeledUtterance):
-        return [(cand.payload.text, cand.payload.intent)]
-    out = []
-    for idx in cand.generated_turns:
-        label = cand.payload.turns[idx].label(task)
-        out.append((dialogue_instance_text(cand.payload, idx, window), label))
-    return out
+    return instances_of([cand], label_space, window)[0][-1]
 
 
 class HashedFeaturizer:
@@ -335,7 +333,8 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     scorable = [c for c in candidates if c.payload is not None and c.verdict == "pending"]
     if not scorable:
         return list(candidates)
-    probs = model.predict_proba([candidate_instance_text(c, window) for c in scorable])
+    probs = model.predict_proba([candidate_instance_text(c, model.label_space, window)
+                                 for c in scorable])
     mismatched = []
     for cand, p in zip(scorable, probs):
         cand.silver_label = model.label_space.labels[int(p.argmax())]

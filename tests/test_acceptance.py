@@ -8,13 +8,7 @@ import time
 
 import numpy as np
 
-from weakdap.augment import (
-    AugmentPlan,
-    all_turn_augment,
-    last_turn_augment,
-    run_augmentation,
-    trajectory_augment,
-)
+from weakdap.augment import AugmentPlan, run_augmentation
 from weakdap.baselines import AedaConfig, EdaConfig, aeda_augment, eda_augment
 from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
@@ -142,7 +136,6 @@ def test_criterion_3_strategy_counts():
     backend = mock_backend()
     spec = PromptSpec(task="emotion")
     space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
-    plan = AugmentPlan(strategy="lta", seed=0)
     params = GenParams()
     templates = {t for bank in toy_templates().values() for t in bank}
     rng = random.Random(0)
@@ -150,7 +143,8 @@ def test_criterion_3_strategy_counts():
         conv = toy_conversation(f"c{n}", rng, n=n)
         gold_texts = [t.text for t in conv.turns]
 
-        ata = all_turn_augment(conv, plan, backend, spec, space, params, "a", seed=1)
+        ata = run_augmentation([conv], AugmentPlan("ata", n - 1, seed=1), backend, spec, space,
+                               params)
         if len(ata) != n - 1:
             failures.append(f"ATA n={n}: {len(ata)} candidates")
         if sorted(len(c.payload.turns) for c in ata) != list(range(2, n + 1)):
@@ -160,7 +154,8 @@ def test_criterion_3_strategy_counts():
             if [t.text for t in c.payload.turns[:L - 1]] != gold_texts[:L - 1]:
                 failures.append(f"ATA n={n}: context not all-gold")
 
-        lta = last_turn_augment(conv, plan, backend, spec, space, params, "l", seed=1)
+        (lta,) = run_augmentation([conv], AugmentPlan("lta", 1.0, seed=1), backend, spec, space,
+                                  params)
         if lta.payload is None or len(lta.payload.turns) != n:
             failures.append(f"LTA n={n}: not exactly one full-length candidate")
 
@@ -169,8 +164,7 @@ def test_criterion_3_strategy_counts():
         if len(cta_all) != 1:
             failures.append(f"CTA n={n}: scheduler emitted {len(cta_all)}")
         if n >= 3:
-            cta = trajectory_augment(conv, cta_plan, backend, spec, space, params,
-                                     "t", seed=1)
+            cta = cta_all[0]
             if cta.generated_turns != tuple(range(2, n)):
                 failures.append(f"CTA n={n}: generated turns {cta.generated_turns}")
             if [t.text for t in cta.payload.turns[:2]] != gold_texts[:2]:

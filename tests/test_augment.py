@@ -8,20 +8,19 @@ import pytest
 from weakdap.augment import (
     AugmentPlan,
     _plan_jobs,
-    all_turn_augment,
     cross_lingual_augment,
-    last_turn_augment,
     load_candidates,
     normalize_text,
     ordered_map,
+    replace_turns,
     run_augmentation,
-    trajectory_augment,
+    visit_steps,
     write_candidates,
 )
-from weakdap.corpus import CorpusError, LabelSpace, LabeledUtterance
+from weakdap.corpus import LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams, MockBackend, MockGenConfig
 from weakdap.prompt import PromptSpec
-from weakdap.weaklabel import candidate_instance_text, candidate_training_instances
+from weakdap.weaklabel import candidate_instance_text, instances_of
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
@@ -47,10 +46,27 @@ class CountingBackend:
         return self.inner.complete(prompt, params)
 
 
-def lta(conv, backend=None, plan=None, seed=0):
-    backend = backend or mock_backend()
-    plan = plan or AugmentPlan(strategy="lta")
-    return last_turn_augment(conv, plan, backend, SPEC, SPACE, GenParams(), f"{conv.id}-s", seed)
+def visit(conv, strategy, backend=None):
+    """The candidates of one visit to conv: a plan of exactly its slots."""
+    plan = AugmentPlan(strategy=strategy, multiplier=len(visit_steps(conv, strategy, 0)))
+    return run_augmentation([conv], plan, backend or mock_backend(), SPEC, SPACE, GenParams())
+
+
+def lta(conv, backend=None):
+    (cand,) = visit(conv, "lta", backend)
+    return cand
+
+
+def cta(conv, backend=None):
+    (cand,) = visit(conv, "cta", backend)
+    return cand
+
+
+def generate_visit(conv, seed, plan, prefix="", backend=None):
+    """Every candidate of visit_steps for one seed, through replace_turns."""
+    return [replace_turns(conv, steps, random.Random(rng_seed), name, prefix + suffix, plan,
+                          backend or mock_backend(), SPEC, SPACE, GenParams())
+            for name, suffix, steps, rng_seed in visit_steps(conv, plan.strategy, seed)]
 
 
 class TestLastTurn:
@@ -85,27 +101,22 @@ class TestLastTurn:
 
 class TestAllTurn:
     def test_counts_and_lengths_for_all_n(self):
-        plan = AugmentPlan(strategy="ata")
         backend = mock_backend()
         for n in range(2, 13):
             conv = toy_conversation(f"a{n}", random.Random(n), n=n)
-            cands = all_turn_augment(conv, plan, backend, SPEC, SPACE, GenParams(),
-                                     conv.id, seed=0)
+            cands = visit(conv, "ata", backend)
             assert len(cands) == n - 1
             assert sorted(c.payload.n for c in cands) == list(range(2, n + 1))
 
     def test_contexts_are_all_gold(self):
         conv = toy_conversation("a4", random.Random(4), n=4)
-        cands = all_turn_augment(conv, AugmentPlan(strategy="ata"), mock_backend(),
-                                 SPEC, SPACE, GenParams(), conv.id, seed=0)
-        for cand in cands:
+        for cand in visit(conv, "ata"):
             i = cand.generated_turns[0]
             assert cand.payload.turns[:i] == conv.turns[:i]
 
     def test_n2_degenerates_to_lta(self):
         conv = toy_conversation("a2", random.Random(5), n=2)
-        cands = all_turn_augment(conv, AugmentPlan(strategy="ata"), mock_backend(),
-                                 SPEC, SPACE, GenParams(), conv.id, seed=0)
+        cands = visit(conv, "ata")
         assert len(cands) == 1
         assert cands[0].payload.n == 2
 
@@ -113,9 +124,7 @@ class TestAllTurn:
         # a corpus with average n turns yields ~ (n-1)x candidates per conversation
         rng = random.Random(6)
         convs = [toy_conversation(f"m{i}", rng, n=rng.choice([7, 8, 9])) for i in range(30)]
-        total = sum(len(all_turn_augment(c, AugmentPlan(strategy="ata"), mock_backend(),
-                                         SPEC, SPACE, GenParams(), c.id, seed=0))
-                    for c in convs)
+        total = sum(len(visit(c, "ata")) for c in convs)
         avg_n = sum(c.n for c in convs) / len(convs)
         assert total == sum(c.n - 1 for c in convs)
         assert avg_n - 1.5 < total / len(convs) < avg_n - 0.5
@@ -124,8 +133,7 @@ class TestAllTurn:
 class TestTrajectory:
     def test_first_two_turns_gold_rest_generated(self):
         conv = toy_conversation("t4", random.Random(7), n=4)
-        cand = trajectory_augment(conv, AugmentPlan(strategy="cta"), mock_backend(),
-                                  SPEC, SPACE, GenParams(), "t4-s", seed=0)
+        cand = cta(conv)
         assert cand.payload.turns[:2] == conv.turns[:2]
         assert cand.generated_turns == (2, 3)
         assert cand.payload.n == conv.n
@@ -133,38 +141,49 @@ class TestTrajectory:
     def test_generated_context_feeds_forward(self):
         # the turn-4 prompt must contain generated turn 3's text, not gold turn 3's
         conv = toy_conversation("t5", random.Random(8), n=4)
-        cand = trajectory_augment(conv, AugmentPlan(strategy="cta"), mock_backend(),
-                                  SPEC, SPACE, GenParams(), "t5-s", seed=0)
+        cand = cta(conv)
         gen3 = cand.payload.turns[2].text
         assert gen3 != conv.turns[2].text  # template pool is disjoint from gold text
 
     def test_n3_single_generated_turn(self):
         conv = toy_conversation("t3", random.Random(9), n=3)
-        cand = trajectory_augment(conv, AugmentPlan(strategy="cta"), mock_backend(),
-                                  SPEC, SPACE, GenParams(), "t3-s", seed=0)
+        cand = cta(conv)
         assert cand.generated_turns == (2,)
 
-    def test_n2_rejected(self):
+    def test_n2_falls_back_to_lta(self):
         conv = toy_conversation("t2", random.Random(10), n=2)
-        with pytest.raises(CorpusError):
-            trajectory_augment(conv, AugmentPlan(strategy="cta"), mock_backend(),
-                               SPEC, SPACE, GenParams(), "t2-s", seed=0)
+        cand = cta(conv)
+        assert cand.strategy == "lta"
+        assert cand.generated_turns == (1,)
 
     def test_random_label_mode_replays_seeded_stream(self):
         conv = toy_conversation("t6", random.Random(11), n=5)
         plan = AugmentPlan(strategy="cta", label_mode="random")
-        cand = trajectory_augment(conv, plan, mock_backend(), SPEC, SPACE,
-                                  GenParams(), "t6-s", seed=42)
+        (cand,) = generate_visit(conv, 42, plan)
         rng = random.Random(42)
         expected = [rng.choice(SPACE.labels) for _ in range(3, conv.n + 1)]
         got = [cand.payload.turns[i].emotion for i in cand.generated_turns]
         assert got == expected
 
+    def test_instances_are_every_generated_turn_in_context(self):
+        conv = toy_conversation("t8", random.Random(13), n=5)
+        plan = AugmentPlan(strategy="cta", multiplier=1.0, label_mode="random", seed=4)
+        (cand,) = run_augmentation([conv], plan, mock_backend(), SPEC, SPACE, GenParams())
+        turns = cand.payload.turns
+        assert cand.generated_turns == (2, 3, 4)
+        expected = [" ".join([f"{turns[i - 1].speaker}:{w}" for w in turns[i - 1].text.split()]
+                             + [turns[i].text]) for i in (2, 3, 4)]
+        texts, labels = instances_of([cand], SPACE, window=1)
+        assert texts == expected
+        assert labels == [turns[i].emotion for i in (2, 3, 4)]
+        assert labels[-1] == cand.prescribed_label
+        assert turns[2].text != conv.turns[2].text and turns[3].text != conv.turns[3].text
+        assert candidate_instance_text(cand, SPACE, window=1) == expected[-1]
+
     def test_parse_failure_aborts_candidate(self):
         backend = MockBackend(MockGenConfig(templates={l: [" "] for l in TOY_LABELS}))
         conv = toy_conversation("t7", random.Random(12), n=4)
-        cand = trajectory_augment(conv, AugmentPlan(strategy="cta"), backend,
-                                  SPEC, SPACE, GenParams(), "t7-s", seed=0)
+        cand = cta(conv, backend)
         assert cand.verdict == "dropped_parse"
 
 
@@ -254,8 +273,8 @@ class TestBudgetScheduler:
         assert backend.calls == 6
         # generating every turn and cutting the list gives the same candidates
         expected = [c for conv, prefix, seed, keep in _plan_jobs(gold, plan)
-                    for c in all_turn_augment(conv, plan, mock_backend(noise_rate=0.3), SPEC,
-                                              SPACE, GenParams(), prefix, seed)[:keep]]
+                    for c in generate_visit(conv, seed, plan, prefix,
+                                            mock_backend(noise_rate=0.3))[:keep]]
         assert cands == expected
 
     def test_deterministic(self):
@@ -302,9 +321,9 @@ class TestRandomStrategy:
         for cand in cands:
             (turn,) = cand.payload.turns
             assert cand.generated_turns == (0,)
-            assert candidate_training_instances(cand, "emotion", window=2) == \
-                [(turn.text, cand.prescribed_label)]
-            assert candidate_instance_text(cand, window=2) == turn.text
+            assert instances_of([cand], SPACE, window=2) == \
+                ([turn.text], [cand.prescribed_label])
+            assert candidate_instance_text(cand, SPACE, window=2) == turn.text
         write_candidates(cands, tmp_path / "c.jsonl")
         loaded = {c.id: c for c in load_candidates(tmp_path / "c.jsonl", "dialogue")}
         assert all(loaded[c.id].payload == c.payload for c in cands)
