@@ -9,7 +9,6 @@ The best checkpoint and its silver set are retained throughout.
 """
 from __future__ import annotations
 
-import copy
 import json
 import math
 import os
@@ -169,10 +168,10 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             if t == 0:
                 pool0 = candidates
         else:
-            candidates = copy.deepcopy(pool0)
-            for c in candidates:
-                if c.verdict in ("kept", "dropped_mismatch"):
-                    c.verdict = "pending"
+            # payloads are frozen; a filter sets only the copy's scalar fields
+            candidates = [replace(c, verdict="pending" if c.verdict in ("kept", "dropped_mismatch")
+                                  else c.verdict)
+                          for c in pool0]
         if t == 0:
             # first generation trains on unfiltered silver
             for c in candidates:

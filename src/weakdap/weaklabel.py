@@ -49,6 +49,12 @@ class TrainConfig:
     val_fraction: float = 0.1
     seed: int = 0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise WeakLabelError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise WeakLabelError("epochs must be >= 0")
+
 
 @dataclass
 class FilterConfig:
@@ -219,14 +225,29 @@ class WeakLabeler:
         return cls(featurizer, weights, np.array(doc["bias"], dtype=np.float64), label_space)
 
 
+def _distinct(idx: np.ndarray, seen: np.ndarray, slot: np.ndarray):
+    """The distinct values of `idx`, ascending, and `idx` as positions among
+    them, in O(len(idx) + len(seen)) with no sort: mark the values in `seen`
+    (all False, left so), scan it, number the marks in `slot`."""
+    seen[idx] = True
+    cols = np.flatnonzero(seen)
+    seen[cols] = False
+    slot[cols] = np.arange(len(cols))
+    return cols, slot[idx]
+
+
 def train(instances, labels, label_space: LabelSpace,
           featurizer: HashedFeaturizer | None = None,
           train_cfg: TrainConfig | None = None) -> WeakLabeler:
     """Fit the weak labeler with seeded mini-batch gradient descent and early
     stopping on the loss of an internal validation split (the training loss
-    when that split is empty). Deterministic under the config seed; a step
-    costs O(nonzeros in the batch x classes). The model scores through
-    `featurizer`, so rows it has built are reused."""
+    when that split is empty). Deterministic under the config seed.
+
+    It trains over the K hashed columns its instances use, not all of the
+    featurizer's: a step costs O(nonzeros in the batch x classes) plus an
+    O(K) scan of a mark array that finds the batch's distinct columns. The
+    dense C x dim weights are built once, on return. The model scores
+    through `featurizer`, so rows it has built are reused."""
     featurizer = featurizer or HashedFeaturizer(FeaturizerConfig())
     dim = featurizer.config.dim
     cfg = train_cfg or TrainConfig()
@@ -240,6 +261,11 @@ def train(instances, labels, label_space: LabelSpace,
     y = np.array([label_space.index(l) for l in labels])
     X = featurizer.transform(instances)
     n, C = X.shape[0], len(label_space)
+    # Renumber the used columns 0..K-1 in their order: every product and sum
+    # runs as it would over all dim columns, so the weights are the same.
+    used, local = _distinct(X.indices, np.zeros(dim, dtype=bool), np.zeros(dim, dtype=np.intp))
+    K = len(used)
+    X = sparse.csr_matrix((X.data, local, X.indptr), shape=(n, K))
 
     rng = random.Random(cfg.seed)
     order = list(range(n))
@@ -255,22 +281,25 @@ def train(instances, labels, label_space: LabelSpace,
     decay = 1.0 - cfg.learning_rate * cfg.l2
     if decay <= 0:
         raise WeakLabelError("learning_rate * l2 must be < 1")
-    V = np.zeros((dim, C))
+    V = np.zeros((K, C))
     s = 1.0
     b = np.zeros(C)
-    best = (math.inf, np.zeros((C, dim)), b.copy())
+    best = (math.inf, V.copy(), b.copy())  # best s * V, K x C
     stall = 0
     np_rng = np.random.default_rng(cfg.seed)
     ntr = Xtr.shape[0]
     onehot = np.eye(C)[ytr]
+    # slot in scipy's own index dtype, so building a batch's matrix copies nothing
+    seen, slot = np.zeros(K, dtype=bool), np.zeros(K, dtype=X.indices.dtype)
 
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
         Xp, Yp = Xtr[perm], onehot[perm]
+        indices = Xp.indices.astype(np.intp)
         for start in range(0, ntr, cfg.batch_size):
             stop = min(start + cfg.batch_size, ntr)
             lo, hi = Xp.indptr[start], Xp.indptr[stop]
-            cols, local = np.unique(Xp.indices[lo:hi], return_inverse=True)
+            cols, local = _distinct(indices[lo:hi], seen, slot)
             Xb = sparse.csr_matrix((Xp.data[lo:hi], local, Xp.indptr[start:stop + 1] - lo),
                                    shape=(stop - start, len(cols)))
             Vb = V[cols]
@@ -284,15 +313,15 @@ def train(instances, labels, label_space: LabelSpace,
         P = _softmax(s * (Xval @ V) + b)
         val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
         if val_loss < best[0] - 1e-9:
-            W = np.empty((C, dim))
-            np.multiply(V.T, s, out=W)
-            best = (val_loss, W, b.copy())
+            best = (val_loss, V * s, b.copy())
             stall = 0
         else:
             stall += 1
             if stall >= cfg.patience:
                 break
-    _, W, b = best
+    _, V, b = best
+    W = np.zeros((C, dim))
+    W[:, used] = V.T
     return WeakLabeler(featurizer, W, b, label_space)
 
 

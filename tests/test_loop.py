@@ -134,6 +134,27 @@ class TestRunWeakdap:
                    (tmp_path / it["candidates"]).read_text().splitlines()}
             assert ids == ids0
 
+    def test_refilter_leaves_iteration_zero_candidates_alone(self, toy_dataset, tmp_path,
+                                                              monkeypatch):
+        pools = []
+
+        def recording(*args, **kwargs):
+            pools.append(augment.run_augmentation(*args, **kwargs))
+            return pools[-1]
+
+        monkeypatch.setattr("weakdap.loop.run_augmentation", recording)
+        self._run(toy_dataset, out_dir=tmp_path, regen="refilter")
+        run = load_run(tmp_path)
+        assert len(pools) == 1 and len(run["iterations"]) >= 2
+        assert any(it["counts"]["dropped_mismatch"] > 0 for it in run["iterations"][1:])
+        # later filtering wrote its verdicts to copies: the iteration-0 objects
+        # still serialize to exactly what iteration 0 wrote
+        pool0 = sorted(pools[0], key=lambda c: c.id)
+        assert [json.dumps(augment.candidate_to_dict(c), ensure_ascii=False, sort_keys=True)
+                for c in pool0] \
+            == (tmp_path / "iter_0/candidates.jsonl").read_text().splitlines()
+        assert all(c.silver_label is None and c.entropy is None for c in pool0)
+
     def test_fresh_mode_regenerates(self, toy_dataset, tmp_path):
         self._run(toy_dataset, out_dir=tmp_path, regen="fresh")
         run = load_run(tmp_path)

@@ -36,6 +36,11 @@ SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 FEAT = FeaturizerConfig(dim=1 << 14)
 
 
+def softmax(z):
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def dense_reference_train(texts, labels, feat_cfg, cfg):
     """Independent oracle for `train` with an internal validation split: the
     textbook dense minibatch step W -= lr * (err.T @ Xb / B + l2 * W) on the
@@ -53,11 +58,6 @@ def dense_reference_train(texts, labels, feat_cfg, cfg):
     stall = 0
     np_rng = np.random.default_rng(cfg.seed)
     onehot = np.eye(C)[ytr]
-
-    def softmax(z):
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(Xtr.shape[0])
         for start in range(0, Xtr.shape[0], cfg.batch_size):
@@ -70,6 +70,54 @@ def dense_reference_train(texts, labels, feat_cfg, cfg):
         val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
         if val_loss < best[0] - 1e-9:
             best, stall = (val_loss, W.copy(), b.copy()), 0
+        else:
+            stall += 1
+            if stall >= cfg.patience:
+                break
+    return best[1], best[2]
+
+
+def unique_step_reference_train(texts, labels, featurizer, cfg):
+    """The lazy-L2 trainer as it was before it trained over the used columns
+    only: V spans every hashed column, and each batch finds its distinct
+    columns with np.unique. `train` must give exactly its weights."""
+    dim = featurizer.config.dim
+    y = np.array([SPACE.index(l) for l in labels])
+    X = featurizer.transform(texts)
+    n, C = X.shape[0], len(SPACE)
+    order = list(range(n))
+    random.Random(cfg.seed).shuffle(order)
+    n_val = max(1, int(cfg.val_fraction * n))
+    Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
+    Xval, yval = X[order[:n_val]], y[order[:n_val]]
+    decay = 1.0 - cfg.learning_rate * cfg.l2
+    V, s, b = np.zeros((dim, C)), 1.0, np.zeros(C)
+    best = (math.inf, np.zeros((C, dim)), b.copy())
+    stall = 0
+    np_rng = np.random.default_rng(cfg.seed)
+    ntr = Xtr.shape[0]
+    onehot = np.eye(C)[ytr]
+    for _ in range(cfg.epochs):
+        perm = np_rng.permutation(ntr)
+        Xp, Yp = Xtr[perm], onehot[perm]
+        for start in range(0, ntr, cfg.batch_size):
+            stop = min(start + cfg.batch_size, ntr)
+            lo, hi = Xp.indptr[start], Xp.indptr[stop]
+            cols, local = np.unique(Xp.indices[lo:hi], return_inverse=True)
+            Xb = sparse.csr_matrix((Xp.data[lo:hi], local, Xp.indptr[start:stop + 1] - lo),
+                                   shape=(stop - start, len(cols)))
+            Vb = V[cols]
+            err = softmax(s * (Xb @ Vb) + b) - Yp[start:stop]
+            s *= decay
+            V[cols] = Vb - cfg.learning_rate / ((stop - start) * s) * (Xb.T @ err)
+            b -= cfg.learning_rate * err.mean(axis=0)
+            if s < 1e-6:
+                V *= s
+                s = 1.0
+        P = softmax(s * (Xval @ V) + b)
+        val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
+        if val_loss < best[0] - 1e-9:
+            best, stall = (val_loss, V.T * s, b.copy()), 0
         else:
             stall += 1
             if stall >= cfg.patience:
@@ -266,6 +314,39 @@ class TestTraining:
         assert np.any(W != 0)
         np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("feat,cfg,empty", [
+        (FEAT, TrainConfig(seed=1), 0),
+        (FEAT, TrainConfig(seed=2, batch_size=1, epochs=4), 0),
+        (FEAT, TrainConfig(seed=3, l2=0.1, batch_size=7, epochs=60, patience=60), 0),
+        # nearly every hashed column in use
+        (FeaturizerConfig(dim=256), TrainConfig(seed=4), 0),
+        # batches of one empty text: a step with no nonzeros
+        (FEAT, TrainConfig(seed=5, batch_size=1, epochs=3), 12),
+    ], ids=["default", "batch1", "l2-renormalize", "dim256", "empty-batches"])
+    def test_equals_unique_step_trainer(self, feat, cfg, empty):
+        texts, labels = toy_instances(200, seed=11)
+        texts = texts + [""] * empty
+        labels = labels + [TOY_LABELS[i % len(TOY_LABELS)] for i in range(empty)]
+        model = train(texts, labels, SPACE, HashedFeaturizer(feat), cfg)
+        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(feat), cfg)
+        assert np.any(W != 0)
+        assert np.array_equal(model.weights, W)
+        assert np.array_equal(model.bias, b)
+        if feat.dim == 256:
+            assert np.count_nonzero(np.any(W != 0, axis=0)) > 0.8 * feat.dim
+
+    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
+                                             ("epochs", -1)])
+    def test_invalid_train_config_rejected(self, field, value):
+        with pytest.raises(WeakLabelError, match=field.replace("_", " ")):
+            TrainConfig(**{field: value})
+
+    def test_zero_epochs_give_an_all_zero_model(self):
+        texts, labels = toy_instances(40, seed=12)
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(epochs=0))
+        assert not np.any(model.weights) and not np.any(model.bias)
+        assert model.weights.shape == (len(SPACE), FEAT.dim)
 
     def test_l2_decay_of_a_whole_step_rejected(self):
         texts, labels = toy_instances(40, seed=12)
