@@ -17,6 +17,7 @@ from weakdap.weaklabel import (
     TrainConfig,
     WeakLabeler,
     WeakLabelError,
+    _distinct,
     entropy_bits,
     filter_candidates,
     nearest_rank_threshold,
@@ -335,6 +336,17 @@ class TestTraining:
         assert np.array_equal(model.bias, b)
         if feat.dim == 256:
             assert np.count_nonzero(np.any(W != 0, axis=0)) > 0.8 * feat.dim
+
+    def test_distinct_matches_np_unique_and_clears_its_marks(self):
+        rng = np.random.default_rng(0)
+        seen, slot = np.zeros(50, dtype=bool), np.zeros(50, dtype=np.int32)
+        for size in (0, 1, 5, 40, 200):
+            idx = rng.integers(0, 50, size=size)
+            cols, local = _distinct(idx, seen, slot)
+            want_cols, want_local = np.unique(idx, return_inverse=True)
+            np.testing.assert_array_equal(cols, want_cols)
+            np.testing.assert_array_equal(local, want_local)
+            assert not seen.any()
 
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
                                              ("epochs", -1)])
