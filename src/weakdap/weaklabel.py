@@ -9,6 +9,7 @@ tagged context folded into the features.
 """
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
@@ -37,6 +38,10 @@ class FeaturizerConfig:
     def __post_init__(self):
         if self.dim < 1:
             raise WeakLabelError("hash dimension must be >= 1")
+        if any(n < 1 for n in self.word_ngrams):
+            raise WeakLabelError("word n-gram orders must be >= 1")
+        if self.char_ngram < 1:
+            raise WeakLabelError("char n-gram must be >= 1")
 
 
 @dataclass
@@ -54,6 +59,17 @@ class TrainConfig:
             raise WeakLabelError("batch size must be >= 1")
         if self.epochs < 0:
             raise WeakLabelError("epochs must be >= 0")
+        if not self.learning_rate > 0:
+            raise WeakLabelError("learning rate must be > 0")
+        if not self.l2 >= 0:
+            raise WeakLabelError("l2 must be >= 0")
+        if not self.learning_rate * self.l2 < 1:
+            # the L2 decay of one step would reach or pass zero
+            raise WeakLabelError("learning_rate * l2 must be < 1")
+        if not 0 <= self.val_fraction < 1:
+            raise WeakLabelError("val fraction must be in [0, 1)")
+        if self.patience < 1:
+            raise WeakLabelError("patience must be >= 1")
 
 
 @dataclass
@@ -168,33 +184,49 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 class WeakLabeler:
-    """Trained multinomial logistic regression over hashed text features."""
+    """Trained multinomial logistic regression over hashed text features.
 
-    def __init__(self, featurizer: HashedFeaturizer, weights: np.ndarray,
-                 bias: np.ndarray, label_space: LabelSpace):
+    Only the hashed columns with a nonzero weight are kept: `columns`,
+    ascending, and `block`, their len(columns) x C weights. Every other column
+    of the featurizer has zero weight, so a score over `columns` alone is the
+    same, to the bit, as one over all of them."""
+
+    def __init__(self, featurizer: HashedFeaturizer, columns: np.ndarray,
+                 block: np.ndarray, bias: np.ndarray, label_space: LabelSpace):
         self.featurizer = featurizer
-        self.weights = weights  # C x D
+        self.columns = columns  # K, ascending
+        self.block = block  # K x C, C-contiguous
         self.bias = bias  # C
         self.label_space = label_space
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense C x dim weight matrix, built on each access."""
+        W = np.zeros((self.block.shape[1], self.featurizer.config.dim))
+        W[:, self.columns] = self.block.T
+        return W
+
     def predict_proba(self, texts) -> np.ndarray:
-        X = self.featurizer.transform(list(texts))
-        return _softmax(X @ self.weights.T + self.bias)
+        # Selecting the ascending `columns` keeps each row's entries in order,
+        # so every kept product is summed as over all columns.
+        X = self.featurizer.transform(list(texts))[:, self.columns]
+        return _softmax(X @ self.block + self.bias)
 
     def predict(self, texts) -> list[str]:
         probs = self.predict_proba(texts)
         return [self.label_space.labels[i] for i in probs.argmax(axis=1)]
 
     def save(self, path) -> None:
-        """Checkpoint v2: only the feature columns with a nonzero weight are
-        written, as `columns` plus a C x len(columns) `weights` block."""
-        columns = np.flatnonzero(np.any(self.weights != 0, axis=0))
+        """Checkpoint v3: `columns` as a JSON list, and `weights` as the
+        base64 of their C x len(columns) block, row-major little-endian
+        float64."""
+        block = np.asarray(self.block.T, dtype="<f8").tobytes()
         doc = {
-            "version": 2,
+            "version": 3,
             "featurizer": asdict(self.featurizer.config),
             "label_space": self.label_space.to_dict(),
-            "columns": columns.tolist(),
-            "weights": self.weights[:, columns].tolist(),
+            "columns": self.columns.tolist(),
+            "weights": base64.b64encode(block).decode("ascii"),
             "bias": [float(b) for b in self.bias],
         }
         # json.dumps runs the C encoder; json.dump streams through the Python one
@@ -203,26 +235,66 @@ class WeakLabeler:
 
     @classmethod
     def load(cls, path, expected_label_space: LabelSpace | None = None) -> "WeakLabeler":
-        """Read a v2 (sparse columns) or v1 (dense C x dim) checkpoint."""
+        """Read a v3, v2 (`weights` as JSON rows over `columns`) or v1 (dense
+        C x dim `weights`) checkpoint. A malformed one raises WeakLabelError."""
         with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
-        version = doc.get("version")
-        if version not in (1, 2):
+            try:
+                doc = json.load(f)
+            except ValueError as e:
+                raise WeakLabelError(f"checkpoint {path} is not JSON: {e}") from e
+        version = doc.get("version") if isinstance(doc, dict) else None
+        if type(version) is not int or version not in (1, 2, 3):
             raise WeakLabelError(f"unsupported checkpoint version {version!r}")
-        label_space = LabelSpace.from_dict(doc["label_space"])
-        if expected_label_space is not None and tuple(label_space.labels) != tuple(expected_label_space.labels):
+        keys = ["featurizer", "label_space", "weights", "bias"]
+        if version > 1:
+            keys.append("columns")
+        missing = [key for key in keys if key not in doc]
+        if missing:
+            raise WeakLabelError(f"checkpoint {path} lacks {', '.join(missing)}")
+        try:
+            model = cls(*_checkpoint_parts(doc, version))
+        except (KeyError, TypeError, ValueError) as e:
+            raise WeakLabelError(f"malformed checkpoint {path}: {e}") from e
+        if (expected_label_space is not None
+                and model.label_space.labels != tuple(expected_label_space.labels)):
             raise WeakLabelError("checkpoint label space does not match data label space")
-        fcfg = doc["featurizer"]
-        fcfg["word_ngrams"] = tuple(fcfg["word_ngrams"])
-        featurizer = HashedFeaturizer(FeaturizerConfig(**fcfg))
-        if version == 1:
-            weights = np.array(doc["weights"], dtype=np.float64)
-        else:
-            columns = np.array(doc["columns"], dtype=np.intp)
-            block = np.array(doc["weights"], dtype=np.float64).reshape(len(label_space), len(columns))
-            weights = np.zeros((len(label_space), featurizer.config.dim))
-            weights[:, columns] = block
-        return cls(featurizer, weights, np.array(doc["bias"], dtype=np.float64), label_space)
+        return model
+
+
+def _checkpoint_parts(doc: dict, version: int):
+    """(featurizer, columns, block, bias, label space) of a checkpoint
+    document, checked against each other."""
+    label_space = LabelSpace.from_dict(doc["label_space"])
+    fcfg = dict(doc["featurizer"])
+    fcfg["word_ngrams"] = tuple(fcfg["word_ngrams"])
+    featurizer = HashedFeaturizer(FeaturizerConfig(**fcfg))
+    C, dim = len(label_space), featurizer.config.dim
+    bias = np.array(doc["bias"], dtype=np.float64)
+    if bias.shape != (C,):
+        raise WeakLabelError(f"bias must hold {C} values, one per label")
+    if version == 1:
+        W = np.array(doc["weights"], dtype=np.float64)
+        if W.shape != (C, dim):
+            raise WeakLabelError(f"v1 weights must be {C} x {dim}")
+        columns = np.flatnonzero(np.any(W != 0, axis=0))
+        return featurizer, columns, np.array(W[:, columns].T, order="C"), bias, label_space
+    columns = np.array(doc["columns"])
+    if columns.ndim != 1 or (columns.size and columns.dtype.kind != "i"):
+        raise WeakLabelError("columns must be a list of integers")
+    columns = columns.astype(np.intp)
+    if columns.size and (columns[0] < 0 or columns[-1] >= dim or np.any(np.diff(columns) <= 0)):
+        raise WeakLabelError(f"columns must be strictly ascending and within [0, {dim})")
+    if version == 2:
+        values = np.array(doc["weights"], dtype=np.float64)
+    else:
+        raw = base64.b64decode(doc["weights"], validate=True)
+        if len(raw) % 8:
+            raise WeakLabelError("weights must be whole float64 values")
+        values = np.frombuffer(raw, dtype="<f8")
+    if values.size != C * len(columns):
+        raise WeakLabelError(f"weights must hold {C} x {len(columns)} values")
+    block = np.array(values.reshape(C, len(columns)).T, dtype=np.float64, order="C")
+    return featurizer, columns, block, bias, label_space
 
 
 def _distinct(idx: np.ndarray, seen: np.ndarray, slot: np.ndarray):
@@ -246,8 +318,8 @@ def train(instances, labels, label_space: LabelSpace,
     It trains over the K hashed columns its instances use, not all of the
     featurizer's: a step costs O(nonzeros in the batch x classes) plus an
     O(K) scan of a mark array that finds the batch's distinct columns. The
-    dense C x dim weights are built once, on return. The model scores
-    through `featurizer`, so rows it has built are reused."""
+    model keeps the columns of the best snapshot that carry a nonzero weight,
+    and scores through `featurizer`, so rows it has built are reused."""
     featurizer = featurizer or HashedFeaturizer(FeaturizerConfig())
     dim = featurizer.config.dim
     cfg = train_cfg or TrainConfig()
@@ -279,8 +351,6 @@ def train(instances, labels, label_space: LabelSpace,
     # W = s * V.T: the L2 decay of every step only rescales s, so a step
     # touches just the rows of V for the batch's feature columns.
     decay = 1.0 - cfg.learning_rate * cfg.l2
-    if decay <= 0:
-        raise WeakLabelError("learning_rate * l2 must be < 1")
     V = np.zeros((K, C))
     s = 1.0
     b = np.zeros(C)
@@ -320,9 +390,8 @@ def train(instances, labels, label_space: LabelSpace,
             if stall >= cfg.patience:
                 break
     _, V, b = best
-    W = np.zeros((C, dim))
-    W[:, used] = V.T
-    return WeakLabeler(featurizer, W, b, label_space)
+    nonzero = np.any(V != 0, axis=1)
+    return WeakLabeler(featurizer, used[nonzero], V[nonzero], b, label_space)
 
 
 def entropy_bits(p) -> float:

@@ -185,6 +185,7 @@ class TestTrainEval:
                    "--labels", str(workspace / "labels.json"),
                    "--seed", "0", "--out", str(model_path)])
         assert rc == 0
+        assert json.loads(model_path.read_text())["version"] == 3
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl"),
@@ -194,6 +195,33 @@ class TestTrainEval:
         report = json.loads(report_path.read_text())
         assert 0.0 <= report["accuracy"] <= 1.0
         assert 0.0 <= report["micro_f1_no_majority"] <= 1.0
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: doc.pop("columns"),
+        lambda doc: doc.update(columns=[-1] + doc["columns"][1:]),
+        lambda doc: doc.update(columns=doc["columns"][:1] * len(doc["columns"])),
+        lambda doc: doc.update(weights=doc["weights"][:-16]),
+        lambda doc: doc.update(bias=doc["bias"][:1]),
+        lambda doc: "{not json",
+    ], ids=["missing-key", "negative-column", "duplicate-columns", "short-weights",
+            "short-bias", "not-json"])
+    def test_corrupt_checkpoint_is_clean_error(self, workspace, tmp_path, capsys, corrupt):
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--data", str(workspace / "train.jsonl"),
+                     "--labels", str(workspace / "labels.json"),
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        text = corrupt(doc)
+        model_path.write_text(text if isinstance(text, str) else json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model_path),
+                   "--data", str(workspace / "val.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "report.json").exists()
 
     def test_corpus_error_exit_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"

@@ -1,6 +1,8 @@
+import base64
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,13 @@ from conftest import (
 
 SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 FEAT = FeaturizerConfig(dim=1 << 14)
+DATA = Path(__file__).parent / "data"
+
+
+def zero_model(bias):
+    """A model with no nonzero weight: empty `columns` and block."""
+    return WeakLabeler(HashedFeaturizer(FEAT), np.zeros(0, dtype=np.intp),
+                       np.zeros((0, len(SPACE))), bias, SPACE)
 
 
 def softmax(z):
@@ -251,6 +260,21 @@ class TestFeaturizer:
             assert X.shape == (0, FEAT.dim)
             featurizer.transform(FEATURIZER_TEXTS)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"dim": 0}, "dimension"),
+        ({"word_ngrams": (0,)}, "word n-gram"),
+        ({"word_ngrams": (1, -1)}, "word n-gram"),
+        ({"char_ngram": 0}, "char n-gram"),
+        ({"char_ngram": -2}, "char n-gram"),
+    ])
+    def test_invalid_config_rejected(self, kwargs, match):
+        with pytest.raises(WeakLabelError, match=match):
+            FeaturizerConfig(**kwargs)
+
+    def test_config_without_word_ngrams_hashes_char_grams_only(self):
+        featurizer = HashedFeaturizer(FeaturizerConfig(dim=64, word_ngrams=()))
+        assert len(featurizer._indices("ab cd")) == 2  # "#abc", "#bcd"
+
 
 class TestTraining:
     def test_separable_training_accuracy(self):
@@ -288,8 +312,7 @@ class TestTraining:
             train(list(texts), list(labels), SPACE, HashedFeaturizer(FEAT), TrainConfig())
 
     def test_zero_weights_give_uniform_probs(self):
-        featurizer = HashedFeaturizer(FEAT)
-        model = WeakLabeler(featurizer, np.zeros((4, FEAT.dim)), np.zeros(4), SPACE)
+        model = zero_model(np.zeros(4))
         p = model.predict_proba(["anything at all"])[0]
         np.testing.assert_allclose(p, 0.25, atol=1e-12)
 
@@ -354,6 +377,14 @@ class TestTraining:
         with pytest.raises(WeakLabelError, match=field.replace("_", " ")):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", 0.0), ("learning_rate", -0.5), ("learning_rate", math.nan),
+        ("l2", -1e-4), ("l2", math.nan), ("val_fraction", -0.1), ("val_fraction", 1.0),
+        ("patience", 0)])
+    def test_invalid_train_config_values_rejected(self, field, value):
+        with pytest.raises(WeakLabelError, match=field.replace("_", " ")):
+            TrainConfig(**{field: value})
+
     def test_zero_epochs_give_an_all_zero_model(self):
         texts, labels = toy_instances(40, seed=12)
         model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(epochs=0))
@@ -372,13 +403,17 @@ class TestTraining:
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         nonzero = np.flatnonzero(np.any(model.weights != 0, axis=0))
         assert doc["columns"] == nonzero.tolist()
         assert 0 < len(nonzero) < FEAT.dim
+        block = np.frombuffer(base64.b64decode(doc["weights"]), dtype="<f8")
+        assert np.array_equal(block, model.weights[:, nonzero].ravel())
         loaded = WeakLabeler.load(path)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
-        np.testing.assert_array_equal(loaded.bias, model.bias)
+        assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(loaded.bias, model.bias)
+        assert np.array_equal(loaded.columns, model.columns)
+        assert loaded.block.flags.c_contiguous
         assert loaded.weights.shape == (len(SPACE), FEAT.dim)
         assert loaded.predict(texts[:5]) == model.predict(texts[:5])
 
@@ -408,18 +443,26 @@ class TestCheckpoint:
         np.testing.assert_array_equal(loaded.bias, [0.1, 0.2, 0.3, 0.4])
 
     def test_all_zero_model_round_trip(self, tmp_path):
-        model = WeakLabeler(HashedFeaturizer(FEAT), np.zeros((4, FEAT.dim)),
-                            np.array([0.5, 0.0, -0.5, 1.0]), SPACE)
+        model = zero_model(np.array([0.5, 0.0, -0.5, 1.0]))
         path = tmp_path / "model.json"
         model.save(path)
-        assert json.loads(path.read_text())["columns"] == []
+        doc = json.loads(path.read_text())
+        assert doc["columns"] == [] and doc["weights"] == ""
         loaded = WeakLabeler.load(path)
-        np.testing.assert_array_equal(loaded.weights, model.weights)
+        assert loaded.columns.shape == (0,) and loaded.block.shape == (0, 4)
+        np.testing.assert_array_equal(loaded.weights, np.zeros((4, FEAT.dim)))
         np.testing.assert_array_equal(loaded.bias, model.bias)
+        np.testing.assert_array_equal(loaded.predict_proba(["anything at all", ""]),
+                                      softmax(np.tile(model.bias, (2, 1))))
 
-    @pytest.mark.parametrize("version", [None, 0, 3, "2"])
+        uniform = zero_model(np.zeros(4))
+        uniform.save(path)
+        assert np.array_equal(WeakLabeler.load(path).predict_proba(["any text"]),
+                              np.full((1, 4), 0.25))
+
+    @pytest.mark.parametrize("version", [None, 0, 4, "3", "2"])
     def test_unknown_version_rejected(self, tmp_path, version):
-        model = WeakLabeler(HashedFeaturizer(FEAT), np.zeros((4, FEAT.dim)), np.zeros(4), SPACE)
+        model = zero_model(np.zeros(4))
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text())
@@ -430,6 +473,143 @@ class TestCheckpoint:
         path.write_text(json.dumps(doc))
         with pytest.raises(WeakLabelError, match="version"):
             WeakLabeler.load(path)
+
+    def test_v2_checkpoint_of_the_v2_writer_loads(self):
+        """tests/data/model_v2.json was written by the v2 writer (commit
+        dbeff59), with the probabilities it gave for a few texts."""
+        path = DATA / "model_v2.json"
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        want = np.zeros((len(SPACE), doc["featurizer"]["dim"]))
+        want[:, doc["columns"]] = doc["weights"]
+        loaded = WeakLabeler.load(path, expected_label_space=SPACE)
+        assert np.array_equal(loaded.weights, want)
+        assert np.array_equal(loaded.bias, doc["bias"])
+        expected = json.loads((DATA / "model_v2_predictions.json").read_text())
+        assert np.array_equal(loaded.predict_proba(expected["texts"]), expected["proba"])
+
+    def test_v3_round_trip_is_exact(self, tmp_path):
+        texts, labels = toy_instances(80, seed=13)
+        model = train(texts, labels, SPACE, HashedFeaturizer(FeaturizerConfig(dim=512)),
+                      TrainConfig(seed=2, epochs=8))
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = WeakLabeler.load(path)
+        assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(loaded.bias, model.bias)
+        assert np.array_equal(loaded.predict_proba(texts), model.predict_proba(texts))
+        loaded.save(tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("change,match", [
+        (lambda d: d.pop("columns"), "lacks columns"),
+        (lambda d: d.pop("bias"), "lacks bias"),
+        (lambda d: d.update(columns=[1, 999]), "within"),
+        (lambda d: d.update(columns=[-1, 3]), "within"),
+        (lambda d: d.update(columns=[3, 3]), "ascending"),
+        (lambda d: d.update(columns=[5, 3]), "ascending"),
+        (lambda d: d.update(columns=[1.5, 3]), "integers"),
+        (lambda d: d.update(columns=[[1, 3]]), "integers"),
+        (lambda d: d.update(bias=[0.0]), "bias"),
+        (lambda d: d.update(bias=[[0.0, 1.0]]), "bias"),
+        (lambda d: d.update(weights=d["weights"][:-12]), "weights"),
+        (lambda d: d.update(weights="not base64!"), "malformed"),
+        (lambda d: d.update(weights=[1.0, 2.0]), "malformed"),
+        (lambda d: d.update(label_space={"labels": ["a", "b"]}), "malformed"),
+        (lambda d: d["featurizer"].update(char_ngram=-2), "char n-gram"),
+        (lambda d: d["featurizer"].update(unknown=1), "malformed"),
+    ], ids=["no-columns", "no-bias", "column-past-dim", "negative-column", "duplicate-columns",
+            "descending-columns", "float-column", "nested-columns", "short-bias", "nested-bias",
+            "short-weights", "bad-base64", "list-weights", "bad-label-space", "bad-featurizer",
+            "unknown-featurizer-field"])
+    def test_malformed_v3_checkpoint_rejected(self, tmp_path, change, match):
+        model = WeakLabeler(HashedFeaturizer(FeaturizerConfig(dim=64)), np.array([1, 3]),
+                            np.arange(8.0).reshape(2, 4), np.zeros(4), SPACE)
+        path = tmp_path / "model.json"
+        model.save(path)
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeakLabelError, match=match):
+            WeakLabeler.load(path)
+
+    @pytest.mark.parametrize("change,match", [
+        (lambda d: d.pop("weights"), "lacks weights"),
+        (lambda d: d.update(columns=[1, 999]), "within"),
+        (lambda d: d.update(columns=[-1, 1]), "within"),
+        (lambda d: d.update(columns=[1, 1]), "ascending"),
+        (lambda d: d.update(weights=[[1.0]] * 4), "weights"),
+        (lambda d: d.update(weights=[[1.0, 2.0], [3.0]]), "malformed"),
+        (lambda d: d.update(bias=[0.5]), "bias"),
+    ], ids=["no-weights", "column-past-dim", "negative-column", "duplicate-columns",
+            "short-weights", "ragged-weights", "short-bias"])
+    def test_malformed_v2_checkpoint_rejected(self, tmp_path, change, match):
+        doc = json.loads((DATA / "model_v2.json").read_text())
+        doc["featurizer"]["dim"] = 64
+        doc["columns"], doc["weights"] = [1, 3], [[0.5, -0.5]] * 4
+        change(doc)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeakLabelError, match=match):
+            WeakLabeler.load(path)
+
+    @pytest.mark.parametrize("weights", [[[0.0] * 8] * 3, [[0.0] * 7] * 4, [0.0] * 32])
+    def test_v1_checkpoint_of_the_wrong_shape_rejected(self, tmp_path, weights):
+        doc = {"version": 1, "featurizer": {"dim": 8, "word_ngrams": [1, 2], "char_ngram": 3,
+                                            "context_window": 1},
+               "label_space": SPACE.to_dict(), "weights": weights, "bias": [0.0] * 4}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(WeakLabelError, match="4 x 8"):
+            WeakLabeler.load(path)
+
+    @pytest.mark.parametrize("text", ["", "[1, 2]", '{"version": 3', "\xff\xfe"])
+    def test_checkpoint_that_is_not_a_document_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(WeakLabelError):
+            WeakLabeler.load(path)
+
+
+class TestCompactScoring:
+    """`predict_proba` over the nonzero columns equals the dense product over
+    every column, to the bit."""
+
+    def _model(self):
+        texts, labels = toy_instances(120, seed=14)
+        return train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1)), texts
+
+    def _dense(self, model, texts):
+        X = HashedFeaturizer(model.featurizer.config).transform(texts)
+        return softmax(X @ model.weights.T + model.bias)
+
+    def test_equals_dense_product(self):
+        model, texts = self._model()
+        assert 0 < len(model.columns) < FEAT.dim
+        batch = texts[:40] + ["okay furious crying thrilled unseen words", "okay"]
+        assert np.array_equal(model.predict_proba(batch), self._dense(model, batch))
+
+    def test_texts_with_only_unseen_columns(self):
+        model, _ = self._model()
+        batch = ["zq", "zzq xxj", ""]
+        cols = HashedFeaturizer(FEAT).transform(batch).indices
+        assert not np.isin(cols, model.columns).any()
+        P = model.predict_proba(batch)
+        assert np.array_equal(P, self._dense(model, batch))
+        assert np.array_equal(P, softmax(np.tile(model.bias, (3, 1))))
+
+    def test_empty_batch(self):
+        model, _ = self._model()
+        P = model.predict_proba([])
+        assert P.shape == (0, len(SPACE))
+        assert np.array_equal(P, self._dense(model, []))
+
+    def test_train_keeps_only_nonzero_columns_ascending(self):
+        model, _ = self._model()
+        assert np.all(np.diff(model.columns) > 0)
+        assert model.block.shape == (len(model.columns), len(SPACE))
+        assert model.block.flags.c_contiguous
+        assert np.all(np.any(model.block != 0, axis=1))
 
 
 def brute_force_filter_oracle(matched_flags, entropies, percentile):
