@@ -41,6 +41,7 @@ from .prompt import (
 )
 
 STRATEGIES = ("lta", "ata", "cta", "incontext", "random")
+LABEL_MODES = ("gold", "random")
 
 # Source records generated at once. Requests in flight are capped by the
 # backend itself (HttpBackend's max_parallel), never by this constant: 8 kept
@@ -70,12 +71,14 @@ class Candidate:
 class AugmentPlan:
     strategy: str  # one of STRATEGIES
     multiplier: float = 2.0
-    label_mode: str = "gold"  # gold | random
+    label_mode: str = "gold"  # one of LABEL_MODES
     seed: int = 0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.label_mode not in LABEL_MODES:
+            raise ValueError(f"unknown label mode {self.label_mode!r}")
         if self.multiplier <= 0:
             raise ValueError("multiplier must be > 0")
 

@@ -15,7 +15,7 @@ import sys
 from collections import Counter
 
 from . import baselines
-from .augment import STRATEGIES, AugmentPlan, run_augmentation, write_candidates
+from .augment import LABEL_MODES, STRATEGIES, AugmentPlan, run_augmentation, write_candidates
 from .corpus import (
     CorpusError,
     Dataset,
@@ -27,7 +27,8 @@ from .corpus import (
     write_jsonl,
 )
 from .genbackend import BackendError, GenParams, HttpBackend, MockBackend, MockGenConfig
-from .loop import LoopConfig, evaluate_model, run_weakdap
+from .loop import REGENS, LoopConfig, evaluate_model, run_weakdap
+from .metrics import METRICS
 from .prompt import PromptSpec
 from .weaklabel import (
     FeaturizerConfig,
@@ -264,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--multiplier", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=["gold", "random"])
+    p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     add_backend_flags(p)
@@ -285,13 +286,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", choices=["dialogue", "utterance"])
     p.add_argument("--strategy", choices=STRATEGIES)
     p.add_argument("--multiplier", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=["gold", "random"])
+    p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
     p.add_argument("--filter-percentile", dest="filter_percentile", type=float)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--metric", choices=["micro_f1_no_majority", "macro_f1", "accuracy"])
-    p.add_argument("--regen", choices=["fresh", "refilter"])
+    p.add_argument("--metric", choices=METRICS)
+    p.add_argument("--regen", choices=REGENS)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", required=True)
     add_backend_flags(p)

@@ -95,6 +95,8 @@ class LabelSpace:
     majority: int | None = None
 
     def __post_init__(self):
+        if isinstance(self.labels, str):
+            raise CorpusError("labels must be a list of label names, not a string")
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise CorpusError("duplicate label names")
@@ -121,7 +123,7 @@ class LabelSpace:
 
     @classmethod
     def from_dict(cls, d: dict) -> "LabelSpace":
-        return cls(task=d["task"], labels=tuple(d["labels"]), majority=d.get("majority"))
+        return cls(task=d["task"], labels=d["labels"], majority=d.get("majority"))
 
 
 @dataclass

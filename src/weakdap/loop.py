@@ -40,6 +40,9 @@ from .weaklabel import (
 )
 
 
+REGENS = ("fresh", "refilter")
+
+
 class LoopError(RuntimeError):
     pass
 
@@ -49,14 +52,18 @@ class LoopConfig:
     epsilon: float = 0.005
     patience: int = 3
     max_iterations: int = 20
-    metric: str = "micro_f1_no_majority"  # | macro_f1 | accuracy
-    regen: str = "fresh"  # fresh | refilter
+    metric: str = "micro_f1_no_majority"  # one of metrics.METRICS
+    regen: str = "fresh"  # one of REGENS
 
     def __post_init__(self):
         if self.epsilon <= 0:
             raise ValueError("epsilon must be > 0")
         if self.patience < 1 or self.max_iterations < 1:
             raise ValueError("patience and max_iterations must be >= 1")
+        if self.metric not in metrics.METRICS:
+            raise ValueError(f"unknown metric {self.metric!r}")
+        if self.regen not in REGENS:
+            raise ValueError(f"unknown regen mode {self.regen!r}")
 
 
 @dataclass

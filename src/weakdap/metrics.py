@@ -14,6 +14,9 @@ import numpy as np
 from .corpus import LabelSpace
 
 
+METRICS = ("micro_f1_no_majority", "macro_f1", "accuracy")
+
+
 class MetricsError(ValueError):
     pass
 

@@ -19,6 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .augment import Candidate
 from .corpus import Conversation, LabelSpace, LabeledUtterance
@@ -42,6 +43,8 @@ class FeaturizerConfig:
             raise WeakLabelError("word n-gram orders must be >= 1")
         if self.char_ngram < 1:
             raise WeakLabelError("char n-gram must be >= 1")
+        if self.context_window < 0:
+            raise WeakLabelError("context window must be >= 0")
 
 
 @dataclass
@@ -308,6 +311,22 @@ def _distinct(idx: np.ndarray, seen: np.ndarray, slot: np.ndarray):
     return cols, slot[idx]
 
 
+def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray,
+                transpose: bool = False) -> np.ndarray:
+    """The CSR matrix (indptr, indices, data) of n_cols columns, or its
+    transpose, times the dense C-contiguous M, without building the matrix:
+    the kernel and summation order of scipy's `csr_matrix @ M` (`.T @ M`,
+    which reads the same arrays as CSC). The kernel checks no bounds: indptr
+    must ascend and every index lie in [0, n_cols)."""
+    shape = (n_cols, len(indptr) - 1) if transpose else (len(indptr) - 1, n_cols)
+    if M.shape[0] != shape[1] or not indptr[-1] == len(indices) == len(data):
+        raise ValueError("the CSR arrays and the dense operand do not fit together")
+    out = np.zeros((shape[0], M.shape[1]))
+    kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
+    kernel(*shape, M.shape[1], indptr, indices, data, M.ravel(), out.ravel())
+    return out
+
+
 def train(instances, labels, label_space: LabelSpace,
           featurizer: HashedFeaturizer | None = None,
           train_cfg: TrainConfig | None = None) -> WeakLabeler:
@@ -359,24 +378,26 @@ def train(instances, labels, label_space: LabelSpace,
     np_rng = np.random.default_rng(cfg.seed)
     ntr = Xtr.shape[0]
     onehot = np.eye(C)[ytr]
-    # slot in scipy's own index dtype, so building a batch's matrix copies nothing
+    # slot in scipy's own index dtype, so no batch's index array is converted
     seen, slot = np.zeros(K, dtype=bool), np.zeros(K, dtype=X.indices.dtype)
 
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
         Xp, Yp = Xtr[perm], onehot[perm]
         indices = Xp.indices.astype(np.intp)
+        # in slot's dtype too: a kernel copies an index array of a second dtype
+        indptr = Xp.indptr.astype(slot.dtype, copy=False)
         for start in range(0, ntr, cfg.batch_size):
             stop = min(start + cfg.batch_size, ntr)
-            lo, hi = Xp.indptr[start], Xp.indptr[stop]
+            lo, hi = indptr[start], indptr[stop]
             cols, local = _distinct(indices[lo:hi], seen, slot)
-            Xb = sparse.csr_matrix((Xp.data[lo:hi], local, Xp.indptr[start:stop + 1] - lo),
-                                   shape=(stop - start, len(cols)))
+            batch = (indptr[start:stop + 1] - lo, local, Xp.data[lo:hi], len(cols))
             Vb = V[cols]
-            err = _softmax(s * (Xb @ Vb) + b) - Yp[start:stop]
+            err = _softmax(s * _csr_matmul(*batch, Vb) + b) - Yp[start:stop]
             s *= decay
-            V[cols] = Vb - cfg.learning_rate / ((stop - start) * s) * (Xb.T @ err)
-            b -= cfg.learning_rate * err.mean(axis=0)
+            V[cols] = Vb - cfg.learning_rate / ((stop - start) * s) * _csr_matmul(
+                *batch, err, transpose=True)
+            b -= cfg.learning_rate * (err.sum(axis=0) / (stop - start))  # err.mean, bit for bit
             if s < 1e-6:
                 V *= s
                 s = 1.0

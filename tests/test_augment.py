@@ -294,6 +294,10 @@ class TestBudgetScheduler:
         with pytest.raises(ValueError):
             AugmentPlan(strategy="xta")
 
+    def test_unknown_label_mode(self):
+        with pytest.raises(ValueError, match="label mode"):
+            AugmentPlan(strategy="lta", label_mode="bogus")
+
 
 class TestRandomStrategy:
     """`random` plans and labels like LTA, but its candidate is the generated

@@ -10,6 +10,7 @@ import pytest
 import weakdap.loop
 from weakdap.cli import _make_backend, build_parser, main
 from weakdap.corpus import LabeledUtterance, write_jsonl
+from weakdap.genbackend import MockBackend
 
 from conftest import TOY_LABELS, toy_conversation, toy_sentence, toy_templates
 
@@ -315,6 +316,35 @@ class TestWeakdapCommand:
         args[args.index("--seed") + 1] = str(seed)
         assert main(args) == 0
         assert seeds == [seed, seed]
+
+    @pytest.mark.parametrize("config,error", [
+        ({"regen": "bogus"}, "unknown regen mode 'bogus'"),
+        ({"label_mode": "bogus"}, "unknown label mode 'bogus'"),
+        ({"metric": "f1"}, "unknown metric 'f1'"),
+        ({"regen": "refilter"}, None),
+    ])
+    def test_config_file_value_checked_before_generation(self, workspace, tmp_path,
+                                                         monkeypatch, capsys, config, error):
+        calls = []
+        complete = MockBackend.complete
+
+        def counting(self, prompt, params):
+            calls.append(prompt)
+            return complete(self, prompt, params)
+
+        monkeypatch.setattr(MockBackend, "complete", counting)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        rc = main(["--config", str(config_path), *_weakdap_args(workspace, out)])
+        err = capsys.readouterr().err
+        if error is None:  # the control: a valid value runs and generates
+            assert rc == 0 and calls
+            return
+        assert rc == 2
+        assert err == f"error: {error}\n"
+        assert calls == []
+        assert not (out / "run.json").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

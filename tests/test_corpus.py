@@ -10,6 +10,7 @@ from weakdap.corpus import (
     LabeledUtterance,
     Turn,
     load_jsonl,
+    load_label_space,
     majority_label,
     sample_few_shot,
     write_jsonl,
@@ -23,6 +24,17 @@ def dlg_space():
 
 
 class TestInvariants:
+    def test_string_labels_rejected(self, tmp_path):
+        with pytest.raises(CorpusError, match="string"):
+            LabelSpace(task="emotion", labels="abc")
+        with pytest.raises(CorpusError, match="string"):
+            LabelSpace.from_dict({"task": "emotion", "labels": "abc"})
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps({"task": "emotion", "labels": "abc"}))
+        with pytest.raises(CorpusError, match="string"):
+            load_label_space(path)
+        assert LabelSpace.from_dict({"task": "emotion", "labels": ["a", "b"]}).labels == ("a", "b")
+
     def test_minimal_record_loads(self, tmp_path):
         line = {"id": "d1", "turns": [
             {"speaker": "A", "text": "Hi", "emotion": "happiness"},

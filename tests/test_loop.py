@@ -74,6 +74,12 @@ class TestConvergenceAutomaton:
         with pytest.raises(ValueError):
             LoopConfig(patience=0)
 
+    @pytest.mark.parametrize("field,value", [("metric", "f1"), ("metric", "MACRO_F1"),
+                                             ("regen", "bogus"), ("regen", "")])
+    def test_unknown_metric_or_regen_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown {field}"):
+            LoopConfig(**{field: value})
+
 
 class TestRunWeakdap:
     def _run(self, toy_dataset, out_dir=None, regen="fresh", q=0.4):

@@ -19,6 +19,7 @@ from weakdap.weaklabel import (
     TrainConfig,
     WeakLabeler,
     WeakLabelError,
+    _csr_matmul,
     _distinct,
     entropy_bits,
     filter_candidates,
@@ -266,6 +267,8 @@ class TestFeaturizer:
         ({"word_ngrams": (1, -1)}, "word n-gram"),
         ({"char_ngram": 0}, "char n-gram"),
         ({"char_ngram": -2}, "char n-gram"),
+        ({"context_window": -1}, "context window"),
+        ({"context_window": -2}, "context window"),
     ])
     def test_invalid_config_rejected(self, kwargs, match):
         with pytest.raises(WeakLabelError, match=match):
@@ -370,6 +373,33 @@ class TestTraining:
             np.testing.assert_array_equal(cols, want_cols)
             np.testing.assert_array_equal(local, want_local)
             assert not seen.any()
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_direct_kernels_equal_scipy_products(self, index_dtype):
+        """`train` calls scipy's private `_sparsetools` kernels itself; they
+        must give, bit for bit, what the public `Xb @ Vb` and `Xb.T @ err`
+        give, or a scipy upgrade has changed them under the trainer."""
+        rng = np.random.default_rng(3)
+        X = sparse.random(9, 20, density=0.3, format="csr", random_state=4)
+        X.data[:] = rng.random(X.nnz)
+        X.data[X.indptr[4]:X.indptr[5]] = 0
+        X.eliminate_zeros()
+        assert X.indptr[4] == X.indptr[5]  # an empty row
+        for start, stop, C in [(0, 9, 12), (3, 6, 7), (4, 5, 12), (6, 7, 3)]:
+            lo, hi = X.indptr[start], X.indptr[stop]
+            cols, local = np.unique(X.indices[lo:hi], return_inverse=True)
+            indptr = (X.indptr[start:stop + 1] - lo).astype(index_dtype)
+            batch = (indptr, local.astype(index_dtype), X.data[lo:hi], len(cols))
+            Xb = sparse.csr_matrix((X.data[lo:hi], local, X.indptr[start:stop + 1] - lo),
+                                   shape=(stop - start, len(cols)))
+            Vb, err = rng.standard_normal((len(cols), C)), rng.standard_normal((stop - start, C))
+            assert np.array_equal(_csr_matmul(*batch, Vb), Xb @ Vb)
+            assert np.array_equal(_csr_matmul(*batch, err, transpose=True), Xb.T @ err)
+        # sizes that would make the kernel read past an array raise instead
+        with pytest.raises(ValueError, match="fit"):
+            _csr_matmul(*batch, np.zeros((len(cols) + 1, C)))
+        with pytest.raises(ValueError, match="fit"):
+            _csr_matmul(batch[0] + 1, *batch[1:], Vb)
 
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
                                              ("epochs", -1)])
@@ -517,11 +547,13 @@ class TestCheckpoint:
         (lambda d: d.update(weights=[1.0, 2.0]), "malformed"),
         (lambda d: d.update(label_space={"labels": ["a", "b"]}), "malformed"),
         (lambda d: d["featurizer"].update(char_ngram=-2), "char n-gram"),
+        (lambda d: d["featurizer"].update(context_window=-2), "malformed.*context window"),
         (lambda d: d["featurizer"].update(unknown=1), "malformed"),
+        (lambda d: d["label_space"].update(labels="abcd"), "malformed.*string"),
     ], ids=["no-columns", "no-bias", "column-past-dim", "negative-column", "duplicate-columns",
             "descending-columns", "float-column", "nested-columns", "short-bias", "nested-bias",
             "short-weights", "bad-base64", "list-weights", "bad-label-space", "bad-featurizer",
-            "unknown-featurizer-field"])
+            "negative-context-window", "unknown-featurizer-field", "string-labels"])
     def test_malformed_v3_checkpoint_rejected(self, tmp_path, change, match):
         model = WeakLabeler(HashedFeaturizer(FeaturizerConfig(dim=64)), np.array([1, 3]),
                             np.arange(8.0).reshape(2, 4), np.zeros(4), SPACE)
