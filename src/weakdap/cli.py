@@ -1,10 +1,17 @@
 """Command-line entry point.
 
-Subcommands: sample | augment | train | weakdap | eval | baseline.
-Option precedence: CLI flags > --config file > built-in defaults. The mock
-backend is configured by a JSON template file mapping each label to a list of
+Subcommands: sample | augment | train | weakdap | eval | baseline. Every flag
+is one row of OPTIONS, which names the subcommands that take it.
+Option precedence: CLI flags > --config file > defaults. A config-file key is
+the flag's name with underscores (--filter-percentile: filter_percentile), its
+value is converted like the flag's, and a key that nothing reads is rejected.
+An option neither sets keeps the default of the dataclass it fills
+(AugmentPlan, GenParams, MockGenConfig, FilterConfig, LoopConfig, EdaConfig,
+AedaConfig); only seed, schema and backend default here. The mock backend is
+configured by a JSON template file mapping each label to a list of
 utterances; the HTTP backend reads its endpoint from --endpoint, the config
-file, or else WEAKDAP_ENDPOINT.
+file, or else WEAKDAP_ENDPOINT. Exit code 2 means a usage or input error, 1 a
+backend that failed for good.
 """
 from __future__ import annotations
 
@@ -17,7 +24,6 @@ from collections import Counter
 from . import baselines
 from .augment import LABEL_MODES, STRATEGIES, AugmentPlan, run_augmentation, write_candidates
 from .corpus import (
-    CorpusError,
     Dataset,
     load_jsonl,
     load_label_space,
@@ -40,39 +46,92 @@ from .weaklabel import (
     train,
 )
 
-DEFAULTS = {
-    "seed": 0,
-    "schema": "dialogue",
-    "multiplier": 2.0,
-    "label_mode": "gold",
-    "backend": "mock",
-    "noise_rate": 0.0,
-    "top_p": 0.92,
-    "max_new_tokens": 48,
-    "filter_percentile": 80.0,
-    "epsilon": 0.005,
-    "patience": 3,
-    "max_iterations": 20,
-    "metric": "micro_f1_no_majority",
-    "regen": "fresh",
+DEFAULTS = {"seed": 0, "schema": "dialogue", "backend": "mock"}
+
+BASELINE_OPTIONS = {
+    "eda": ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd", "n_aug"),
+    "aeda": ("alpha",),
 }
 
+_GENERATE = "augment weakdap"
+# (flag, argparse keywords, the subcommands that take it; "!" marks it required there)
+OPTIONS = [
+    ("--data", {}, "sample! augment! train! eval! baseline!"),
+    ("--train", {}, "weakdap!"),
+    ("--val", {}, "weakdap!"),
+    ("--model", {}, "eval!"),
+    ("--method", {"choices": list(BASELINE_OPTIONS)}, "baseline!"),
+    ("--labels", {}, "sample! augment! train! weakdap! eval! baseline!"),
+    ("--schema", {"choices": ["dialogue", "utterance"]}, "sample train weakdap eval"),
+    ("--fraction", {"type": float}, "sample"),
+    ("--no-stratify", {"action": "store_true"}, "sample"),
+    ("--strategy", {"choices": STRATEGIES}, _GENERATE),
+    ("--multiplier", {"type": float}, _GENERATE),
+    ("--label-mode", {"choices": LABEL_MODES}, _GENERATE),
+    ("--filter-percentile", {"type": float}, "weakdap"),
+    ("--epsilon", {"type": float}, "weakdap"),
+    ("--patience", {"type": int}, "weakdap"),
+    ("--max-iterations", {"type": int}, "weakdap"),
+    ("--metric", {"choices": METRICS}, "weakdap"),
+    ("--regen", {"choices": REGENS}, "weakdap"),
+    ("--lexicon", {}, "baseline"),
+    ("--alpha-sr", {"type": float}, "baseline"),
+    ("--alpha-ri", {"type": float}, "baseline"),
+    ("--alpha-rs", {"type": float}, "baseline"),
+    ("--alpha-rd", {"type": float}, "baseline"),
+    ("--alpha", {"type": float}, "baseline"),
+    ("--n-aug", {"type": int}, "baseline"),
+    ("--seed", {"type": int}, "sample augment train weakdap baseline"),
+    ("--out", {}, "sample! augment! train! weakdap! eval baseline!"),
+    ("--backend", {"choices": ["mock", "http"]}, _GENERATE),
+    ("--mock-templates", {"help": "JSON file: label -> list of template utterances"}, _GENERATE),
+    ("--noise-rate", {"type": float}, _GENERATE),
+    ("--endpoint", {}, _GENERATE),
+    ("--top-p", {"type": float}, _GENERATE),
+    ("--max-new-tokens", {"type": int}, _GENERATE),
+]
+# config-file key -> the type its flag converts to (None: kept as given). The
+# flags a command requires and the switches are read from the command line only.
+CONFIG_TYPES = {flag[2:].replace("-", "_"): keywords.get("type")
+                for flag, keywords, commands in OPTIONS
+                if "!" not in commands and "action" not in keywords}
 
-def _load_config(path):
+
+def _load_config(path) -> dict:
     if not path:
         return {}
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ValueError(f"a config file holds a JSON object, not {type(config).__name__}")
+    for key in config:
+        if key not in CONFIG_TYPES:
+            raise ValueError(f"unknown config key {key!r}")
+    return config
 
 
 def resolve(args, config: dict, key: str):
-    """flags > config file > defaults."""
+    """flags > config file (converted like the flag) > DEFAULTS, else None."""
     value = getattr(args, key, None)
     if value is not None:
         return value
     if key in config:
-        return config[key]
+        convert = CONFIG_TYPES[key]
+        try:
+            return convert(config[key]) if convert else config[key]
+        except (TypeError, ValueError):
+            raise ValueError(f"config key {key!r}: {config[key]!r} is not "
+                             f"{convert.__name__}") from None
     return DEFAULTS.get(key)
+
+
+def _given(args, config, *keys, **renamed) -> dict:
+    """Keyword arguments for a dataclass: the options among keys (and the
+    field=option pairs of renamed) that a flag or the config file sets, so
+    the rest keep the dataclass's defaults."""
+    fields = {**{key: key for key in keys}, **renamed}
+    values = {field: resolve(args, config, key) for field, key in fields.items()}
+    return {field: value for field, value in values.items() if value is not None}
 
 
 def _make_backend(args, config):
@@ -80,43 +139,32 @@ def _make_backend(args, config):
     if backend == "mock":
         templates_path = resolve(args, config, "mock_templates")
         if not templates_path:
-            raise SystemExit("mock backend needs --mock-templates")
+            raise ValueError("mock backend needs --mock-templates")
         with open(templates_path, encoding="utf-8") as f:
             templates = json.load(f)
-        return MockBackend(MockGenConfig(
-            templates=templates,
-            noise_rate=float(resolve(args, config, "noise_rate")),
-            seed=int(resolve(args, config, "seed")),
-        ))
+        return MockBackend(MockGenConfig(templates=templates, seed=resolve(args, config, "seed"),
+                                         **_given(args, config, "noise_rate")))
     if backend == "http":
         return HttpBackend(endpoint=resolve(args, config, "endpoint"))
-    raise SystemExit(f"unknown backend {backend!r}")
+    raise ValueError(f"unknown backend {backend!r}")
 
 
 def _generation(args, config, strategy: str, task: str):
     """The (AugmentPlan, PromptSpec, backend, GenParams) of augment and weakdap."""
-    seed = int(resolve(args, config, "seed"))
-    plan = AugmentPlan(
-        strategy=strategy,
-        multiplier=float(resolve(args, config, "multiplier")),
-        label_mode=resolve(args, config, "label_mode"),
-        seed=seed,
-    )
-    params = GenParams(
-        top_p=float(resolve(args, config, "top_p")),
-        max_new_tokens=int(resolve(args, config, "max_new_tokens")),
-        seed=seed,
-    )
+    seed = resolve(args, config, "seed")
+    plan = AugmentPlan(strategy=strategy, seed=seed,
+                       **_given(args, config, "multiplier", "label_mode"))
+    params = GenParams(seed=seed, **_given(args, config, "top_p", "max_new_tokens"))
     return plan, PromptSpec(task=task, strategy=strategy), _make_backend(args, config), params
 
 
 def cmd_sample(args, config):
     label_space = load_label_space(args.labels)
     schema = resolve(args, config, "schema")
-    fraction = float(resolve(args, config, "fraction") or 0)
-    seed = int(resolve(args, config, "seed"))
-    if not (0 < fraction <= 1):
-        raise SystemExit(f"--fraction must be in (0, 1], got {fraction}")
+    fraction = resolve(args, config, "fraction")
+    seed = resolve(args, config, "seed")
+    if fraction is None:
+        raise ValueError("sample needs --fraction")
     partition = load_jsonl(args.data, schema, label_space)
     sampled = sample_few_shot(partition, fraction, seed, label_space,
                               stratified=not args.no_stratify)
@@ -177,7 +225,7 @@ def cmd_train(args, config):
     featurizer = HashedFeaturizer(FeaturizerConfig())
     texts, labels = instances_of(records, label_space, featurizer.config.context_window)
     model = train(texts, labels, label_space, featurizer,
-                  TrainConfig(seed=int(resolve(args, config, "seed"))))
+                  TrainConfig(seed=resolve(args, config, "seed")))
     model.save(args.out)
     print(f"trained on {len(texts)} instances -> {args.out}")
 
@@ -188,17 +236,12 @@ def cmd_weakdap(args, config):
                                             args.schema or config.get("schema"))
     dataset = _load_dataset(args.train, args.val, schema, label_space)
     plan, spec, backend, params = _generation(args, config, strategy, label_space.task)
-    filter_cfg = FilterConfig(percentile=float(resolve(args, config, "filter_percentile")))
-    loop_cfg = LoopConfig(
-        epsilon=float(resolve(args, config, "epsilon")),
-        patience=int(resolve(args, config, "patience")),
-        max_iterations=int(resolve(args, config, "max_iterations")),
-        metric=resolve(args, config, "metric"),
-        regen=resolve(args, config, "regen"),
-    )
+    filter_cfg = FilterConfig(**_given(args, config, percentile="filter_percentile"))
+    loop_cfg = LoopConfig(**_given(args, config, "epsilon", "patience", "max_iterations",
+                                   "metric", "regen"))
     _, _, state = run_weakdap(dataset, plan, filter_cfg, loop_cfg, backend, spec,
                               gen_params=params,
-                              train_cfg=TrainConfig(seed=int(resolve(args, config, "seed"))),
+                              train_cfg=TrainConfig(seed=resolve(args, config, "seed")),
                               out_dir=args.out)
     print(f"ran {state.iteration + 1} iterations; best score "
           f"{state.best_score:.4f} at iteration {state.best_iteration} -> {args.out}")
@@ -218,118 +261,47 @@ def cmd_eval(args, config):
             f.write(report.to_json())
 
 
-BASELINE_OPTIONS = {
-    "eda": ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd", "n_aug"),
-    "aeda": ("alpha",),
-}
-
-
 def cmd_baseline(args, config):
     label_space = load_label_space(args.labels)
     records = load_jsonl(args.data, "utterance", label_space)
-    options = {key: resolve(args, config, key) for key in BASELINE_OPTIONS[args.method]}
     out_records = baselines.perturb_records(
-        records, args.method, int(resolve(args, config, "seed")),
+        records, args.method, resolve(args, config, "seed"),
         resolve(args, config, "lexicon"),
-        **{key: value for key, value in options.items() if value is not None})
+        **_given(args, config, *BASELINE_OPTIONS[args.method]))
     write_jsonl(out_records, args.out)
     print(f"{args.method}: wrote {len(out_records)} augmented records -> {args.out}")
+
+
+COMMANDS = {
+    "sample": (cmd_sample, "few-shot subsample of a training split"),
+    "augment": (cmd_augment, "produce candidate silver data"),
+    "train": (cmd_train, "train the weak labeler on a split"),
+    "weakdap": (cmd_weakdap, "run the full iterative loop"),
+    "eval": (cmd_eval, "score a checkpoint on a split"),
+    "baseline": (cmd_baseline, "EDA / AEDA perturbation baselines"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="weakdap")
     parser.add_argument("--config", help="JSON config file (flags take precedence)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_backend_flags(p):
-        p.add_argument("--backend", choices=["mock", "http"])
-        p.add_argument("--mock-templates", dest="mock_templates",
-                       help="JSON file: label -> list of template utterances")
-        p.add_argument("--noise-rate", dest="noise_rate", type=float)
-        p.add_argument("--endpoint")
-        p.add_argument("--top-p", dest="top_p", type=float)
-        p.add_argument("--max-new-tokens", dest="max_new_tokens", type=int)
-
-    p = sub.add_parser("sample", help="few-shot subsample of a training split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--schema", choices=["dialogue", "utterance"])
-    p.add_argument("--fraction", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--no-stratify", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
-
-    p = sub.add_parser("augment", help="produce candidate silver data")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--multiplier", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    add_backend_flags(p)
-    p.set_defaults(func=cmd_augment)
-
-    p = sub.add_parser("train", help="train the weak labeler on a split")
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--schema", choices=["dialogue", "utterance"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("weakdap", help="run the full iterative loop")
-    p.add_argument("--train", required=True)
-    p.add_argument("--val", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--schema", choices=["dialogue", "utterance"])
-    p.add_argument("--strategy", choices=STRATEGIES)
-    p.add_argument("--multiplier", type=float)
-    p.add_argument("--label-mode", dest="label_mode", choices=LABEL_MODES)
-    p.add_argument("--filter-percentile", dest="filter_percentile", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--max-iterations", dest="max_iterations", type=int)
-    p.add_argument("--metric", choices=METRICS)
-    p.add_argument("--regen", choices=REGENS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    add_backend_flags(p)
-    p.set_defaults(func=cmd_weakdap)
-
-    p = sub.add_parser("eval", help="score a checkpoint on a split")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--schema", choices=["dialogue", "utterance"])
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("baseline", help="EDA / AEDA perturbation baselines")
-    p.add_argument("--method", required=True, choices=list(BASELINE_OPTIONS))
-    p.add_argument("--data", required=True)
-    p.add_argument("--labels", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--alpha-sr", dest="alpha_sr", type=float)
-    p.add_argument("--alpha-ri", dest="alpha_ri", type=float)
-    p.add_argument("--alpha-rs", dest="alpha_rs", type=float)
-    p.add_argument("--alpha-rd", dest="alpha_rd", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--n-aug", dest="n_aug", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_baseline)
+    parsers = {}
+    for name, (func, help_text) in COMMANDS.items():
+        parsers[name] = sub.add_parser(name, help=help_text)
+        parsers[name].set_defaults(func=func)
+    for flag, keywords, commands in OPTIONS:
+        for command in commands.split():
+            parsers[command.rstrip("!")].add_argument(
+                flag, required=command.endswith("!"), **keywords)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = _load_config(args.config)
+    args = build_parser().parse_args(argv)
     try:
-        args.func(args, config)
-    except (CorpusError, ValueError) as e:
+        args.func(args, _load_config(args.config))
+    except (ValueError, OSError) as e:  # bad input, CorpusError included; unreadable files
         print(f"error: {e}", file=sys.stderr)
         return 2
     except BackendError as e:

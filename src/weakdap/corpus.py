@@ -237,7 +237,10 @@ def write_jsonl(records, path) -> None:
 
 def load_label_space(path) -> LabelSpace:
     with open(path, encoding="utf-8") as f:
-        return LabelSpace.from_dict(json.load(f))
+        d = json.load(f)
+    if not (isinstance(d, dict) and "task" in d and "labels" in d):
+        raise CorpusError(f"{path}: a label space is a JSON object with task and labels")
+    return LabelSpace.from_dict(d)
 
 
 def majority_label(partition, label_space: LabelSpace) -> str:

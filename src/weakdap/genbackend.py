@@ -67,6 +67,8 @@ class MockGenConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.templates, dict):
+            raise ValueError("templates map each label to a list of utterances")
         for label, tpls in self.templates.items():
             if not tpls:
                 raise ValueError(f"label {label!r} has no templates")

@@ -1,6 +1,8 @@
+import argparse
 import json
 import math
 import random
+import re
 import shlex
 import socket
 from pathlib import Path
@@ -48,6 +50,11 @@ def workspace(tmp_path_factory):
     return root
 
 
+def _files(root):
+    """Every file under root, by relative path, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def _weakdap_args(workspace, out, extra=()):
     return ["weakdap",
             "--train", str(workspace / "train.jsonl"),
@@ -85,11 +92,12 @@ class TestSample:
                   "--fraction", "0.25", "--seed", "3", "--out", str(out)])
         assert (a / "sampled.jsonl").read_bytes() == (b / "sampled.jsonl").read_bytes()
 
-    def test_bad_fraction_is_usage_error(self, workspace, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["sample", "--data", str(workspace / "train.jsonl"),
-                  "--labels", str(workspace / "labels.json"),
-                  "--fraction", "1.5", "--out", str(tmp_path)])
+    def test_bad_fraction_is_usage_error(self, workspace, tmp_path, capsys):
+        rc = main(["sample", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--fraction", "1.5", "--out", str(tmp_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: fraction must be in (0, 1], got 1.5\n"
 
     def test_config_file_overridden_by_flag(self, workspace, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -126,7 +134,7 @@ class TestAugment:
                    "--backend", "http", "--endpoint", f"http://127.0.0.1:{port}",
                    "--out", str(tmp_path / "c.jsonl")])
         err = capsys.readouterr().err
-        assert rc != 0
+        assert rc == 1
         assert err.startswith("error: backend unreachable after 3 attempts")
         assert "Traceback" not in err
         assert not (tmp_path / "c.jsonl").exists()
@@ -172,11 +180,12 @@ class TestAugment:
         assert endpoint(["--endpoint", "http://flag"],
                         {"endpoint": "http://config"}) == "http://flag"
 
-    def test_mock_backend_requires_templates(self, workspace, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["augment", "--data", str(workspace / "train.jsonl"),
-                  "--labels", str(workspace / "labels.json"),
-                  "--backend", "mock", "--out", str(tmp_path / "c.jsonl")])
+    def test_mock_backend_requires_templates(self, workspace, tmp_path, capsys):
+        rc = main(["augment", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--backend", "mock", "--out", str(tmp_path / "c.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: mock backend needs --mock-templates\n"
 
 
 class TestTrainEval:
@@ -321,6 +330,10 @@ class TestWeakdapCommand:
         ({"regen": "bogus"}, "unknown regen mode 'bogus'"),
         ({"label_mode": "bogus"}, "unknown label mode 'bogus'"),
         ({"metric": "f1"}, "unknown metric 'f1'"),
+        ({"filter_precentile": 90}, "unknown config key 'filter_precentile'"),
+        ({"out": "elsewhere"}, "unknown config key 'out'"),
+        ({"epsilon": None}, "config key 'epsilon': None is not float"),
+        ([{"regen": "refilter"}], "a config file holds a JSON object, not list"),
         ({"regen": "refilter"}, None),
     ])
     def test_config_file_value_checked_before_generation(self, workspace, tmp_path,
@@ -350,11 +363,24 @@ class TestWeakdapCommand:
         a, b = tmp_path / "a", tmp_path / "b"
         main(_weakdap_args(workspace, a))
         main(_weakdap_args(workspace, b))
-        rel_a = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
-        rel_b = sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
-        assert rel_a == rel_b
-        for rel in rel_a:
-            assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+        assert _files(a) == _files(b)
+
+    def test_config_values_are_typed_like_flags(self, workspace, tmp_path):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(
+            {"epsilon": 1, "max_iterations": "2", "filter_percentile": 90, "seed": "5"}))
+        by_config = _weakdap_args(workspace, tmp_path / "config")
+        for flag in ("--max-iterations", "--seed"):
+            at = by_config.index(flag)
+            del by_config[at:at + 2]
+        assert main(["--config", str(config_path), *by_config]) == 0
+        assert main(_weakdap_args(workspace, tmp_path / "flags",
+                                  ["--epsilon", "1", "--filter-percentile", "90"])) == 0
+        assert _files(tmp_path / "config") == _files(tmp_path / "flags")
+        run = (tmp_path / "config" / "run.json").read_text()
+        assert '"epsilon": 1.0' in run
+        assert '"max_iterations": 2' in run
+        assert '"percentile": 90.0' in run
 
 
 class TestBaselineCommand:
@@ -400,9 +426,37 @@ class TestBaselineCommand:
         assert from_flag == default
 
 
+@pytest.mark.parametrize("name,text", [
+    ("config.json", '{"backend": "grpc"}'),
+    ("config.json", "{not json"),
+    ("labels.json", '{"labels": ["neutral"]}'),
+    ("templates.json", '["neutral"]'),
+    ("train.jsonl", None),
+], ids=["unknown-backend", "config-not-json", "labels-without-task", "templates-not-object",
+        "missing-data"])
+def test_usage_errors_exit_2(workspace, tmp_path, capsys, name, text):
+    """One input file of an augment run replaced by text, or missing if None."""
+    paths = {n: workspace / n for n in ("labels.json", "templates.json", "train.jsonl")}
+    paths[name] = tmp_path / name
+    if text is not None:
+        paths[name].write_text(text)
+    head = ["--config", str(paths["config.json"])] if "config.json" in paths else []
+    rc = main([*head, "augment", "--data", str(paths["train.jsonl"]),
+               "--labels", str(paths["labels.json"]),
+               "--mock-templates", str(paths["templates.json"]),
+               "--out", str(tmp_path / "c.jsonl")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "c.jsonl").exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def _readme_commands():
     """Every `weakdap ...` command in the README's sh blocks, as argv lists."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     commands = []
     for block in text.split("```sh\n")[1:]:
         block = block.split("```", 1)[0].replace("\\\n", " ")
@@ -418,3 +472,115 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+STRATEGIES = ["lta", "ata", "cta", "incontext", "random"]
+SCHEMAS = ["dialogue", "utterance"]
+BACKEND = {
+    "--backend": ("backend", False, ["mock", "http"], None, None),
+    "--mock-templates": ("mock_templates", False, None, None, None),
+    "--noise-rate": ("noise_rate", False, None, "float", None),
+    "--endpoint": ("endpoint", False, None, None, None),
+    "--top-p": ("top_p", False, None, "float", None),
+    "--max-new-tokens": ("max_new_tokens", False, None, "int", None),
+}
+# Every option of every subcommand: (dest, required, choices, type, nargs).
+OPTION_SURFACE = {
+    None: {"--config": ("config", False, None, None, None)},
+    "sample": {
+        "--data": ("data", True, None, None, None),
+        "--labels": ("labels", True, None, None, None),
+        "--schema": ("schema", False, SCHEMAS, None, None),
+        "--fraction": ("fraction", False, None, "float", None),
+        "--seed": ("seed", False, None, "int", None),
+        "--no-stratify": ("no_stratify", False, None, None, 0),
+        "--out": ("out", True, None, None, None),
+    },
+    "augment": {
+        "--data": ("data", True, None, None, None),
+        "--labels": ("labels", True, None, None, None),
+        "--strategy": ("strategy", False, STRATEGIES, None, None),
+        "--multiplier": ("multiplier", False, None, "float", None),
+        "--label-mode": ("label_mode", False, ["gold", "random"], None, None),
+        "--seed": ("seed", False, None, "int", None),
+        "--out": ("out", True, None, None, None),
+        **BACKEND,
+    },
+    "train": {
+        "--data": ("data", True, None, None, None),
+        "--labels": ("labels", True, None, None, None),
+        "--schema": ("schema", False, SCHEMAS, None, None),
+        "--seed": ("seed", False, None, "int", None),
+        "--out": ("out", True, None, None, None),
+    },
+    "weakdap": {
+        "--train": ("train", True, None, None, None),
+        "--val": ("val", True, None, None, None),
+        "--labels": ("labels", True, None, None, None),
+        "--schema": ("schema", False, SCHEMAS, None, None),
+        "--strategy": ("strategy", False, STRATEGIES, None, None),
+        "--multiplier": ("multiplier", False, None, "float", None),
+        "--label-mode": ("label_mode", False, ["gold", "random"], None, None),
+        "--filter-percentile": ("filter_percentile", False, None, "float", None),
+        "--epsilon": ("epsilon", False, None, "float", None),
+        "--patience": ("patience", False, None, "int", None),
+        "--max-iterations": ("max_iterations", False, None, "int", None),
+        "--metric": ("metric", False, ["micro_f1_no_majority", "macro_f1", "accuracy"],
+                     None, None),
+        "--regen": ("regen", False, ["fresh", "refilter"], None, None),
+        "--seed": ("seed", False, None, "int", None),
+        "--out": ("out", True, None, None, None),
+        **BACKEND,
+    },
+    "eval": {
+        "--model": ("model", True, None, None, None),
+        "--data": ("data", True, None, None, None),
+        "--labels": ("labels", True, None, None, None),
+        "--schema": ("schema", False, SCHEMAS, None, None),
+        "--out": ("out", False, None, None, None),
+    },
+    "baseline": {
+        "--method": ("method", True, ["eda", "aeda"], None, None),
+        "--data": ("data", True, None, None, None),
+        "--labels": ("labels", True, None, None, None),
+        "--lexicon": ("lexicon", False, None, None, None),
+        "--alpha-sr": ("alpha_sr", False, None, "float", None),
+        "--alpha-ri": ("alpha_ri", False, None, "float", None),
+        "--alpha-rs": ("alpha_rs", False, None, "float", None),
+        "--alpha-rd": ("alpha_rd", False, None, "float", None),
+        "--alpha": ("alpha", False, None, "float", None),
+        "--n-aug": ("n_aug", False, None, "int", None),
+        "--seed": ("seed", False, None, "int", None),
+        "--out": ("out", True, None, None, None),
+    },
+}
+
+
+def _subparsers(parser):
+    """The top-level parser under None, then each subcommand's parser."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {None: parser, **sub.choices}
+
+
+def _surface(parser):
+    """Each option string of a parser, help aside, with what argparse does with it."""
+    return {option: (action.dest, action.required,
+                     None if action.choices is None else list(action.choices),
+                     action.type and action.type.__name__, action.nargs)
+            for action in parser._actions if action.dest != "help"
+            for option in action.option_strings}
+
+
+def test_option_surface_is_pinned():
+    parsers = _subparsers(build_parser())
+    assert list(parsers) == list(OPTION_SURFACE)
+    for command, parser in parsers.items():
+        assert _surface(parser) == OPTION_SURFACE[command], command
+
+
+def test_readme_names_every_option():
+    text = README.read_text(encoding="utf-8")
+    options = {option for parser in _subparsers(build_parser()).values()
+               for action in parser._actions for option in action.option_strings}
+    assert [option for option in sorted(options)
+            if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", text)] == []
