@@ -330,11 +330,11 @@ class TestWeakdapCommand:
         ({"regen": "bogus"}, "unknown regen mode 'bogus'"),
         ({"label_mode": "bogus"}, "unknown label mode 'bogus'"),
         ({"metric": "f1"}, "unknown metric 'f1'"),
+        ({"regen": "refilter"}, None),
         ({"filter_precentile": 90}, "unknown config key 'filter_precentile'"),
         ({"out": "elsewhere"}, "unknown config key 'out'"),
         ({"epsilon": None}, "config key 'epsilon': None is not float"),
         ([{"regen": "refilter"}], "a config file holds a JSON object, not list"),
-        ({"regen": "refilter"}, None),
     ])
     def test_config_file_value_checked_before_generation(self, workspace, tmp_path,
                                                          monkeypatch, capsys, config, error):
