@@ -6,25 +6,24 @@ Two backends implement the same interface:
     hidden label of the template it was drawn from, so tests can measure noise
     retention exactly.
   - HttpBackend: a client for a minimal completion-style HTTP API with retries
-    and bounded request parallelism.
+    and bounded request parallelism, on the standard library's http.client:
+    one connection per attempt, no proxies, no redirects.
 """
 from __future__ import annotations
 
 import hashlib
+import http.client
+import json
 import os
 import random
+import re
+import ssl
 import threading
 import time
 from dataclasses import dataclass
-
-import requests
+from urllib.parse import urlsplit
 
 from .prompt import RenderedPrompt
-
-
-# Failures worth retrying; 5xx answers are retried as well.
-_TRANSIENT = (requests.ConnectionError, requests.Timeout,
-              requests.exceptions.ChunkedEncodingError)
 
 
 class BackendError(RuntimeError):
@@ -112,27 +111,69 @@ class MockBackend:
 class HttpBackend:
     """Client for the POST <endpoint>/complete wire protocol.
 
-    Retries transient failures (connection errors, timeouts, 5xx) up to
-    max_attempts in all, sleeping a uniform draw from [0, backoff * 2^k)
-    before retry k+1 so concurrent callers do not retry in lockstep, then
-    raises BackendError. Any other failure, such as a 4xx answer or a
-    malformed body, raises at once. In-flight requests are capped by a
-    semaphore so concurrent augmentation cannot overload the server. An
-    explicit endpoint beats WEAKDAP_ENDPOINT.
+    The endpoint is an http:// or https:// URL, optionally with a path
+    prefix (http://host:8080/v1 posts to /v1/complete); anything else raises
+    ValueError here, before any request. Each attempt opens one connection,
+    sends one request and closes the connection. HTTPS uses the default SSL
+    context, which verifies certificates; no proxy variable is read and
+    redirects are not followed.
+
+    Retries transient failures (connection errors, timeouts, answers cut
+    short, 5xx) up to max_attempts in all, sleeping a uniform draw from
+    [0, backoff * 2^k) before retry k+1 so concurrent callers do not retry
+    in lockstep, then raises BackendError. Any other answer, such as a 3xx
+    or 4xx or a body that is not JSON with a list of completions, raises at
+    once. In-flight requests are capped by a semaphore so concurrent
+    augmentation cannot overload the server. An explicit endpoint beats
+    WEAKDAP_ENDPOINT.
     """
 
     def __init__(self, endpoint: str | None = None, max_parallel: int = 4,
                  max_attempts: int = 3, backoff: float = 0.5, timeout: float = 60.0):
         self.endpoint = endpoint if endpoint is not None else os.environ.get("WEAKDAP_ENDPOINT")
         if not self.endpoint:
-            raise BackendError("no endpoint configured (set WEAKDAP_ENDPOINT or pass endpoint)")
+            raise ValueError("no endpoint configured (set WEAKDAP_ENDPOINT or pass endpoint)")
+        parts = urlsplit(self.endpoint)
+        try:
+            bad_port = parts.port == 0
+        except ValueError:  # not a number, or out of range
+            bad_port = True
+        # Credentials, a query or a fragment would be dropped, not sent. Only
+        # visible ASCII: http.client refuses a host or path with spaces,
+        # control or non-ASCII characters, so such a URL could never be sent.
+        if (parts.scheme not in ("http", "https") or not parts.hostname or bad_port
+                or "@" in parts.netloc or parts.query or parts.fragment
+                or re.search(r"[^\x21-\x7e]", self.endpoint)):
+            raise ValueError("endpoint must be http(s)://host[:port][/path] with a port in "
+                             f"1-65535, got {self.endpoint!r}")
+        self._https = parts.scheme == "https"
+        self._host = parts.hostname
+        self._port = parts.port or (443 if self._https else 80)
+        self._path = parts.path.rstrip("/") + "/complete"
+        # One context for all connections: building one loads the CA certificates.
+        self._ssl_context = ssl.create_default_context() if self._https else None
         self.max_attempts = max_attempts
         self.backoff = backoff
         self.timeout = timeout
         self._slots = threading.Semaphore(max_parallel)
 
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """One request on a fresh connection: (status, body of the answer)."""
+        if self._https:
+            conn = http.client.HTTPSConnection(self._host, self._port, timeout=self.timeout,
+                                               context=self._ssl_context)
+        else:
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+        try:
+            conn.request("POST", self._path, body=body,
+                         headers={"Content-Type": "application/json", "Connection": "close"})
+            resp = conn.getresponse()
+            return resp.status, resp.read()
+        finally:
+            conn.close()
+
     def complete(self, prompt: RenderedPrompt, params: GenParams) -> list[Completion]:
-        payload = {
+        body = json.dumps({
             "prompt": prompt.text,
             "mode": "beam" if params.mode == "beam" else "top_p",
             "top_p": params.top_p,
@@ -140,25 +181,37 @@ class HttpBackend:
             "max_new_tokens": params.max_new_tokens,
             "stop": list(params.stop_markers),
             "seed": params.seed,
-        }
+        }).encode("utf-8")
         last_err = None
         for attempt in range(1, self.max_attempts + 1):
             try:
                 with self._slots:
-                    resp = requests.post(f"{self.endpoint}/complete", json=payload,
-                                         timeout=self.timeout)
-                if resp.status_code < 500:
-                    resp.raise_for_status()
-                    return [Completion(raw=c, parsed=None) for c in resp.json()["completions"]]
-                last_err = f"HTTP {resp.status_code}"
-            except _TRANSIENT as e:
+                    status, answer = self._post(body)
+            except (OSError, http.client.HTTPException) as e:
                 last_err = e
-            except (requests.RequestException, KeyError, TypeError, ValueError) as e:
-                raise BackendError(f"backend request failed: {e}", attempts=attempt) from e
+            else:
+                if status < 500:
+                    return self._completions(status, answer, attempt)
+                last_err = f"HTTP {status}"
             if attempt < self.max_attempts:
                 time.sleep(random.uniform(0, self.backoff * 2 ** (attempt - 1)))
         raise BackendError(f"backend unreachable after {self.max_attempts} attempts: {last_err}",
                            attempts=self.max_attempts)
+
+    @staticmethod
+    def _completions(status: int, answer: bytes, attempt: int) -> list[Completion]:
+        """The completions of a final (non-5xx) answer, or BackendError."""
+        if not 200 <= status < 300:
+            raise BackendError(f"backend request failed: HTTP {status}", attempts=attempt)
+        try:
+            texts = json.loads(answer)["completions"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise BackendError(f"backend request failed: bad answer: {e!r}",
+                               attempts=attempt) from e
+        if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
+            raise BackendError("backend request failed: completions are not a list of strings",
+                               attempts=attempt)
+        return [Completion(raw=t, parsed=None) for t in texts]
 
 
 def parse_completion(raw: str, stop_markers=()) -> str | None:

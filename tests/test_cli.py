@@ -166,6 +166,25 @@ class TestAugment:
         assert all(len(r["payload"]["turns"]) == 1 and r["generated_turns"] == [0]
                    for r in rows)
 
+    @pytest.mark.parametrize("flags", [
+        [], ["--endpoint", "ftp://localhost"], ["--endpoint", "localhost:8080"],
+        ["--endpoint", "http://:8080"], ["--endpoint", "http://localhost:port"],
+        ["--endpoint", "http://localhost:0"], ["--endpoint", "http://localhost:70000"],
+        ["--endpoint", "http://local host"], ["--endpoint", "http://user:pw@localhost"],
+        ["--endpoint", "http://localhost/v1?key=k"],
+    ], ids=["missing", "ftp-scheme", "no-scheme", "no-host", "port-not-a-number",
+            "port-zero", "port-out-of-range", "space", "credentials", "query"])
+    def test_bad_endpoint_is_usage_error(self, workspace, tmp_path, capsys, monkeypatch,
+                                         flags):
+        monkeypatch.delenv("WEAKDAP_ENDPOINT", raising=False)
+        rc = main(["augment", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--backend", "http", *flags, "--out", str(tmp_path / "c.jsonl")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "c.jsonl").exists()
+
     def test_endpoint_flag_beats_config_beats_environment(self, monkeypatch):
         monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://env")
         parser = build_parser()

@@ -1,8 +1,13 @@
+import http.client
 import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +129,7 @@ class TestMockBackend:
 class _Handler(BaseHTTPRequestHandler):
     fail_times = 0
     fail_with = (500, b"")  # (status, body) of a failed answer
+    fail_headers = {}  # extra headers of a failed answer
     requests_seen = []
 
     def do_POST(self):
@@ -133,6 +139,8 @@ class _Handler(BaseHTTPRequestHandler):
             type(self).fail_times -= 1
             status, reply = type(self).fail_with
             self.send_response(status)
+            for name, value in type(self).fail_headers.items():
+                self.send_header(name, value)
             self.end_headers()
             self.wfile.write(reply)
             return
@@ -153,6 +161,7 @@ def http_server():
     thread.start()
     _Handler.fail_times = 0
     _Handler.fail_with = (500, b"")
+    _Handler.fail_headers = {}
     _Handler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
@@ -196,6 +205,47 @@ class TestHttpBackend:
         assert exc.value.attempts == 1
         assert len(_Handler.requests_seen) == 1
 
+    def test_endpoint_path_prefix_is_kept(self, http_server):
+        backend = HttpBackend(endpoint=f"{http_server}/v1", backoff=0.01)
+        assert backend.complete(rp(), GenParams())
+        assert [path for path, _ in _Handler.requests_seen] == ["/v1/complete"]
+
+    def test_body_cut_short_is_retried(self, http_server):
+        # the connection closes before the promised Content-Length arrives
+        _Handler.fail_times = 1
+        _Handler.fail_with = (200, b'{"completions": ["cut')
+        _Handler.fail_headers = {"Content-Length": "100"}
+        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        out = backend.complete(rp(), GenParams())
+        assert [c.raw for c in out] == [f"echo: {rp().text[-10:]}"]
+        assert len(_Handler.requests_seen) == 2
+
+    def test_redirect_is_not_followed_or_retried(self, http_server):
+        _Handler.fail_times = 10
+        _Handler.fail_with = (302, b"")
+        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        with pytest.raises(BackendError) as exc:
+            backend.complete(rp(), GenParams())
+        assert exc.value.attempts == 1
+        assert len(_Handler.requests_seen) == 1
+
+    def test_https_endpoint_opens_https_connection(self, http_server, monkeypatch):
+        # the recorder notes where an HTTPS connection would go, then talks
+        # plain HTTP to the local server, so no TLS or network is involved
+        opened = []
+        local_port = int(http_server.rsplit(":", 1)[1])
+
+        class Recorder(http.client.HTTPConnection):
+            def __init__(self, host, port=None, timeout=None, **kwargs):
+                opened.append((host, port))
+                super().__init__("127.0.0.1", local_port, timeout=timeout)
+
+        monkeypatch.setattr(http.client, "HTTPSConnection", Recorder)
+        backend = HttpBackend(endpoint="https://localhost/v1", backoff=0.01)
+        assert backend.complete(rp(), GenParams())
+        assert opened == [("localhost", 443)]
+        assert [path for path, _ in _Handler.requests_seen] == ["/v1/complete"]
+
     def test_explicit_endpoint_beats_env_var(self, http_server, monkeypatch):
         monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://unreachable.invalid")
         backend = HttpBackend(endpoint=http_server, backoff=0.01)
@@ -203,6 +253,14 @@ class TestHttpBackend:
         assert backend.complete(rp(), GenParams())
         monkeypatch.setenv("WEAKDAP_ENDPOINT", http_server)
         assert HttpBackend().endpoint == http_server
+
+
+def test_importing_weakdap_leaves_out_requests():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, weakdap, weakdap.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, timeout=60, check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.fixture
