@@ -31,7 +31,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn
+from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn, record_to_dict
 from .genbackend import GenParams, generate, stable_seed
 from .prompt import (
     PromptSpec,
@@ -293,7 +293,6 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
 
 
 def candidate_to_dict(cand: Candidate) -> dict:
-    from .corpus import record_to_dict
     d = {
         "id": cand.id,
         "strategy": cand.strategy,
@@ -311,34 +310,8 @@ def candidate_to_dict(cand: Candidate) -> dict:
     return d
 
 
-def candidate_from_dict(d: dict, schema: str) -> Candidate:
-    from .corpus import record_from_dict
-    payload = record_from_dict(d["payload"], schema) if d.get("payload") is not None else None
-    return Candidate(
-        id=d["id"],
-        payload=payload,
-        prescribed_label=d["prescribed_label"],
-        strategy=d["strategy"],
-        source_id=d["source_id"],
-        generated_turns=tuple(d.get("generated_turns", ())),
-        silver_label=d.get("silver_label"),
-        entropy=d.get("entropy"),
-        verdict=d.get("verdict", "pending"),
-    )
-
-
 def write_candidates(candidates, path) -> None:
     ordered = sorted(candidates, key=lambda c: c.id)
     with open(path, "w", encoding="utf-8") as f:
         for cand in ordered:
             f.write(json.dumps(candidate_to_dict(cand), ensure_ascii=False, sort_keys=True) + "\n")
-
-
-def load_candidates(path, schema: str) -> list[Candidate]:
-    out = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                out.append(candidate_from_dict(json.loads(line), schema))
-    return out

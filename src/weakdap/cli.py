@@ -213,8 +213,8 @@ def cmd_augment(args, config):
 def _load_dataset(train_path, val_path, schema, label_space) -> Dataset:
     return Dataset(
         label_space=label_space,
-        train=load_jsonl(train_path, schema, label_space) if train_path else [],
-        validation=load_jsonl(val_path, schema, label_space) if val_path else [],
+        train=load_jsonl(train_path, schema, label_space),
+        validation=load_jsonl(val_path, schema, label_space),
     )
 
 

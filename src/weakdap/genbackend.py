@@ -121,15 +121,20 @@ class HttpBackend:
     Retries transient failures (connection errors, timeouts, answers cut
     short, 5xx) up to max_attempts in all, sleeping a uniform draw from
     [0, backoff * 2^k) before retry k+1 so concurrent callers do not retry
-    in lockstep, then raises BackendError. Any other answer, such as a 3xx
-    or 4xx or a body that is not JSON with a list of completions, raises at
-    once. In-flight requests are capped by a semaphore so concurrent
-    augmentation cannot overload the server. An explicit endpoint beats
-    WEAKDAP_ENDPOINT.
+    in lockstep, then raises BackendError. A certificate that fails
+    verification, or any other answer, such as a 3xx or 4xx or a body that
+    is not JSON with a list of completions, raises at once. In-flight
+    requests are capped by a semaphore so concurrent augmentation cannot
+    overload the server. An explicit endpoint beats WEAKDAP_ENDPOINT.
     """
 
     def __init__(self, endpoint: str | None = None, max_parallel: int = 4,
                  max_attempts: int = 3, backoff: float = 0.5, timeout: float = 60.0):
+        # Semaphore(0) blocks every call forever, zero attempts send nothing,
+        # and a negative backoff makes time.sleep raise.
+        if max_parallel < 1 or max_attempts < 1 or not backoff >= 0 or not timeout > 0:
+            raise ValueError("HttpBackend needs max_parallel >= 1, max_attempts >= 1, "
+                             "backoff >= 0 and timeout > 0")
         self.endpoint = endpoint if endpoint is not None else os.environ.get("WEAKDAP_ENDPOINT")
         if not self.endpoint:
             raise ValueError("no endpoint configured (set WEAKDAP_ENDPOINT or pass endpoint)")
@@ -187,6 +192,8 @@ class HttpBackend:
             try:
                 with self._slots:
                     status, answer = self._post(body)
+            except ssl.SSLCertVerificationError as e:  # an OSError, but retrying cannot fix it
+                raise BackendError(f"backend request failed: {e}", attempts=attempt) from e
             except (OSError, http.client.HTTPException) as e:
                 last_err = e
             else:

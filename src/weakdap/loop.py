@@ -247,8 +247,3 @@ def snapshot(state: LoopState, records, plan: AugmentPlan, filter_cfg: FilterCon
     }
     with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
         json.dump(doc, f, sort_keys=True, indent=2)
-
-
-def load_run(out_dir) -> dict:
-    with open(os.path.join(out_dir, "run.json"), encoding="utf-8") as f:
-        return json.load(f)

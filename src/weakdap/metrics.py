@@ -1,4 +1,4 @@
-"""Confusion-matrix task metrics and feature export.
+"""Confusion-matrix task metrics.
 
 The headline dialogue metric is micro F1 ignoring the majority label:
 instances whose gold label is the majority class are excluded entirely, and
@@ -105,11 +105,6 @@ class MetricReport:
             "per_class": self.per_class,
         }, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricReport":
-        d = json.loads(text)
-        return cls(**d)
-
 
 def report_from_cm(cm: np.ndarray, majority: int) -> MetricReport:
     return MetricReport(
@@ -121,23 +116,8 @@ def report_from_cm(cm: np.ndarray, majority: int) -> MetricReport:
     )
 
 
-def report_from_predictions(gold, pred, label_space: LabelSpace, majority: int | None = None) -> MetricReport:
+def report_from_predictions(gold, pred, label_space: LabelSpace, majority: int) -> MetricReport:
     gold_idx = [label_space.index(g) for g in gold]
     pred_idx = [label_space.index(p) for p in pred]
     cm = confusion_matrix(gold_idx, pred_idx, len(label_space))
-    if majority is None:
-        majority = label_space.majority if label_space.majority is not None else 0
     return report_from_cm(cm, majority)
-
-
-def export_features(instances, tags, model, path) -> None:
-    """Write one sparse feature row per instance with its provenance tag, for
-    external projection tools (t-SNE and friends). Deterministic given the
-    model and input order."""
-    X = model.featurizer.transform(list(instances))
-    with open(path, "w", encoding="utf-8") as f:
-        for row_idx, tag in zip(range(X.shape[0]), tags, strict=True):
-            row = X.getrow(row_idx)
-            features = {str(int(i)): float(v) for i, v in zip(row.indices, row.data)}
-            f.write(json.dumps({"row": row_idx, "tag": tag, "features": features},
-                               sort_keys=True) + "\n")

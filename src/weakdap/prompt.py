@@ -37,7 +37,6 @@ class PromptSpec:
     task: str  # emotion | act | intent
     strategy: str = "lta"  # lta | ata | cta | incontext | random
     speaker_names: tuple[str, str] = ("Alice", "Bob")
-    control_prefix: str | None = None
     k_examples: int = 10
 
     def __post_init__(self):
@@ -57,9 +56,7 @@ class PromptSpec:
 @dataclass(frozen=True)
 class RenderedPrompt:
     text: str
-    target_speaker: str
     prescribed_label: str
-    context_turn_count: int
 
 
 def render_emotion_cue(speaker_name: str, emotion: str) -> str:
@@ -99,12 +96,7 @@ def render_dialogue_prompt(prefix, spec: PromptSpec, prescribed: str) -> Rendere
     target = "B" if prefix[-1].speaker == "A" else "A"
     lines = [turn_line(t, spec) for t in prefix]
     lines.append(_cue(spec, target, prescribed))
-    return RenderedPrompt(
-        text="\n".join(lines),
-        target_speaker=target,
-        prescribed_label=prescribed,
-        context_turn_count=len(prefix),
-    )
+    return RenderedPrompt(text="\n".join(lines), prescribed_label=prescribed)
 
 
 def render_context_free_prompt(examples, spec: PromptSpec, speaker: str,
@@ -115,12 +107,7 @@ def render_context_free_prompt(examples, spec: PromptSpec, speaker: str,
     cue = _cue(spec, speaker, label)
     lines = [f"{cue} {text}" for text in examples]
     lines.append(cue)
-    return RenderedPrompt(
-        text="\n".join(lines),
-        target_speaker=speaker,
-        prescribed_label=label,
-        context_turn_count=len(lines) - 1,
-    )
+    return RenderedPrompt(text="\n".join(lines), prescribed_label=label)
 
 
 def render_intent_prompt(reference: LabeledUtterance, examples, spec: PromptSpec) -> RenderedPrompt:
@@ -131,16 +118,7 @@ def render_intent_prompt(reference: LabeledUtterance, examples, spec: PromptSpec
         if ex.intent != reference.intent:
             raise PromptError(
                 f"example intent {ex.intent!r} does not match reference {reference.intent!r}")
-    lines = []
-    if spec.control_prefix:
-        lines.append(spec.control_prefix)
-    for ex in examples:
-        lines.append(f"English: {ex.text} => intent: {ex.intent}")
+    lines = [f"English: {ex.text} => intent: {ex.intent}" for ex in examples]
     lines.append(f"Spanish: {reference.text} => intent: {reference.intent}")
     lines.append("Spanish (new, same intent):")
-    return RenderedPrompt(
-        text="\n".join(lines),
-        target_speaker="A",
-        prescribed_label=reference.intent,
-        context_turn_count=len(examples) + 1,
-    )
+    return RenderedPrompt(text="\n".join(lines), prescribed_label=reference.intent)

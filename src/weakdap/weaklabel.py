@@ -238,24 +238,22 @@ class WeakLabeler:
 
     @classmethod
     def load(cls, path, expected_label_space: LabelSpace | None = None) -> "WeakLabeler":
-        """Read a v3, v2 (`weights` as JSON rows over `columns`) or v1 (dense
-        C x dim `weights`) checkpoint. A malformed one raises WeakLabelError."""
+        """Read a v3 checkpoint, the format `save` writes. Any other version,
+        or a malformed checkpoint, raises WeakLabelError."""
         with open(path, encoding="utf-8") as f:
             try:
                 doc = json.load(f)
             except ValueError as e:
                 raise WeakLabelError(f"checkpoint {path} is not JSON: {e}") from e
         version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version not in (1, 2, 3):
+        if type(version) is not int or version != 3:
             raise WeakLabelError(f"unsupported checkpoint version {version!r}")
-        keys = ["featurizer", "label_space", "weights", "bias"]
-        if version > 1:
-            keys.append("columns")
-        missing = [key for key in keys if key not in doc]
+        missing = [key for key in ("featurizer", "label_space", "columns", "weights", "bias")
+                   if key not in doc]
         if missing:
             raise WeakLabelError(f"checkpoint {path} lacks {', '.join(missing)}")
         try:
-            model = cls(*_checkpoint_parts(doc, version))
+            model = cls(*_checkpoint_parts(doc))
         except (KeyError, TypeError, ValueError) as e:
             raise WeakLabelError(f"malformed checkpoint {path}: {e}") from e
         if (expected_label_space is not None
@@ -264,8 +262,8 @@ class WeakLabeler:
         return model
 
 
-def _checkpoint_parts(doc: dict, version: int):
-    """(featurizer, columns, block, bias, label space) of a checkpoint
+def _checkpoint_parts(doc: dict):
+    """(featurizer, columns, block, bias, label space) of a v3 checkpoint
     document, checked against each other."""
     label_space = LabelSpace.from_dict(doc["label_space"])
     fcfg = dict(doc["featurizer"])
@@ -275,25 +273,16 @@ def _checkpoint_parts(doc: dict, version: int):
     bias = np.array(doc["bias"], dtype=np.float64)
     if bias.shape != (C,):
         raise WeakLabelError(f"bias must hold {C} values, one per label")
-    if version == 1:
-        W = np.array(doc["weights"], dtype=np.float64)
-        if W.shape != (C, dim):
-            raise WeakLabelError(f"v1 weights must be {C} x {dim}")
-        columns = np.flatnonzero(np.any(W != 0, axis=0))
-        return featurizer, columns, np.array(W[:, columns].T, order="C"), bias, label_space
     columns = np.array(doc["columns"])
     if columns.ndim != 1 or (columns.size and columns.dtype.kind != "i"):
         raise WeakLabelError("columns must be a list of integers")
     columns = columns.astype(np.intp)
     if columns.size and (columns[0] < 0 or columns[-1] >= dim or np.any(np.diff(columns) <= 0)):
         raise WeakLabelError(f"columns must be strictly ascending and within [0, {dim})")
-    if version == 2:
-        values = np.array(doc["weights"], dtype=np.float64)
-    else:
-        raw = base64.b64decode(doc["weights"], validate=True)
-        if len(raw) % 8:
-            raise WeakLabelError("weights must be whole float64 values")
-        values = np.frombuffer(raw, dtype="<f8")
+    raw = base64.b64decode(doc["weights"], validate=True)
+    if len(raw) % 8:
+        raise WeakLabelError("weights must be whole float64 values")
+    values = np.frombuffer(raw, dtype="<f8")
     if values.size != C * len(columns):
         raise WeakLabelError(f"weights must hold {C} x {len(columns)} values")
     block = np.array(values.reshape(C, len(columns)).T, dtype=np.float64, order="C")
@@ -327,21 +316,19 @@ def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray,
     return out
 
 
-def train(instances, labels, label_space: LabelSpace,
-          featurizer: HashedFeaturizer | None = None,
-          train_cfg: TrainConfig | None = None) -> WeakLabeler:
-    """Fit the weak labeler with seeded mini-batch gradient descent and early
-    stopping on the loss of an internal validation split (the training loss
-    when that split is empty). Deterministic under the config seed.
+def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturizer,
+          cfg: TrainConfig) -> WeakLabeler:
+    """Fit the weak labeler on `featurizer`'s rows of the instances with
+    mini-batch gradient descent under `cfg`, and early stopping on the loss of
+    an internal validation split (the training loss when that split is empty).
+    Deterministic under `cfg.seed`.
 
     It trains over the K hashed columns its instances use, not all of the
     featurizer's: a step costs O(nonzeros in the batch x classes) plus an
     O(K) scan of a mark array that finds the batch's distinct columns. The
     model keeps the columns of the best snapshot that carry a nonzero weight,
     and scores through `featurizer`, so rows it has built are reused."""
-    featurizer = featurizer or HashedFeaturizer(FeaturizerConfig())
     dim = featurizer.config.dim
-    cfg = train_cfg or TrainConfig()
     instances = list(instances)
     labels = list(labels)
     present = set(labels)

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import threading
@@ -9,7 +10,6 @@ from weakdap.augment import (
     AugmentPlan,
     _plan_jobs,
     cross_lingual_augment,
-    load_candidates,
     normalize_text,
     ordered_map,
     replace_turns,
@@ -17,7 +17,7 @@ from weakdap.augment import (
     visit_steps,
     write_candidates,
 )
-from weakdap.corpus import LabelSpace, LabeledUtterance
+from weakdap.corpus import LabelSpace, LabeledUtterance, record_from_dict
 from weakdap.genbackend import GenParams, MockBackend, MockGenConfig
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import candidate_instance_text, instances_of
@@ -26,6 +26,12 @@ from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
 SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 SPEC = PromptSpec(task="emotion")
+
+
+def read_candidates(path) -> list[tuple[dict, object]]:
+    """(document, payload record) of each line of a dialogue candidates file."""
+    docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+    return [(d, record_from_dict(d["payload"], "dialogue")) for d in docs]
 
 
 class CountingBackend:
@@ -329,8 +335,8 @@ class TestRandomStrategy:
                 ([turn.text], [cand.prescribed_label])
             assert candidate_instance_text(cand, SPACE, window=2) == turn.text
         write_candidates(cands, tmp_path / "c.jsonl")
-        loaded = {c.id: c for c in load_candidates(tmp_path / "c.jsonl", "dialogue")}
-        assert all(loaded[c.id].payload == c.payload for c in cands)
+        loaded = {d["id"]: payload for d, payload in read_candidates(tmp_path / "c.jsonl")}
+        assert all(loaded[c.id] == c.payload for c in cands)
 
     def test_speaker_cues_are_stop_markers(self):
         for strategy in ("lta", "random"):
@@ -470,9 +476,9 @@ class TestCandidatePersistence:
         cands = run_augmentation(gold, plan, mock_backend(), SPEC, SPACE, GenParams())
         path = tmp_path / "c.jsonl"
         write_candidates(cands, path)
-        loaded = load_candidates(path, "dialogue")
-        assert sorted(c.id for c in loaded) == sorted(c.id for c in cands)
+        loaded = read_candidates(path)
+        assert sorted(d["id"] for d, _ in loaded) == sorted(c.id for c in cands)
         by_id = {c.id: c for c in cands}
-        for c in loaded:
-            assert c.payload.turns == by_id[c.id].payload.turns
-            assert c.prescribed_label == by_id[c.id].prescribed_label
+        for d, payload in loaded:
+            assert payload.turns == by_id[d["id"]].payload.turns
+            assert d["prescribed_label"] == by_id[d["id"]].prescribed_label

@@ -170,10 +170,10 @@ class TestRandomInContext:
         examples = [f"happy utterance number {i}" for i in range(10)]
         rp = render_context_free_prompt(examples, spec, "A", "happiness")
         lines = rp.text.split("\n")
-        assert len(lines) == 11 == rp.context_turn_count + 1
+        assert len(lines) == 11
         assert lines[-1] == "Alice in a happy mood:"
         assert lines[:-1] == [f"Alice in a happy mood: {e}" for e in examples]
-        assert (rp.target_speaker, rp.prescribed_label) == ("A", "happiness")
+        assert rp.prescribed_label == "happiness"
 
     def test_pool_limited(self):
         # each prompt holds min(k, |pool|) same-label turns, none of its source

@@ -1,4 +1,5 @@
 import argparse
+import base64
 import json
 import math
 import random
@@ -7,6 +8,7 @@ import shlex
 import socket
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import weakdap.loop
@@ -251,6 +253,24 @@ class TestTrainEval:
         assert rc == 2
         assert err.startswith("error:") and "Traceback" not in err
         assert not (tmp_path / "report.json").exists()
+
+    def test_v2_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
+        """Version 2 stored `weights` as JSON rows over `columns`; only the
+        version 3 that `train` writes loads."""
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--data", str(workspace / "train.jsonl"),
+                     "--labels", str(workspace / "labels.json"),
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        block = np.frombuffer(base64.b64decode(doc["weights"]), dtype="<f8")
+        doc.update(version=2, weights=block.reshape(len(doc["bias"]), -1).tolist())
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model_path),
+                   "--data", str(workspace / "val.jsonl"),
+                   "--labels", str(workspace / "labels.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
 
     def test_corpus_error_exit_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"

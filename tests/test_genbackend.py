@@ -2,6 +2,7 @@ import http.client
 import json
 import os
 import random
+import ssl
 import subprocess
 import sys
 import threading
@@ -30,8 +31,7 @@ from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
 
 def rp(text="Alice in a happy mood: hi\nBob in a happy mood:", label="happiness"):
-    return RenderedPrompt(text=text, target_speaker="B", prescribed_label=label,
-                          context_turn_count=1)
+    return RenderedPrompt(text=text, prescribed_label=label)
 
 
 class TestParseCompletion:
@@ -238,6 +238,27 @@ class TestHttpBackend:
         assert backend.complete(rp(), GenParams())
         assert opened == [("localhost", 443)]
         assert [path for path, _ in _Handler.requests_seen] == ["/v1/complete"]
+
+    def test_certificate_verification_failure_is_not_retried(self, monkeypatch):
+        calls, sleeps = [], []
+
+        def refused(body):
+            calls.append(body)
+            raise ssl.SSLCertVerificationError("certificate verify failed")
+
+        backend = HttpBackend(endpoint="https://localhost/v1")
+        monkeypatch.setattr(backend, "_post", refused)
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        with pytest.raises(BackendError, match="certificate verify failed") as exc:
+            backend.complete(rp(), GenParams())
+        assert (len(calls), sleeps, exc.value.attempts) == (1, [], 1)
+
+    @pytest.mark.parametrize("kwargs", [{"max_parallel": 0}, {"max_attempts": 0},
+                                        {"backoff": -0.5}, {"timeout": 0}],
+                             ids=["no-slots", "no-attempts", "negative-backoff", "no-timeout"])
+    def test_arguments_that_hang_or_never_send_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="max_parallel >= 1"):
+            HttpBackend(endpoint="http://127.0.0.1:8080", **kwargs)
 
     def test_explicit_endpoint_beats_env_var(self, http_server, monkeypatch):
         monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://unreachable.invalid")

@@ -12,7 +12,6 @@ from weakdap.loop import (
     ConvergenceTracker,
     LoopConfig,
     LoopError,
-    load_run,
     run_scripted,
     run_weakdap,
 )
@@ -23,6 +22,10 @@ from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_sentence
 
 FEAT = FeaturizerConfig(dim=1 << 14)
 TRAIN = TrainConfig(seed=3, epochs=30)
+
+
+def load_run(out_dir) -> dict:
+    return json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
 
 
 class TestConvergenceAutomaton:

@@ -1,21 +1,19 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from weakdap.corpus import LabelSpace
 from weakdap.metrics import (
-    MetricReport,
     MetricsError,
     accuracy,
     confusion_matrix,
-    export_features,
     macro_f1,
     micro_f1_no_majority,
     report_from_cm,
     report_from_predictions,
 )
-from weakdap.weaklabel import FeaturizerConfig, HashedFeaturizer, TrainConfig, train
-
-from conftest import TOY_LABELS
 
 SPACE = LabelSpace(task="intent", labels=("a", "b", "c"))
 
@@ -124,35 +122,4 @@ class TestReport:
         gold = ["a", "b", "c"]
         pred = ["a", "c", "c"]
         report = report_from_predictions(gold, pred, SPACE, majority=0)
-        assert MetricReport.from_json(report.to_json()) == report
-
-
-class TestExportFeatures:
-    def _model(self):
-        from conftest import toy_sentence
-        import random
-        rng = random.Random(0)
-        texts = [toy_sentence(l, rng) for l in TOY_LABELS for _ in range(10)]
-        labels = [l for l in TOY_LABELS for _ in range(10)]
-        space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
-        return train(texts, labels, space, HashedFeaturizer(FeaturizerConfig(dim=1 << 12)),
-                     TrainConfig(seed=0, epochs=5))
-
-    def test_row_count_and_tags(self, tmp_path):
-        model = self._model()
-        path = tmp_path / "features.jsonl"
-        export_features(["alpha beta", "gamma delta", "epsilon"],
-                        ["gold", "silver:lta", "gold"], model, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        import json
-        tags = [json.loads(l)["tag"] for l in lines]
-        assert tags == ["gold", "silver:lta", "gold"]
-
-    def test_re_export_byte_identical(self, tmp_path):
-        model = self._model()
-        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        texts = ["one two three", "four five"]
-        export_features(texts, ["gold", "gold"], model, p1)
-        export_features(texts, ["gold", "gold"], model, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert json.loads(report.to_json()) == asdict(report)

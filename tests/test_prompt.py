@@ -68,14 +68,11 @@ class TestDialoguePrompt:
         lines = rp.text.split("\n")
         assert len(lines) == 6
         assert lines[-1] == "Bob in a happy mood:"
-        assert rp.target_speaker == "B"
-        assert rp.context_turn_count == 5
 
     def test_minimal_context(self):
         spec = PromptSpec(task="emotion")
         rp = render_dialogue_prompt(five_turn_prefix()[:1], spec, "anger")
-        assert len(rp.text.split("\n")) == 2
-        assert rp.target_speaker == "B"
+        assert rp.text.split("\n")[1:] == ["Bob in a angry mood:"]
 
     def test_context_lines_carry_gold_labels_and_text(self):
         spec = PromptSpec(task="emotion")
@@ -119,11 +116,6 @@ class TestIntentPrompt:
         assert lines[-2] == "Spanish: pon una alarma => intent: alarm/set_alarm"
         assert lines[-1] == "Spanish (new, same intent):"
 
-    def test_control_prefix_first(self):
-        spec = PromptSpec(task="intent", control_prefix="[CLM]")
-        rp = render_intent_prompt(self._ref(), self._examples(2), spec)
-        assert rp.text.startswith("[CLM]\n")
-
     def test_empty_example_pool(self):
         spec = PromptSpec(task="intent")
         rp = render_intent_prompt(self._ref(), [], spec)
@@ -159,4 +151,7 @@ class TestLineCountProperty:
         for n in range(1, 9):
             prefix = five_turn_prefix() * 2
             rp = render_dialogue_prompt(prefix[:n], spec, "neutral")
-            assert len(rp.text.split("\n")) == rp.context_turn_count + 1 == n + 1
+            lines = rp.text.split("\n")
+            assert len(lines) == n + 1
+            target = "Bob" if prefix[n - 1].speaker == "A" else "Alice"
+            assert lines[-1] == f"{target} in a neutral mood:"

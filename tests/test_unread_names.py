@@ -1,0 +1,115 @@
+"""Every name the `weakdap` package defines has a reader in the program.
+
+The names are the top-level functions and classes, the methods that are not
+dunders, and the dataclass fields of `src/weakdap/*.py`. A read is a name or
+attribute load in `perfbench/`, or in `src/weakdap` outside the body of a
+name that is itself unread, or a `from ... import` of the name in
+`perfbench/`; a keyword argument that sets a field is not a read. The match
+is by name alone, so a name read under another owner (`plan.strategy` reads
+every `strategy`) passes. Tests are not readers: a name that only tests read
+goes, or is listed in UNREAD with its reason.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "weakdap"
+BENCH = ROOT / "perfbench"
+
+ENTRY_POINTS = {"cli.main"}  # pyproject's [project.scripts]
+UNREAD = {  # name: why it stays without a reader
+    "loop.run_scripted": "the driver of acceptance criterion 4's convergence automaton",
+    "weaklabel.planted_noise_retention": "criterion 5's noise oracle, which run.json is to report",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _reads(nodes, imports_count: bool = False) -> set[str]:
+    read = set()
+    for node in (sub for top in nodes for sub in ast.walk(top)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif imports_count and isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def _units(module: str, source: str):
+    """(qualified name or None, bare name, reads) for each part of a module:
+    a top-level function, a method or dataclass field, the rest of a class,
+    or a top-level statement that defines nothing (None: always runs)."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{node.name}", node.name, _reads([node])
+            continue
+        if not isinstance(node, ast.ClassDef):
+            yield None, None, _reads([node])
+            continue
+        rest = node.decorator_list + node.bases
+        for member in node.body:
+            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = member.name
+            elif isinstance(member, ast.AnnAssign) and _is_dataclass(node):
+                name = member.target.id
+            else:
+                name = None
+            if name is None or (name.startswith("__") and name.endswith("__")):
+                rest.append(member)
+            else:
+                yield f"{node.name}.{name}", name, _reads([member])
+        yield f"{module}.{node.name}", node.name, _reads(rest)
+
+
+def unread_names(modules: dict[str, str], bench: list[str], kept=()) -> list[str]:
+    """Qualified names in modules (module name -> source) that nothing reads:
+    neither the benchmark sources in bench nor the code of a name that is
+    read, an entry point or in kept. Entry points are never reported."""
+    units = [unit for module, source in modules.items() for unit in _units(module, source)]
+    roots = ENTRY_POINTS | set(kept)
+    read = set().union(*(_reads([ast.parse(source)], imports_count=True) for source in bench))
+    live = None
+    while True:
+        grown = {i for i, (qualified, name, _) in enumerate(units)
+                 if qualified is None or qualified in roots or name in read}
+        if grown == live:
+            break
+        live = grown
+        read = read.union(*(units[i][2] for i in live))
+    return sorted(qualified for qualified, name, _ in units
+                  if qualified and name not in read and qualified not in ENTRY_POINTS)
+
+
+def test_every_name_has_a_reader():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    unread = unread_names(modules, bench, kept=UNREAD)
+    assert unread == sorted(UNREAD), (
+        f"no reader: {sorted(set(unread) - set(UNREAD))}; "
+        f"listed in UNREAD but read: {sorted(set(UNREAD) - set(unread))}")
+
+
+def test_check_finds_an_unread_name():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\nclass Spec:\n    kept: int\n    unset: int = 0\n"
+              "    def used(self): return self.kept\n    def idle(self): pass\n"
+              "    def __repr__(self): return ''\n"
+              "def helper(): return Spec(unset=1).used()\n"
+              "def orphan(): return chained()\n"
+              "def chained(): pass\n"
+              "def imported(): pass\n"
+              "def exempt(): return reached()\n"
+              "def reached(): pass\n"
+              "def main(): return started()\n"
+              "def started(): pass\n")
+    bench = "from cli import imported\nhelper()\n"
+    assert unread_names({"cli": source}, [bench], kept=["cli.exempt"]) == [
+        "Spec.idle", "Spec.unset", "cli.chained", "cli.exempt", "cli.orphan"]
