@@ -134,24 +134,49 @@ class HashedFeaturizer:
     It remembers the finished, l2-normalized row of every text it has
     featurized, so a text is hashed once however often it is asked for: one
     featurizer serves a whole `run_weakdap` run, and every model trained in
-    the run scores through it. The memo is not locked; call it from the main
-    thread only."""
+    the run scores through it. It also remembers, per lowercased token, the
+    columns of its unigram and of the char n-grams inside it, so a new text
+    hashes only its longer word n-grams and the char n-grams that cross a
+    token boundary. Neither memo is locked; call it from the main thread
+    only."""
 
     def __init__(self, config: FeaturizerConfig):
         self.config = config
         self._rows = sparse.csr_matrix((0, config.dim))  # every row built so far
         self._row_of: dict[str, int] = {}  # text -> its row in self._rows
+        self._token_columns: dict[str, list[int]] = {}  # token -> columns of its own grams
 
-    def _indices(self, text: str):
+    def _columns(self, grams) -> list[int]:
+        return [zlib.crc32(g.encode("utf-8")) % self.config.dim for g in grams]
+
+    def _indices(self, text: str) -> list[int]:
+        """The hashed column of every gram of `text`, repeats included: each
+        word n-gram of the lowercased tokens joined by "_", and "#" plus each
+        char n-gram of the tokens run together."""
         cfg = self.config
-        tokens = text.lower().split()
-        grams = []
-        for n in cfg.word_ngrams:
-            grams.extend("_".join(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-        compact = "".join(tokens)
         n = cfg.char_ngram
-        grams.extend("#" + compact[i:i + n] for i in range(len(compact) - n + 1))
-        return [zlib.crc32(g.encode("utf-8")) % cfg.dim for g in grams]
+        tokens = text.lower().split()
+        cols = []
+        for token in tokens:
+            own = self._token_columns.get(token)
+            if own is None:
+                own = self._token_columns[token] = self._columns(
+                    [token] * cfg.word_ngrams.count(1)
+                    + ["#" + token[i:i + n] for i in range(len(token) - n + 1)])
+            cols += own
+        grams = []
+        for k in cfg.word_ngrams:
+            if k > 1:
+                grams.extend("_".join(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
+        # char n-grams that start in a token and end past it
+        compact = "".join(tokens)
+        last = len(compact) - n + 1  # one past the last start of a whole gram
+        end = 0
+        for token in tokens:
+            start, end = end, end + len(token)
+            grams.extend("#" + compact[i:i + n] for i in range(max(start, end - n + 1),
+                                                                 min(end, last)))
+        return cols + self._columns(grams)
 
     def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
         """Rows of `texts`, each l2-normalized."""
@@ -289,17 +314,6 @@ def _checkpoint_parts(doc: dict):
     return featurizer, columns, block, bias, label_space
 
 
-def _distinct(idx: np.ndarray, seen: np.ndarray, slot: np.ndarray):
-    """The distinct values of `idx`, ascending, and `idx` as positions among
-    them, in O(len(idx) + len(seen)) with no sort: mark the values in `seen`
-    (all False, left so), scan it, number the marks in `slot`."""
-    seen[idx] = True
-    cols = np.flatnonzero(seen)
-    seen[cols] = False
-    slot[cols] = np.arange(len(cols))
-    return cols, slot[idx]
-
-
 def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray,
                 transpose: bool = False) -> np.ndarray:
     """The CSR matrix (indptr, indices, data) of n_cols columns, or its
@@ -323,12 +337,16 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     an internal validation split (the training loss when that split is empty).
     Deterministic under `cfg.seed`.
 
+    A `val_fraction` of 0 makes no split: it trains on every instance.
+
     It trains over the K hashed columns its instances use, not all of the
-    featurizer's: a step costs O(nonzeros in the batch x classes) plus an
-    O(K) scan of a mark array that finds the batch's distinct columns. The
-    model keeps the columns of the best snapshot that carry a nonzero weight,
-    and scores through `featurizer`, so rows it has built are reused."""
-    dim = featurizer.config.dim
+    featurizer's. A step runs against the whole K x C block and costs
+    O(nonzeros in the batch x classes + K x classes): the gradient product
+    writes, and the update reads, every row. At K of 30k that is faster than
+    touching only the batch's rows at 4 classes, about even at 7 and 1.4x
+    slower at 12 (README). The model keeps the columns of the best snapshot
+    that carry a nonzero weight, and scores through `featurizer`, so rows it
+    has built are reused."""
     instances = list(instances)
     labels = list(labels)
     present = set(labels)
@@ -340,22 +358,23 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     X = featurizer.transform(instances)
     n, C = X.shape[0], len(label_space)
     # Renumber the used columns 0..K-1 in their order: every product and sum
-    # runs as it would over all dim columns, so the weights are the same.
-    used, local = _distinct(X.indices, np.zeros(dim, dtype=bool), np.zeros(dim, dtype=np.intp))
+    # runs as it would over all dim columns, so the weights are the same. It
+    # also keeps every index in [0, K), which the unchecked kernels need.
+    used, local = np.unique(X.indices, return_inverse=True)
     K = len(used)
     X = sparse.csr_matrix((X.data, local, X.indptr), shape=(n, K))
 
     rng = random.Random(cfg.seed)
     order = list(range(n))
     rng.shuffle(order)
-    n_val = max(1, int(cfg.val_fraction * n)) if n > 2 else 0
+    n_val = max(1, int(cfg.val_fraction * n)) if n > 2 and cfg.val_fraction > 0 else 0
     val_idx, train_idx = order[:n_val], order[n_val:]
     if not train_idx:
         train_idx, val_idx = order, []
     Xtr, ytr = X[train_idx], y[train_idx]
     Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (Xtr, ytr)
     # W = s * V.T: the L2 decay of every step only rescales s, so a step
-    # touches just the rows of V for the batch's feature columns.
+    # changes just the rows of V for the batch's feature columns.
     decay = 1.0 - cfg.learning_rate * cfg.l2
     V = np.zeros((K, C))
     s = 1.0
@@ -365,24 +384,20 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     np_rng = np.random.default_rng(cfg.seed)
     ntr = Xtr.shape[0]
     onehot = np.eye(C)[ytr]
-    # slot in scipy's own index dtype, so no batch's index array is converted
-    seen, slot = np.zeros(K, dtype=bool), np.zeros(K, dtype=X.indices.dtype)
 
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
         Xp, Yp = Xtr[perm], onehot[perm]
-        indices = Xp.indices.astype(np.intp)
-        # in slot's dtype too: a kernel copies an index array of a second dtype
-        indptr = Xp.indptr.astype(slot.dtype, copy=False)
+        indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
         for start in range(0, ntr, cfg.batch_size):
             stop = min(start + cfg.batch_size, ntr)
             lo, hi = indptr[start], indptr[stop]
-            cols, local = _distinct(indices[lo:hi], seen, slot)
-            batch = (indptr[start:stop + 1] - lo, local, Xp.data[lo:hi], len(cols))
-            Vb = V[cols]
-            err = _softmax(s * _csr_matmul(*batch, Vb) + b) - Yp[start:stop]
+            batch = (indptr[start:stop + 1] - lo, indices[lo:hi], data[lo:hi], K)
+            err = _softmax(s * _csr_matmul(*batch, V) + b) - Yp[start:stop]
             s *= decay
-            V[cols] = Vb - cfg.learning_rate / ((stop - start) * s) * _csr_matmul(
+            # The K x C gradient is exactly zero off the batch's columns, and
+            # V - 0.0 == V (-0.0 included), so only those rows change.
+            V -= cfg.learning_rate / ((stop - start) * s) * _csr_matmul(
                 *batch, err, transpose=True)
             b -= cfg.learning_rate * (err.sum(axis=0) / (stop - start))  # err.mean, bit for bit
             if s < 1e-6:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -188,6 +189,15 @@ def _dir_bytes(root):
             if p.is_file()}
 
 
+def _dir_sha256(root):
+    """sha256 over each file's path under `root`, a NUL and its bytes, in
+    sorted path order: the digest `perfbench/run.py` gives a run directory."""
+    h = hashlib.sha256()
+    for rel, data in _dir_bytes(root).items():
+        h.update(rel.encode() + b"\0" + data)
+    return h.hexdigest()
+
+
 def _dialogues():
     rng = random.Random(21)
     space = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
@@ -285,3 +295,21 @@ class TestFeaturizeOnce:
         assert len(hashed) == len(set(hashed))
         assert set(hashed) == set(requested)
         assert len(requested) > len(hashed)  # texts are asked for again
+
+
+class TestGoldenRunDirectories:
+    """Three tiny mock-backend runs, pinned by the digest of their run
+    directories. A change that claims to leave every output byte-identical
+    must keep these digests; one that changes outputs on purpose gives new
+    digests and says why."""
+
+    @pytest.mark.parametrize("strategy,regen,digest", [
+        # computed before the trainer step ran against the whole weight block
+        ("lta", "fresh", "80f608ca92dc2a34fce5d1be43bca98f66c113ed457f0d58b5f587dd1ecd9c45"),
+        ("cta", "fresh", "b555eae567d87236a8633e72254b5def66acce71bd0f20bef0dc6bfa4ebf6d1b"),
+        ("incontext", "refilter", "0e175974016ac55e1e71b7405c65f6c201c0d0d3c26324b899332ae5e9773820"),
+    ])
+    def test_run_directory_digest(self, strategy, regen, digest, tmp_path):
+        _small_run(strategy, tmp_path, iterations=3, regen=regen)
+        assert len(load_run(tmp_path)["iterations"]) == 3
+        assert _dir_sha256(tmp_path) == digest

@@ -2,6 +2,7 @@ import base64
 import json
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from weakdap.weaklabel import (
     WeakLabeler,
     WeakLabelError,
     _csr_matmul,
-    _distinct,
     entropy_bits,
     filter_candidates,
     nearest_rank_threshold,
@@ -51,17 +51,18 @@ def softmax(z):
 
 
 def dense_reference_train(texts, labels, feat_cfg, cfg):
-    """Independent oracle for `train` with an internal validation split: the
-    textbook dense minibatch step W -= lr * (err.T @ Xb / B + l2 * W) on the
-    full C x dim matrix, with the same permutation draws and stopping rule."""
+    """Independent oracle for `train` with an internal validation split (the
+    training set at val_fraction 0): the textbook dense minibatch step
+    W -= lr * (err.T @ Xb / B + l2 * W) on the full C x dim matrix, with the
+    same permutation draws and stopping rule."""
     X = HashedFeaturizer(feat_cfg).transform(texts)
     y = np.array([SPACE.index(l) for l in labels])
     n, C = X.shape[0], len(SPACE)
     order = list(range(n))
     random.Random(cfg.seed).shuffle(order)
-    n_val = max(1, int(cfg.val_fraction * n))
+    n_val = max(1, int(cfg.val_fraction * n)) if cfg.val_fraction > 0 else 0
     Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
-    Xval, yval = X[order[:n_val]], y[order[:n_val]]
+    Xval, yval = (X[order[:n_val]], y[order[:n_val]]) if n_val else (Xtr, ytr)
     W, b = np.zeros((C, feat_cfg.dim)), np.zeros(C)
     best = (math.inf, W.copy(), b.copy())
     stall = 0
@@ -96,9 +97,9 @@ def unique_step_reference_train(texts, labels, featurizer, cfg):
     n, C = X.shape[0], len(SPACE)
     order = list(range(n))
     random.Random(cfg.seed).shuffle(order)
-    n_val = max(1, int(cfg.val_fraction * n))
+    n_val = max(1, int(cfg.val_fraction * n)) if cfg.val_fraction > 0 else 0
     Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
-    Xval, yval = X[order[:n_val]], y[order[:n_val]]
+    Xval, yval = (X[order[:n_val]], y[order[:n_val]]) if n_val else (Xtr, ytr)
     decay = 1.0 - cfg.learning_rate * cfg.l2
     V, s, b = np.zeros((dim, C)), 1.0, np.zeros(C)
     best = (math.inf, np.zeros((C, dim)), b.copy())
@@ -134,15 +135,27 @@ def unique_step_reference_train(texts, labels, featurizer, cfg):
     return best[1], best[2]
 
 
+def reference_grams(feat_cfg, text):
+    """The grams of `text` by the featurizer's spec: each word n-gram of the
+    lowercased tokens joined by "_", and "#" plus each char n-gram of the
+    lowercased text with its whitespace removed."""
+    tokens = text.lower().split()
+    grams = ["_".join(tokens[i:i + n]) for n in feat_cfg.word_ngrams
+             for i in range(len(tokens) - n + 1)]
+    compact = "".join(ch for ch in text.lower() if not ch.isspace())
+    n = feat_cfg.char_ngram
+    return grams + ["#" + compact[i:i + n] for i in range(len(compact) - n + 1)]
+
+
 def reference_transform(feat_cfg, texts):
     """Independent oracle for `HashedFeaturizer.transform`: per-text dict
-    counting over the hashed grams, columns sorted, rows l2-normalized, with
-    no memo."""
-    hasher = HashedFeaturizer(feat_cfg)
+    counting over the crc32 columns of `reference_grams`, columns sorted,
+    rows l2-normalized, with no memo."""
     data, indices, indptr = [], [], [0]
     for text in texts:
         counts = {}
-        for idx in hasher._indices(text):
+        for gram in reference_grams(feat_cfg, text):
+            idx = zlib.crc32(gram.encode("utf-8")) % feat_cfg.dim
             counts[idx] = counts.get(idx, 0.0) + 1.0
         for idx in sorted(counts):
             indices.append(idx)
@@ -241,6 +254,26 @@ class TestFeaturizer:
         texts, _ = toy_instances(20, seed=14)
         texts = FEATURIZER_TEXTS + texts
         assert_same_csr(HashedFeaturizer(feat).transform(texts), reference_transform(feat, texts))
+
+    @pytest.mark.parametrize("feat", [
+        FEAT,
+        FeaturizerConfig(dim=1 << 14, word_ngrams=(1, 2, 3)),
+        FeaturizerConfig(dim=1 << 14, char_ngram=1),
+        FeaturizerConfig(dim=1 << 14, char_ngram=2),
+        FeaturizerConfig(dim=1 << 14, char_ngram=4),
+    ], ids=["default", "words123", "char1", "char2", "char4"])
+    def test_token_boundaries_match_reference(self, feat):
+        texts = [
+            "a b cd e fg h ij k",  # tokens of 1 and 2 characters
+            "ab", "A b", "x", "",  # shorter than char_ngram, and empty
+            "¿Qué tal? Señor Ñandú, ¿dónde está el baño? ¡Qué día más bonito! Él está aquí",
+            "again and again and again",
+        ]
+        featurizer = HashedFeaturizer(feat)
+        assert_same_csr(featurizer.transform(texts), reference_transform(feat, texts))
+        # new texts made of tokens it has seen, in new orders
+        texts = ["ij k a b cd", "está él aquí ¡qué día!", "k fg ab x señor", "and ab again"]
+        assert_same_csr(featurizer.transform(texts), reference_transform(feat, texts))
 
     def test_hashes_each_distinct_text_once(self, monkeypatch):
         featurizer = HashedFeaturizer(FEAT)
@@ -361,43 +394,56 @@ class TestTraining:
         if feat.dim == 256:
             assert np.count_nonzero(np.any(W != 0, axis=0)) > 0.8 * feat.dim
 
-    def test_distinct_matches_np_unique_and_clears_its_marks(self):
-        rng = np.random.default_rng(0)
-        seen, slot = np.zeros(50, dtype=bool), np.zeros(50, dtype=np.int32)
-        for size in (0, 1, 5, 40, 200):
-            idx = rng.integers(0, 50, size=size)
-            cols, local = _distinct(idx, seen, slot)
-            want_cols, want_local = np.unique(idx, return_inverse=True)
-            np.testing.assert_array_equal(cols, want_cols)
-            np.testing.assert_array_equal(local, want_local)
-            assert not seen.any()
+    def test_val_fraction_zero_trains_on_every_instance(self):
+        texts, labels = toy_instances(40, seed=15)
+        texts = [f"{text} only{i}" for i, text in enumerate(texts)]
+        cfg = TrainConfig(seed=6, epochs=5, val_fraction=0)
+        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), cfg)
+        # every instance's own columns, used by no other instance, were trained
+        X = HashedFeaturizer(FEAT).transform(texts)
+        uses = np.bincount(X.indices, minlength=FEAT.dim)
+        for i in range(len(texts)):
+            own = [c for c in X.indices[X.indptr[i]:X.indptr[i + 1]] if uses[c] == 1]
+            assert own and np.all(np.any(model.weights[:, own] != 0, axis=0)), i
+        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(FEAT), cfg)
+        assert np.array_equal(model.weights, W)
+        assert np.array_equal(model.bias, b)
 
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_direct_kernels_equal_scipy_products(self, index_dtype):
-        """`train` calls scipy's private `_sparsetools` kernels itself; they
-        must give, bit for bit, what the public `Xb @ Vb` and `Xb.T @ err`
-        give, or a scipy upgrade has changed them under the trainer."""
+        """`train` calls scipy's private `_sparsetools` kernels itself, on a
+        batch of rows of its K-column training matrix; they must give, bit for
+        bit, what the public `Xb @ V` and `Xb.T @ err` give, or a scipy
+        upgrade has changed them under the trainer. The transpose product is
+        the whole K x C gradient: at the batch's columns it equals the product
+        over those columns alone, and elsewhere it is +0.0."""
         rng = np.random.default_rng(3)
-        X = sparse.random(9, 20, density=0.3, format="csr", random_state=4)
+        K = 20
+        X = sparse.random(9, K, density=0.3, format="csr", random_state=4)
         X.data[:] = rng.random(X.nnz)
         X.data[X.indptr[4]:X.indptr[5]] = 0
         X.eliminate_zeros()
         assert X.indptr[4] == X.indptr[5]  # an empty row
         for start, stop, C in [(0, 9, 12), (3, 6, 7), (4, 5, 12), (6, 7, 3)]:
             lo, hi = X.indptr[start], X.indptr[stop]
-            cols, local = np.unique(X.indices[lo:hi], return_inverse=True)
             indptr = (X.indptr[start:stop + 1] - lo).astype(index_dtype)
-            batch = (indptr, local.astype(index_dtype), X.data[lo:hi], len(cols))
-            Xb = sparse.csr_matrix((X.data[lo:hi], local, X.indptr[start:stop + 1] - lo),
-                                   shape=(stop - start, len(cols)))
-            Vb, err = rng.standard_normal((len(cols), C)), rng.standard_normal((stop - start, C))
-            assert np.array_equal(_csr_matmul(*batch, Vb), Xb @ Vb)
-            assert np.array_equal(_csr_matmul(*batch, err, transpose=True), Xb.T @ err)
+            batch = (indptr, X.indices[lo:hi].astype(index_dtype), X.data[lo:hi], K)
+            Xb = sparse.csr_matrix((batch[2], batch[1], indptr), shape=(stop - start, K))
+            V, err = rng.standard_normal((K, C)), rng.standard_normal((stop - start, C))
+            assert np.array_equal(_csr_matmul(*batch, V), Xb @ V)
+            grad = _csr_matmul(*batch, err, transpose=True)
+            assert grad.shape == (K, C)
+            assert np.array_equal(grad, Xb.T @ err)
+            cols, local = np.unique(batch[1], return_inverse=True)
+            Xc = sparse.csr_matrix((batch[2], local, indptr), shape=(stop - start, len(cols)))
+            assert np.array_equal(grad[cols], Xc.T @ err)
+            off = np.delete(grad, cols, axis=0)
+            assert not np.any(off) and not np.any(np.signbit(off))
         # sizes that would make the kernel read past an array raise instead
         with pytest.raises(ValueError, match="fit"):
-            _csr_matmul(*batch, np.zeros((len(cols) + 1, C)))
+            _csr_matmul(*batch, np.zeros((K + 1, C)))
         with pytest.raises(ValueError, match="fit"):
-            _csr_matmul(batch[0] + 1, *batch[1:], Vb)
+            _csr_matmul(batch[0] + 1, *batch[1:], V)
 
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
                                              ("epochs", -1)])
