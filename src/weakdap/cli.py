@@ -254,7 +254,8 @@ def cmd_eval(args, config):
     records = load_jsonl(args.data, schema, label_space)
     majority = label_space.majority if label_space.majority is not None \
         else label_space.index(majority_label(records, label_space))
-    report = evaluate_model(model, records, label_space, majority)
+    texts, gold = instances_of(records, label_space, model.featurizer.config.context_window)
+    report = evaluate_model(model, texts, gold, label_space, majority)
     print(report.to_json())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -119,10 +119,11 @@ def run_scripted(scores, config: LoopConfig) -> LoopState:
     return tracker.state
 
 
-def evaluate_model(model: WeakLabeler, records, label_space: LabelSpace,
+def evaluate_model(model: WeakLabeler, texts, gold, label_space: LabelSpace,
                    majority: int) -> metrics.MetricReport:
-    window = model.featurizer.config.context_window
-    texts, gold = instances_of(records, label_space, window)
+    """The metric report of `model`'s predictions on the instance `texts`
+    against their `gold` labels (`weaklabel.instances_of` of the evaluation
+    records, built with the model's context window)."""
     pred = model.predict(texts)
     return metrics.report_from_predictions(gold, pred, label_space, majority)
 
@@ -158,6 +159,11 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     majority = label_space.majority if label_space.majority is not None \
         else label_space.index(majority_label(dataset.train, label_space))
 
+    # gold instances do not change between iterations: build them once
+    window = featurizer.config.context_window
+    gold_texts, gold_labels = instances_of(dataset.train, label_space, window)
+    val_texts, val_gold = instances_of(dataset.validation, label_space, window)
+
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     tracker = ConvergenceTracker(loop_cfg)
@@ -188,10 +194,10 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             filter_candidates(candidates, model, filter_cfg)
 
         kept = [c for c in candidates if c.verdict == "kept"]
-        model = train(*instances_of(dataset.train + kept, label_space,
-                                    featurizer.config.context_window),
+        kept_texts, kept_labels = instances_of(kept, label_space, window)
+        model = train(gold_texts + kept_texts, gold_labels + kept_labels,
                       label_space, featurizer, train_cfg)
-        report = evaluate_model(model, dataset.validation, label_space, majority)
+        report = evaluate_model(model, val_texts, val_gold, label_space, majority)
         score = report.score(loop_cfg.metric)
 
         counts = _verdict_counts(candidates)

@@ -135,9 +135,12 @@ class HashedFeaturizer:
     featurized, so a text is hashed once however often it is asked for: one
     featurizer serves a whole `run_weakdap` run, and every model trained in
     the run scores through it. It also remembers, per lowercased token, the
-    columns of its unigram and of the char n-grams inside it, so a new text
-    hashes only its longer word n-grams and the char n-grams that cross a
-    token boundary. Neither memo is locked; call it from the main thread
+    columns of its unigram and of the char n-grams inside it, and per
+    adjacent token pair (a, b), the columns of its bigrams and of the char
+    n-grams that start in a and end in b, so a new text hashes only its word
+    n-grams of order 3 and up. A pair whose b is shorter than char_ngram - 1
+    is not remembered: a gram that starts in a can run past b, so such a pair
+    is hashed in its text. No memo is locked; call it from the main thread
     only."""
 
     def __init__(self, config: FeaturizerConfig):
@@ -145,6 +148,8 @@ class HashedFeaturizer:
         self._rows = sparse.csr_matrix((0, config.dim))  # every row built so far
         self._row_of: dict[str, int] = {}  # text -> its row in self._rows
         self._token_columns: dict[str, list[int]] = {}  # token -> columns of its own grams
+        # (a, b) -> columns of the grams that span exactly the pair
+        self._pair_columns: dict[tuple[str, str], list[int]] = {}
 
     def _columns(self, grams) -> list[int]:
         return [zlib.crc32(g.encode("utf-8")) % self.config.dim for g in grams]
@@ -164,18 +169,25 @@ class HashedFeaturizer:
                     [token] * cfg.word_ngrams.count(1)
                     + ["#" + token[i:i + n] for i in range(len(token) - n + 1)])
             cols += own
-        grams = []
-        for k in cfg.word_ngrams:
-            if k > 1:
-                grams.extend("_".join(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
-        # char n-grams that start in a token and end past it
+        # bigrams, and char n-grams that start in a token and end past it
         compact = "".join(tokens)
         last = len(compact) - n + 1  # one past the last start of a whole gram
         end = 0
-        for token in tokens:
-            start, end = end, end + len(token)
-            grams.extend("#" + compact[i:i + n] for i in range(max(start, end - n + 1),
-                                                                 min(end, last)))
+        for a, b in zip(tokens, tokens[1:]):
+            start, end = end, end + len(a)
+            pair = self._pair_columns.get((a, b))
+            if pair is None:
+                pair = self._columns(
+                    [a + "_" + b] * cfg.word_ngrams.count(2)
+                    + ["#" + compact[i:i + n] for i in range(max(start, end - n + 1),
+                                                             min(end, last))])
+                if len(b) >= n - 1:  # every gram that starts in a ends in b
+                    self._pair_columns[a, b] = pair
+            cols += pair
+        grams = []
+        for k in cfg.word_ngrams:
+            if k > 2:
+                grams.extend("_".join(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
         return cols + self._columns(grams)
 
     def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
@@ -206,9 +218,11 @@ class HashedFeaturizer:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    """The softmax of each row of z, written over z and returned."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 class WeakLabeler:
@@ -314,17 +328,25 @@ def _checkpoint_parts(doc: dict):
     return featurizer, columns, block, bias, label_space
 
 
-def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray,
+def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray, out: np.ndarray,
                 transpose: bool = False) -> np.ndarray:
-    """The CSR matrix (indptr, indices, data) of n_cols columns, or its
-    transpose, times the dense C-contiguous M, without building the matrix:
-    the kernel and summation order of scipy's `csr_matrix @ M` (`.T @ M`,
-    which reads the same arrays as CSC). The kernel checks no bounds: indptr
-    must ascend and every index lie in [0, n_cols)."""
+    """Add to `out` the CSR matrix (indptr, indices, data) of n_cols columns,
+    or its transpose, times the dense C-contiguous M, without building the
+    matrix, and return `out`: the kernel and summation order of scipy's
+    `csr_matrix @ M` (`.T @ M`, which reads the same arrays as CSC), so into
+    a zeroed `out` it gives scipy's product bit for bit.
+
+    `indptr` may be a slice of a larger matrix's: the rows it delimits are
+    read from `indices` and `data` at the positions it holds, unrebased.
+    `out` is a C-contiguous float64 buffer the caller owns. The kernel checks
+    no bounds: indptr must ascend and every index it delimits lie in
+    [0, n_cols). This checks what it can in O(1), the ends of indptr and the
+    shapes, and raises ValueError on a mismatch."""
     shape = (n_cols, len(indptr) - 1) if transpose else (len(indptr) - 1, n_cols)
-    if M.shape[0] != shape[1] or not indptr[-1] == len(indices) == len(data):
-        raise ValueError("the CSR arrays and the dense operand do not fit together")
-    out = np.zeros((shape[0], M.shape[1]))
+    if (M.shape[0] != shape[1] or out.shape != (shape[0], M.shape[1])
+            or not out.flags.c_contiguous or out.dtype != np.float64
+            or not 0 <= indptr[0] <= indptr[-1] <= len(indices) == len(data)):
+        raise ValueError("the CSR arrays, the dense operand and the buffer do not fit together")
     kernel = _sparsetools.csc_matvecs if transpose else _sparsetools.csr_matvecs
     kernel(*shape, M.shape[1], indptr, indices, data, M.ravel(), out.ravel())
     return out
@@ -340,13 +362,16 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     A `val_fraction` of 0 makes no split: it trains on every instance.
 
     It trains over the K hashed columns its instances use, not all of the
-    featurizer's. A step runs against the whole K x C block and costs
-    O(nonzeros in the batch x classes + K x classes): the gradient product
-    writes, and the update reads, every row. At K of 30k that is faster than
-    touching only the batch's rows at 4 classes, about even at 7 and 1.4x
-    slower at 12 (README). The model keeps the columns of the best snapshot
-    that carry a nonzero weight, and scores through `featurizer`, so rows it
-    has built are reused."""
+    featurizer's, renumbered 0..K-1 in ascending order through a mark array
+    over the hashed columns. A step runs against the whole K x C block and
+    costs O(nonzeros in the batch x classes + K x classes): the gradient
+    product writes, and the update reads, every row. At K of 30k that is
+    faster than touching only the batch's rows at 4 classes, about even at 7
+    and 1.4x slower at 12 (README). Each step reads its rows of the epoch's
+    shuffled matrix in place and works in two buffers made once per call, a
+    batch x C one for the scores and a K x C one for the gradient. The model
+    keeps the columns of the best snapshot that carry a nonzero weight, and
+    scores through `featurizer`, so rows it has built are reused."""
     instances = list(instances)
     labels = list(labels)
     present = set(labels)
@@ -360,9 +385,13 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     # Renumber the used columns 0..K-1 in their order: every product and sum
     # runs as it would over all dim columns, so the weights are the same. It
     # also keeps every index in [0, K), which the unchecked kernels need.
-    used, local = np.unique(X.indices, return_inverse=True)
+    mark = np.zeros(X.shape[1], dtype=bool)
+    mark[X.indices] = True
+    used = np.flatnonzero(mark)
     K = len(used)
-    X = sparse.csr_matrix((X.data, local, X.indptr), shape=(n, K))
+    remap = np.zeros(X.shape[1], dtype=X.indices.dtype)
+    remap[used] = np.arange(K)
+    X = sparse.csr_matrix((X.data, remap[X.indices], X.indptr), shape=(n, K))
 
     rng = random.Random(cfg.seed)
     order = list(range(n))
@@ -384,6 +413,9 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     np_rng = np.random.default_rng(cfg.seed)
     ntr = Xtr.shape[0]
     onehot = np.eye(C)[ytr]
+    scores = np.empty((min(cfg.batch_size, ntr), C))
+    G = np.empty((K, C))
+    G_bytes = G.view(np.uint8)  # all-zero bytes are +0.0, and a byte fill is faster
 
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
@@ -391,14 +423,21 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
         indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
         for start in range(0, ntr, cfg.batch_size):
             stop = min(start + cfg.batch_size, ntr)
-            lo, hi = indptr[start], indptr[stop]
-            batch = (indptr[start:stop + 1] - lo, indices[lo:hi], data[lo:hi], K)
-            err = _softmax(s * _csr_matmul(*batch, V) + b) - Yp[start:stop]
+            batch = (indptr[start:stop + 1], indices, data, K)
+            err = scores[:stop - start]
+            err.fill(0.0)
+            _csr_matmul(*batch, V, err)
+            err *= s
+            err += b
+            _softmax(err)
+            err -= Yp[start:stop]
             s *= decay
             # The K x C gradient is exactly zero off the batch's columns, and
             # V - 0.0 == V (-0.0 included), so only those rows change.
-            V -= cfg.learning_rate / ((stop - start) * s) * _csr_matmul(
-                *batch, err, transpose=True)
+            G_bytes.fill(0)
+            _csr_matmul(*batch, err, G, transpose=True)
+            G *= cfg.learning_rate / ((stop - start) * s)
+            V -= G
             b -= cfg.learning_rate * (err.sum(axis=0) / (stop - start))  # err.mean, bit for bit
             if s < 1e-6:
                 V *= s

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from weakdap import augment
+from weakdap import augment, weaklabel
 from weakdap.augment import AugmentPlan
 from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
@@ -297,8 +297,33 @@ class TestFeaturizeOnce:
         assert len(requested) > len(hashed)  # texts are asked for again
 
 
+class TestGoldInstancesOnce:
+    def test_each_gold_turn_is_built_once_per_run(self, tmp_path, monkeypatch):
+        """Gold-train and validation instance texts are built once per run;
+        only the kept candidates' turns (for training) and the filtered ones
+        (for scoring) are built in every iteration."""
+        built = []
+        build = weaklabel.dialogue_instance_text
+
+        def counting(conv, turn_idx, window=1):
+            built.append((conv.id, turn_idx))
+            return build(conv, turn_idx, window)
+
+        monkeypatch.setattr(weaklabel, "dialogue_instance_text", counting)
+        _small_run("lta", tmp_path, iterations=3)
+        iterations = load_run(tmp_path)["iterations"]
+        assert len(iterations) == 3
+        dataset = _dialogues()
+        gold = {(conv.id, i) for conv in dataset.train + dataset.validation
+                for i in range(conv.n)}
+        assert sorted(key for key in built if key in gold) == sorted(gold)
+        counts = [it["counts"] for it in iterations]
+        scored = sum(c["kept"] + c["dropped_mismatch"] for c in counts[1:])
+        assert len(built) - len(gold) == sum(c["kept"] for c in counts) + scored
+
+
 class TestGoldenRunDirectories:
-    """Three tiny mock-backend runs, pinned by the digest of their run
+    """Five tiny mock-backend runs, pinned by the digest of their run
     directories. A change that claims to leave every output byte-identical
     must keep these digests; one that changes outputs on purpose gives new
     digests and says why."""
@@ -308,6 +333,10 @@ class TestGoldenRunDirectories:
         ("lta", "fresh", "80f608ca92dc2a34fce5d1be43bca98f66c113ed457f0d58b5f587dd1ecd9c45"),
         ("cta", "fresh", "b555eae567d87236a8633e72254b5def66acce71bd0f20bef0dc6bfa4ebf6d1b"),
         ("incontext", "refilter", "0e175974016ac55e1e71b7405c65f6c201c0d0d3c26324b899332ae5e9773820"),
+        # ATA, and `random`'s context-free generated turns: computed before
+        # the featurizer memoized token pairs
+        ("ata", "fresh", "68f202ec7b7f56af4895502f0a15b4a102e885573596dff0dc3e42ad3c68083d"),
+        ("random", "fresh", "de954b8469935bf32686ee7cc5f2d4ea2354af764fc04666d4efaa7d03abfea8"),
     ])
     def test_run_directory_digest(self, strategy, regen, digest, tmp_path):
         _small_run(strategy, tmp_path, iterations=3, regen=regen)

@@ -275,6 +275,29 @@ class TestFeaturizer:
         texts = ["ij k a b cd", "está él aquí ¡qué día!", "k fg ab x señor", "and ab again"]
         assert_same_csr(featurizer.transform(texts), reference_transform(feat, texts))
 
+    @pytest.mark.parametrize("char_ngram", [1, 2, 3, 4])
+    @pytest.mark.parametrize("word_ngrams", [(1,), (2,), (1, 2, 2), (1, 2, 3)],
+                             ids=["w1", "w2", "w122", "w123"])
+    def test_pair_memo_matches_reference(self, word_ngrams, char_ngram):
+        feat = FeaturizerConfig(dim=1 << 14, word_ngrams=word_ngrams, char_ngram=char_ngram)
+        texts = [
+            "hello a world",  # a short token in the middle
+            "hello world a",  # and at the end, after a pair seen with another b
+            "hello a b world",  # two short tokens: one gram spans three tokens
+            "hello ab world",
+            "hello a b",
+            "hello",  # one token
+            "so so so so good",  # a pair repeated within one text
+            "world hello a world hello ab",
+            "a b c hello a",
+        ]
+        assert_same_csr(HashedFeaturizer(feat).transform(texts), reference_transform(feat, texts))
+        one = HashedFeaturizer(feat)
+        singly = sparse.vstack([one.transform([text]) for text in texts], format="csr")
+        assert_same_csr(singly, reference_transform(feat, texts))
+        backwards = HashedFeaturizer(feat).transform(texts[::-1])[::-1]
+        assert_same_csr(backwards, reference_transform(feat, texts))
+
     def test_hashes_each_distinct_text_once(self, monkeypatch):
         featurizer = HashedFeaturizer(FEAT)
         hashed, indices = [], featurizer._indices
@@ -412,11 +435,14 @@ class TestTraining:
     @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
     def test_direct_kernels_equal_scipy_products(self, index_dtype):
         """`train` calls scipy's private `_sparsetools` kernels itself, on a
-        batch of rows of its K-column training matrix; they must give, bit for
-        bit, what the public `Xb @ V` and `Xb.T @ err` give, or a scipy
-        upgrade has changed them under the trainer. The transpose product is
-        the whole K x C gradient: at the batch's columns it equals the product
-        over those columns alone, and elsewhere it is +0.0."""
+        batch of rows of its K-column training matrix, read in place from the
+        epoch's arrays (an unrebased `indptr` slice over the whole `indices`
+        and `data`) and added into a reused buffer that it zero-fills; they
+        must give, bit for bit, what the public `Xb @ V` and `Xb.T @ err`
+        give, or a scipy upgrade has changed them under the trainer. The
+        transpose product is the whole K x C gradient: at the batch's columns
+        it equals the product over those columns alone, and elsewhere it is
+        +0.0."""
         rng = np.random.default_rng(3)
         K = 20
         X = sparse.random(9, K, density=0.3, format="csr", random_state=4)
@@ -424,26 +450,53 @@ class TestTraining:
         X.data[X.indptr[4]:X.indptr[5]] = 0
         X.eliminate_zeros()
         assert X.indptr[4] == X.indptr[5]  # an empty row
-        for start, stop, C in [(0, 9, 12), (3, 6, 7), (4, 5, 12), (6, 7, 3)]:
-            lo, hi = X.indptr[start], X.indptr[stop]
-            indptr = (X.indptr[start:stop + 1] - lo).astype(index_dtype)
-            batch = (indptr, X.indices[lo:hi].astype(index_dtype), X.data[lo:hi], K)
-            Xb = sparse.csr_matrix((batch[2], batch[1], indptr), shape=(stop - start, K))
+        indices = X.indices.astype(index_dtype)
+        # reused buffers, left dirty between products, one pair per class count
+        scores = {C: np.full((9, C), np.nan) for C in (3, 7, 12)}
+        grads = {C: np.full((K, C), np.nan) for C in (3, 7, 12)}
+        # the start, the middle and the end of the epoch's arrays
+        for start, stop, C in [(0, 9, 12), (0, 3, 7), (3, 6, 7), (4, 5, 12), (6, 9, 3)]:
+            indptr = X.indptr[start:stop + 1].astype(index_dtype)
+            batch = (indptr, indices, X.data, K)
+            Xb = X[start:stop]
             V, err = rng.standard_normal((K, C)), rng.standard_normal((stop - start, C))
-            assert np.array_equal(_csr_matmul(*batch, V), Xb @ V)
-            grad = _csr_matmul(*batch, err, transpose=True)
-            assert grad.shape == (K, C)
-            assert np.array_equal(grad, Xb.T @ err)
-            cols, local = np.unique(batch[1], return_inverse=True)
-            Xc = sparse.csr_matrix((batch[2], local, indptr), shape=(stop - start, len(cols)))
-            assert np.array_equal(grad[cols], Xc.T @ err)
-            off = np.delete(grad, cols, axis=0)
+            out = np.zeros((stop - start, C))
+            assert _csr_matmul(*batch, V, out) is out
+            assert np.array_equal(out, Xb @ V)
+            # a zero-filled view of a reused buffer, as `train` passes it
+            buf = scores[C][:stop - start]
+            buf.fill(0.0)
+            assert np.array_equal(_csr_matmul(*batch, V, buf), Xb @ V)
+            G = grads[C]
+            G.fill(0.0)
+            _csr_matmul(*batch, err, G, transpose=True)
+            assert np.array_equal(G, Xb.T @ err)
+            lo, hi = X.indptr[start], X.indptr[stop]
+            cols, local = np.unique(X.indices[lo:hi], return_inverse=True)
+            Xc = sparse.csr_matrix((X.data[lo:hi], local, X.indptr[start:stop + 1] - lo),
+                                   shape=(stop - start, len(cols)))
+            assert np.array_equal(G[cols], Xc.T @ err)
+            off = np.delete(G, cols, axis=0)
             assert not np.any(off) and not np.any(np.signbit(off))
-        # sizes that would make the kernel read past an array raise instead
+        # an indptr that runs past the arrays, or a mis-sized operand or
+        # buffer, would make the kernel read or write out of bounds: it raises
+        B = stop - start
+        for bad in [
+            (indptr + 1, indices, X.data, K, V, np.zeros((B, C))),
+            (indptr - 1 - indptr[0], indices, X.data, K, V, np.zeros((B, C))),
+            (indptr, indices, X.data[:-1], K, V, np.zeros((B, C))),
+            (indptr, indices, X.data, K, np.zeros((K + 1, C)), np.zeros((B, C))),
+            (indptr, indices, X.data, K, V, np.zeros((B + 1, C))),
+            (indptr, indices, X.data, K, V, np.zeros((B, C + 1))),
+            (indptr, indices, X.data, K, V, np.zeros((C, B)).T),
+            (indptr, indices, X.data, K, V, np.zeros((B, C), dtype=np.float32)),
+        ]:
+            with pytest.raises(ValueError, match="fit"):
+                _csr_matmul(*bad)
         with pytest.raises(ValueError, match="fit"):
-            _csr_matmul(*batch, np.zeros((K + 1, C)))
+            _csr_matmul(indptr, indices, X.data, K, err, np.zeros((K, C + 1)), transpose=True)
         with pytest.raises(ValueError, match="fit"):
-            _csr_matmul(batch[0] + 1, *batch[1:], V)
+            _csr_matmul(indptr, indices, X.data, K, V, np.zeros((K, C)), transpose=True)
 
     @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
                                              ("epochs", -1)])
