@@ -152,8 +152,8 @@ def visit_steps(conv: Conversation, strategy: str, seed: int) -> list[tuple]:
     return [("random" if strategy == "random" else "lta", "", [(conv.n, seed)], seed)]
 
 
-def cross_lingual_augment(ref: LabeledUtterance, pool, plan: AugmentPlan, backend,
-                          spec: PromptSpec, params: GenParams, id_prefix: str,
+def cross_lingual_augment(ref: LabeledUtterance, pool, backend, spec: PromptSpec,
+                          params: GenParams, id_prefix: str,
                           gold_keys=frozenset(), seed: int = 0) -> list[Candidate]:
     """Beam-generate up to BEAM_CAP new Spanish utterances for the reference's
     intent, mixing it with seeded same-intent English examples from the pool;
@@ -163,7 +163,7 @@ def cross_lingual_augment(ref: LabeledUtterance, pool, plan: AugmentPlan, backen
     same_intent = [u for u in pool if u.intent == ref.intent]
     k = min(spec.k_examples, len(same_intent))
     examples = rng.sample(same_intent, k) if k else []
-    prompt = render_intent_prompt(ref, examples, spec)
+    prompt = render_intent_prompt(ref, examples)
     beam_params = replace(params, seed=seed, mode="beam",
                           num_return=min(params.num_return, BEAM_CAP))
     completions = generate(prompt, beam_params, backend)
@@ -280,7 +280,7 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     def run(job) -> list[Candidate]:
         rec, prefix, seed, keep = job
         if plan.strategy == "incontext":
-            return cross_lingual_augment(rec, pool, plan, backend, spec,
+            return cross_lingual_augment(rec, pool, backend, spec,
                                          replace(params, num_return=keep), prefix,
                                          gold_keys, seed)
         # cut before generating: only kept layouts send requests

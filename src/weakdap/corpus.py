@@ -36,6 +36,8 @@ class Turn:
     def __post_init__(self):
         if self.speaker not in SPEAKERS:
             raise CorpusError(f"speaker must be one of {SPEAKERS}, got {self.speaker!r}")
+        if not isinstance(self.text, str):
+            raise CorpusError(f"turn text must be a string, got {self.text!r}")
         if not self.text.strip():
             raise CorpusError("turn text is empty after trimming")
 
@@ -80,6 +82,8 @@ class LabeledUtterance:
     source_id: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise CorpusError(f"utterance {self.id!r}: text must be a string, got {self.text!r}")
         if not self.text.strip():
             raise CorpusError(f"utterance {self.id!r}: empty text")
         if self.lang not in ("en", "es"):

@@ -69,8 +69,8 @@ class MockGenConfig:
         if not isinstance(self.templates, dict):
             raise ValueError("templates map each label to a list of utterances")
         for label, tpls in self.templates.items():
-            if not tpls:
-                raise ValueError(f"label {label!r} has no templates")
+            if not (isinstance(tpls, list) and tpls and all(isinstance(t, str) for t in tpls)):
+                raise ValueError(f"label {label!r}: templates must be a non-empty list of strings")
         if not (0 <= self.noise_rate <= 1):
             raise ValueError("noise_rate must be in [0, 1]")
 

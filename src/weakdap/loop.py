@@ -68,55 +68,36 @@ class LoopConfig:
 
 @dataclass
 class LoopState:
+    """The (epsilon, k) patience automaton over validation scores; run.json
+    records all of it, so a recorded state continues like the live one.
+
+    Patience is measured against the score at the last reset, which only
+    advances when a score beats it by at least epsilon; k consecutive
+    sub-epsilon rounds stop the loop. Best-model selection is independent of
+    the reference: the retained checkpoint is the plain running maximum of the
+    score history, earliest iteration on ties.
+    """
     iteration: int = 0
     score_history: list[float] = field(default_factory=list)
     best_score: float = -math.inf
     best_iteration: int = -1
     no_improve_count: int = 0
 
-
-class ConvergenceTracker:
-    """The (epsilon, k) patience automaton over validation scores.
-
-    Patience is measured against a reference that only advances when a score
-    beats it by at least epsilon; k consecutive sub-epsilon rounds stop the
-    loop. Best-model selection is independent of the reference: the retained
-    checkpoint is the plain running maximum of the score history, earliest
-    iteration on ties.
-    """
-
-    def __init__(self, config: LoopConfig):
-        self.config = config
-        self.state = LoopState()
-        self._reference = -math.inf
-
-    def update(self, score: float) -> bool:
+    def update(self, score: float, config: LoopConfig) -> bool:
         """Record one iteration's score; returns True when the loop should stop."""
-        st = self.state
-        iteration = len(st.score_history)
-        st.score_history.append(score)
-        st.iteration = iteration
-        if st.best_iteration < 0 or score > st.best_score:
-            st.best_score = score
-            st.best_iteration = iteration
-        if iteration == 0 or score > self._reference + self.config.epsilon:
-            self._reference = score
-            st.no_improve_count = 0
+        history = self.score_history
+        first = not history
+        # the reference is the score at the last reset, no_improve_count rounds back
+        if first or score > history[-1 - self.no_improve_count] + config.epsilon:
+            self.no_improve_count = 0
         else:
-            st.no_improve_count += 1
-        if st.no_improve_count >= self.config.patience:
-            return True
-        return iteration + 1 >= self.config.max_iterations
-
-
-def run_scripted(scores, config: LoopConfig) -> LoopState:
-    """Drive the automaton with a precomputed score sequence (for testing and
-    dry runs); stops exactly where a live loop would."""
-    tracker = ConvergenceTracker(config)
-    for score in scores:
-        if tracker.update(score):
-            break
-    return tracker.state
+            self.no_improve_count += 1
+        if first or score > self.best_score:
+            self.best_score, self.best_iteration = score, len(history)
+        self.iteration = len(history)
+        history.append(score)
+        return (self.no_improve_count >= config.patience
+                or self.iteration + 1 >= config.max_iterations)
 
 
 def evaluate_model(model: WeakLabeler, texts, gold, label_space: LabelSpace,
@@ -166,7 +147,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
 
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    tracker = ConvergenceTracker(loop_cfg)
+    state = LoopState()
     records = []
     best_model = None
     best_silver: list[Candidate] = []
@@ -216,16 +197,16 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"))
             model.save(os.path.join(iter_dir, "model.json"))
 
-        stop = tracker.update(score)
-        if tracker.state.best_iteration == t:
+        stop = state.update(score, loop_cfg)
+        if state.best_iteration == t:
             best_model = model
             best_silver = kept
         if stop:
             break
 
     if out_dir:
-        snapshot(tracker.state, records, plan, filter_cfg, loop_cfg, out_dir)
-    return best_model, best_silver, tracker.state
+        snapshot(state, records, plan, filter_cfg, loop_cfg, out_dir)
+    return best_model, best_silver, state
 
 
 def snapshot(state: LoopState, records, plan: AugmentPlan, filter_cfg: FilterConfig,
@@ -239,14 +220,8 @@ def snapshot(state: LoopState, records, plan: AugmentPlan, filter_cfg: FilterCon
             "loop": asdict(loop_cfg),
         },
         "iterations": records,
-        "state": {
-            "iteration": state.iteration,
-            "score_history": state.score_history,
-            "best_score": None if state.best_iteration < 0 else state.best_score,
-            "best_iteration": state.best_iteration,
-            "no_improve_count": state.no_improve_count,
-        },
-        "best": None if state.best_iteration < 0 else {
+        "state": asdict(state),
+        "best": {
             "iteration": state.best_iteration,
             "model": f"iter_{state.best_iteration}/model.json",
         },

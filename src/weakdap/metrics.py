@@ -7,7 +7,7 @@ predictions into the majority class earn no pooled true/false positives.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -88,22 +88,12 @@ class MetricReport:
     per_class: list[dict] = field(default_factory=list)
 
     def score(self, metric: str) -> float:
-        if metric == "accuracy":
-            return self.accuracy
-        if metric == "macro_f1":
-            return self.macro_f1
-        if metric == "micro_f1_no_majority":
-            return self.micro_f1_no_majority
-        raise MetricsError(f"unknown metric {metric!r}")
+        if metric not in METRICS:
+            raise MetricsError(f"unknown metric {metric!r}")
+        return getattr(self, metric)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "micro_f1_no_majority": self.micro_f1_no_majority,
-            "majority": self.majority,
-            "per_class": self.per_class,
-        }, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def report_from_cm(cm: np.ndarray, majority: int) -> MetricReport:

@@ -110,7 +110,7 @@ def render_context_free_prompt(examples, spec: PromptSpec, speaker: str,
     return RenderedPrompt(text="\n".join(lines), prescribed_label=label)
 
 
-def render_intent_prompt(reference: LabeledUtterance, examples, spec: PromptSpec) -> RenderedPrompt:
+def render_intent_prompt(reference: LabeledUtterance, examples) -> RenderedPrompt:
     """Cross-lingual in-context prompt: English same-intent examples, the
     Spanish reference, then a cue asking for a new Spanish utterance."""
     examples = list(examples)

@@ -398,8 +398,6 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     rng.shuffle(order)
     n_val = max(1, int(cfg.val_fraction * n)) if n > 2 and cfg.val_fraction > 0 else 0
     val_idx, train_idx = order[:n_val], order[n_val:]
-    if not train_idx:
-        train_idx, val_idx = order, []
     Xtr, ytr = X[train_idx], y[train_idx]
     Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (Xtr, ytr)
     # W = s * V.T: the L2 decay of every step only rescales s, so a step
@@ -510,7 +508,7 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     return list(candidates)
 
 
-def planted_noise_retention(candidates, model: WeakLabeler, config: FilterConfig) -> dict:
+def planted_noise_retention(candidates) -> dict:
     """Noise accounting over mock-generated candidates: the fraction of planted
     wrong-label instances overall vs. among the kept set. Requires the mock
     backend's hidden labels."""

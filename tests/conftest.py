@@ -1,12 +1,13 @@
 """Shared fixtures: a synthetic keyword-separable 4-class dialogue task and a
 mock generator over class-specific templates with a controllable planted
-label-noise rate."""
+label-noise rate; and a driver of the loop's convergence automaton."""
 import random
 
 import pytest
 
 from weakdap.corpus import Conversation, Dataset, LabelSpace, Turn
 from weakdap.genbackend import MockBackend, MockGenConfig
+from weakdap.loop import LoopConfig, LoopState
 
 TOY_LABELS = ("neutral", "anger", "happiness", "sadness")
 
@@ -61,3 +62,13 @@ def toy_dataset(toy_label_space) -> Dataset:
 def mock_backend(noise_rate: float = 0.0, seed: int = 1) -> MockBackend:
     return MockBackend(MockGenConfig(templates=toy_templates(), noise_rate=noise_rate,
                                      seed=seed))
+
+
+def run_scripted(scores, config: LoopConfig) -> LoopState:
+    """Drive the loop's convergence automaton with a precomputed score
+    sequence; stops exactly where a live loop would."""
+    state = LoopState()
+    for score in scores:
+        if state.update(score, config):
+            break
+    return state

@@ -12,7 +12,7 @@ from weakdap.augment import AugmentPlan, run_augmentation
 from weakdap.baselines import AedaConfig, EdaConfig, aeda_augment, eda_augment
 from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
-from weakdap.loop import LoopConfig, instances_of, run_scripted, run_weakdap
+from weakdap.loop import LoopConfig, instances_of, run_weakdap
 from weakdap.metrics import accuracy, confusion_matrix, macro_f1, micro_f1_no_majority
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
@@ -26,7 +26,7 @@ from weakdap.weaklabel import (
     train,
 )
 
-from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
+from conftest import TOY_LABELS, mock_backend, run_scripted, toy_conversation, toy_templates
 
 RUNTIMES = {}
 
@@ -258,7 +258,7 @@ def test_criterion_5_end_to_end_denoising(tmp_path):
     cands = run_augmentation(dataset.train, plan, backend,
                              PromptSpec(task="emotion"), space, GenParams())
     filter_candidates(cands, gold_model, FilterConfig())
-    noise = planted_noise_retention(cands, gold_model, FilterConfig())
+    noise = planted_noise_retention(cands)
     if not noise["kept_noise_rate"] < 0.4:
         failures.append(f"(b) kept noise {noise['kept_noise_rate']:.3f} >= 0.4")
     if abs(noise["overall_noise_rate"] - 0.4) > 0.1:

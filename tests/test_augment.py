@@ -206,8 +206,7 @@ class TestCrossLingual:
 
     def test_distinct_beams_all_kept(self):
         ref, pool, backend, spec = self._setup()
-        cands = cross_lingual_augment(ref, pool, AugmentPlan(strategy="incontext"),
-                                      backend, spec, GenParams(num_return=3), "r")
+        cands = cross_lingual_augment(ref, pool, backend, spec, GenParams(num_return=3), "r")
         assert 1 <= len(cands) <= 3
         texts = [c.payload.text for c in cands]
         assert len(set(texts)) == len(texts)
@@ -217,15 +216,13 @@ class TestCrossLingual:
     def test_gold_duplicate_dropped(self):
         ref, pool, backend, spec = self._setup()
         gold_keys = {"despiertame a las siete", "alarma para las ocho", "pon el despertador"}
-        cands = cross_lingual_augment(ref, pool, AugmentPlan(strategy="incontext"),
-                                      backend, spec, GenParams(num_return=3), "r",
+        cands = cross_lingual_augment(ref, pool, backend, spec, GenParams(num_return=3), "r",
                                       gold_keys=gold_keys)
         assert cands == []
 
     def test_cap_at_three_sequences(self):
         ref, pool, backend, spec = self._setup()
-        cands = cross_lingual_augment(ref, pool, AugmentPlan(strategy="incontext"),
-                                      backend, spec, GenParams(num_return=5), "r")
+        cands = cross_lingual_augment(ref, pool, backend, spec, GenParams(num_return=5), "r")
         assert len(cands) <= 3
 
 

@@ -283,6 +283,19 @@ class TestTrainEval:
                    "--out", str(tmp_path / "m.json")])
         assert rc == 2
 
+    def test_non_string_text_exit_code(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({
+            "id": "x", "turns": [
+                {"speaker": "A", "text": 5, "emotion": "neutral"},
+                {"speaker": "B", "text": "yo", "emotion": "neutral"}]}) + "\n")
+        rc = main(["train", "--data", str(bad),
+                   "--labels", str(workspace / "labels.json"),
+                   "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"{bad}:1:" in err and "Traceback" not in err
+
 
 class TestWeakdapCommand:
     def test_defaults_echoed_into_run_record(self, workspace, tmp_path):
@@ -470,9 +483,10 @@ class TestBaselineCommand:
     ("config.json", "{not json"),
     ("labels.json", '{"labels": ["neutral"]}'),
     ("templates.json", '["neutral"]'),
+    ("templates.json", '{"neutral": "ok then"}'),
     ("train.jsonl", None),
 ], ids=["unknown-backend", "config-not-json", "labels-without-task", "templates-not-object",
-        "missing-data"])
+        "template-string", "missing-data"])
 def test_usage_errors_exit_2(workspace, tmp_path, capsys, name, text):
     """One input file of an augment run replaced by text, or missing if None."""
     paths = {n: workspace / n for n in ("labels.json", "templates.json", "train.jsonl")}

@@ -66,6 +66,13 @@ class TestInvariants:
         with pytest.raises(CorpusError):
             Turn(speaker="A", text="   ")
 
+    @pytest.mark.parametrize("text", [None, 5])
+    def test_non_string_text_rejected(self, text):
+        with pytest.raises(CorpusError, match="must be a string"):
+            Turn(speaker="A", text=text)
+        with pytest.raises(CorpusError, match="must be a string"):
+            LabeledUtterance(id="u", text=text, intent="a", lang="en")
+
     def test_silver_requires_source(self):
         turns = (Turn(speaker="A", text="a"), Turn(speaker="B", text="b"))
         with pytest.raises(CorpusError):
@@ -81,6 +88,13 @@ class TestLoadErrors:
         p = tmp_path / "d.jsonl"
         p.write_text('{"id": "u1", "text": "hi", "intent": "a", "lang": "en"}\nnot json\n')
         with pytest.raises(CorpusError, match=":2:"):
+            load_jsonl(p, "utterance")
+
+    def test_null_text_carries_line_number(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text('{"id": "u1", "text": "hi", "intent": "a", "lang": "en"}\n'
+                     '{"id": "u2", "text": null, "intent": "a", "lang": "en"}\n')
+        with pytest.raises(CorpusError, match=":2: .*must be a string"):
             load_jsonl(p, "utterance")
 
     def test_duplicate_id(self, tmp_path):

@@ -125,6 +125,12 @@ class TestMockBackend:
         with pytest.raises(BackendError):
             backend.complete(rp(label="ennui"), GenParams())
 
+    @pytest.mark.parametrize("value", ["ok then", ["ok then", 5], []],
+                             ids=["string", "non-string-item", "empty"])
+    def test_templates_must_be_lists_of_strings(self, value):
+        with pytest.raises(ValueError, match="'neutral'"):
+            MockGenConfig(templates={"neutral": value, "anger": ["so angry"]})
+
 
 class _Handler(BaseHTTPRequestHandler):
     fail_times = 0

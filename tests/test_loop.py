@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -9,17 +10,11 @@ from weakdap import augment, weaklabel
 from weakdap.augment import AugmentPlan
 from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
-from weakdap.loop import (
-    ConvergenceTracker,
-    LoopConfig,
-    LoopError,
-    run_scripted,
-    run_weakdap,
-)
+from weakdap.loop import LoopConfig, LoopError, LoopState, run_weakdap
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import FeaturizerConfig, FilterConfig, HashedFeaturizer, TrainConfig
 
-from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_sentence
+from conftest import TOY_LABELS, mock_backend, run_scripted, toy_conversation, toy_sentence
 
 FEAT = FeaturizerConfig(dim=1 << 14)
 TRAIN = TrainConfig(seed=3, epochs=30)
@@ -63,14 +58,45 @@ class TestConvergenceAutomaton:
             # earliest iteration wins ties
             assert state.score_history.index(state.best_score) == state.best_iteration
 
+    def test_reference_is_the_score_at_the_last_reset(self):
+        # each score gains less than epsilon on the one before it, but 0.508
+        # beats the reference 0.50 by more than epsilon and resets patience
+        cfg = LoopConfig(epsilon=0.005, patience=3)
+        scores = [0.50, 0.504, 0.508, 0.512, 0.5125]
+        state = run_scripted(scores, cfg)
+        assert state.score_history == scores
+        assert state.no_improve_count == 2
+
     def test_no_improve_count_bounded_by_patience(self):
         cfg = LoopConfig(epsilon=0.005, patience=3)
-        tracker = ConvergenceTracker(cfg)
+        state = LoopState()
         for s in [0.5, 0.5, 0.5, 0.5, 0.5]:
-            stop = tracker.update(s)
-            assert tracker.state.no_improve_count <= cfg.patience
+            stop = state.update(s, cfg)
+            assert state.no_improve_count <= cfg.patience
             if stop:
                 break
+
+    @pytest.mark.parametrize("epsilon,patience,max_iterations",
+                             [(0.005, 1, 6), (0.005, 3, 20), (0.02, 2, 12), (0.1, 5, 30)])
+    def test_recorded_state_resumes(self, epsilon, patience, max_iterations):
+        """A state rebuilt mid-sequence from the JSON of its fields continues
+        exactly like the uninterrupted run: same stop, every field equal."""
+        cfg = LoopConfig(epsilon=epsilon, patience=patience, max_iterations=max_iterations)
+        rng = random.Random(max_iterations)
+        for _ in range(100):
+            # a random walk in steps of up to 2 epsilon: gains and stalls both occur
+            scores = [0.5]
+            while len(scores) < max_iterations:
+                scores.append(scores[-1] + rng.uniform(-2 * epsilon, 2 * epsilon))
+            whole = run_scripted(scores, cfg)
+            cut = rng.randrange(len(whole.score_history))
+            state = LoopState()
+            for t, score in enumerate(scores):
+                if t == cut:
+                    state = LoopState(**json.loads(json.dumps(asdict(state))))
+                if state.update(score, cfg):
+                    break
+            assert state == whole
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -125,8 +151,7 @@ class TestRunWeakdap:
     def test_run_record_round_trip(self, toy_dataset, tmp_path):
         _, _, state = self._run(toy_dataset, out_dir=tmp_path)
         run = load_run(tmp_path)
-        assert run["state"]["score_history"] == state.score_history
-        assert run["state"]["best_iteration"] == state.best_iteration
+        assert LoopState(**run["state"]) == state
         assert run["best"]["iteration"] == state.best_iteration
         best_model = tmp_path / run["best"]["model"]
         assert best_model.exists()

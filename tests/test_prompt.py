@@ -108,8 +108,7 @@ class TestIntentPrompt:
         return LabeledUtterance(id="r", text="pon una alarma", intent=intent, lang="es")
 
     def test_twelve_line_prompt(self):
-        spec = PromptSpec(task="intent")
-        rp = render_intent_prompt(self._ref(), self._examples(10), spec)
+        rp = render_intent_prompt(self._ref(), self._examples(10))
         lines = rp.text.split("\n")
         assert len(lines) == 12
         assert lines[0] == "English: set an alarm 0 => intent: alarm/set_alarm"
@@ -117,15 +116,13 @@ class TestIntentPrompt:
         assert lines[-1] == "Spanish (new, same intent):"
 
     def test_empty_example_pool(self):
-        spec = PromptSpec(task="intent")
-        rp = render_intent_prompt(self._ref(), [], spec)
+        rp = render_intent_prompt(self._ref(), [])
         assert len(rp.text.split("\n")) == 2
 
     def test_mismatched_intent_rejected(self):
-        spec = PromptSpec(task="intent")
         bad = self._examples(1, intent="weather/find")
         with pytest.raises(PromptError):
-            render_intent_prompt(self._ref(), bad, spec)
+            render_intent_prompt(self._ref(), bad)
 
 
 class TestSpecValidation:

@@ -4,10 +4,14 @@ The names are the top-level functions and classes, the methods that are not
 dunders, and the dataclass fields of `src/weakdap/*.py`. A read is a name or
 attribute load in `perfbench/`, or in `src/weakdap` outside the body of a
 name that is itself unread, or a `from ... import` of the name in
-`perfbench/`; a keyword argument that sets a field is not a read. The match
+`perfbench/`; a keyword argument that sets a field is not a read, and a
+dataclass method that passes `self` to `asdict` reads every field. The match
 is by name alone, so a name read under another owner (`plan.strategy` reads
 every `strategy`) passes. Tests are not readers: a name that only tests read
 goes, or is listed in UNREAD with its reason.
+
+Every parameter of a function in `src/weakdap` is loaded as a name in that
+function's body, nested functions included.
 """
 import ast
 from pathlib import Path
@@ -18,7 +22,6 @@ BENCH = ROOT / "perfbench"
 
 ENTRY_POINTS = {"cli.main"}  # pyproject's [project.scripts]
 UNREAD = {  # name: why it stays without a reader
-    "loop.run_scripted": "the driver of acceptance criterion 4's convergence automaton",
     "weaklabel.planted_noise_retention": "criterion 5's noise oracle, which run.json is to report",
 }
 
@@ -29,6 +32,12 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
         if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
             return True
     return False
+
+
+def _dumps_self(node) -> bool:
+    return any(isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "asdict"
+               and [getattr(a, "id", None) for a in sub.args] == ["self"]
+               for sub in ast.walk(node))
 
 
 def _reads(nodes, imports_count: bool = False) -> set[str]:
@@ -55,6 +64,8 @@ def _units(module: str, source: str):
             yield None, None, _reads([node])
             continue
         rest = node.decorator_list + node.bases
+        fields = {m.target.id for m in node.body if isinstance(m, ast.AnnAssign)} \
+            if _is_dataclass(node) else set()
         for member in node.body:
             if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 name = member.name
@@ -65,7 +76,8 @@ def _units(module: str, source: str):
             if name is None or (name.startswith("__") and name.endswith("__")):
                 rest.append(member)
             else:
-                yield f"{node.name}.{name}", name, _reads([member])
+                reads = _reads([member])
+                yield f"{node.name}.{name}", name, reads | fields if _dumps_self(member) else reads
         yield f"{module}.{node.name}", node.name, _reads(rest)
 
 
@@ -86,6 +98,29 @@ def unread_names(modules: dict[str, str], bench: list[str], kept=()) -> list[str
         read = read.union(*(units[i][2] for i in live))
     return sorted(qualified for qualified, name, _ in units
                   if qualified and name not in read and qualified not in ENTRY_POINTS)
+
+
+def unread_parameters(modules: dict[str, str]) -> list[str]:
+    """`function(parameter)` for each parameter of a function (module-level,
+    method or nested) that its body never loads as a name."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = args.posonlyargs + args.args + args.kwonlyargs \
+                    + [a for a in (args.vararg, args.kwarg) if a is not None]
+                loaded = {sub.id for stmt in child.body for sub in ast.walk(stmt)
+                          if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+                found.extend(f"{prefix}{child.name}({a.arg})" for a in params
+                             if a.arg not in loaded)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{prefix}{child.name}.")
+
+    for module, source in modules.items():
+        visit(ast.parse(source), f"{module}.")
+    return sorted(found)
 
 
 def test_every_name_has_a_reader():
@@ -113,3 +148,31 @@ def test_check_finds_an_unread_name():
     bench = "from cli import imported\nhelper()\n"
     assert unread_names({"cli": source}, [bench], kept=["cli.exempt"]) == [
         "Spec.idle", "Spec.unset", "cli.chained", "cli.exempt", "cli.orphan"]
+
+
+def test_asdict_of_self_reads_every_field():
+    source = ("from dataclasses import asdict, dataclass\n"
+              "@dataclass\nclass Report:\n    dumped: int\n"
+              "    def to_json(self): return asdict(self)\n"
+              "@dataclass\nclass Other:\n    lost: int\n"
+              "    def to_json(self, other): return asdict(other)\n"
+              "def main(): return Report(1).to_json(), Other(1).to_json(None)\n")
+    assert unread_names({"cli": source}, []) == ["Other.lost"]
+
+
+def test_every_parameter_is_read():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unread_parameters(modules) == []
+
+
+def test_check_finds_an_unread_parameter():
+    source = ("def used(a, *args, b=0, **kw): return a, args, b, kw\n"
+              "def unused(a, b, *, c): return a\n"
+              "class Box:\n"
+              "    def method(self, x): return self\n"
+              "    def closure(self, y):\n"
+              "        def inner(z): return y\n"
+              "        return inner\n")
+    assert unread_parameters({"m": source}) == [
+        "m.Box.closure(self)", "m.Box.closure.inner(z)", "m.Box.method(x)",
+        "m.unused(b)", "m.unused(c)"]

@@ -840,13 +840,13 @@ class TestPlantedNoise:
     def test_zero_noise_zero_kept_noise(self):
         cands, model = self._filtered_candidates(q=0.0)
         filter_candidates(cands, model, FilterConfig())
-        report = planted_noise_retention(cands, model, FilterConfig())
+        report = planted_noise_retention(cands)
         assert report["kept_noise_rate"] == 0.0
 
     def test_competent_model_reduces_noise(self):
         cands, model = self._filtered_candidates(q=0.4)
         filter_candidates(cands, model, FilterConfig())
-        report = planted_noise_retention(cands, model, FilterConfig())
+        report = planted_noise_retention(cands)
         assert report["overall_noise_rate"] > 0.2
         assert report["kept_noise_rate"] < 0.4
         assert report["kept_noise_rate"] < report["overall_noise_rate"]
@@ -854,7 +854,7 @@ class TestPlantedNoise:
     def test_disabled_filtering_identity(self):
         cands, model = self._filtered_candidates(q=0.4)
         filter_candidates(cands, model, FilterConfig(enabled=False))
-        report = planted_noise_retention(cands, model, FilterConfig(enabled=False))
+        report = planted_noise_retention(cands)
         assert report["kept_noise_rate"] == pytest.approx(report["overall_noise_rate"])
 
     def test_non_mock_candidates_rejected(self):
@@ -862,7 +862,5 @@ class TestPlantedNoise:
                                    provenance="silver", source_id="g")
         cand = Candidate(id="c", payload=payload, prescribed_label="neutral",
                          strategy="lta", source_id="g")
-        texts, labels = toy_instances(60, seed=0)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
         with pytest.raises(WeakLabelError):
-            planted_noise_retention([cand], model, FilterConfig())
+            planted_noise_retention([cand])
