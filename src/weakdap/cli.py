@@ -2,16 +2,18 @@
 
 Subcommands: sample | augment | train | weakdap | eval | baseline. Every flag
 is one row of OPTIONS, which names the subcommands that take it.
-Option precedence: CLI flags > --config file > defaults. A config-file key is
-the flag's name with underscores (--filter-percentile: filter_percentile), its
-value is converted like the flag's, and a key that nothing reads is rejected.
-An option neither sets keeps the default of the dataclass it fills
-(AugmentPlan, GenParams, MockGenConfig, FilterConfig, LoopConfig, EdaConfig,
-AedaConfig); only seed, schema and backend default here. The mock backend is
-configured by a JSON template file mapping each label to a list of
-utterances; the HTTP backend reads its endpoint from --endpoint, the config
-file, or else WEAKDAP_ENDPOINT. Exit code 2 means a usage or input error, 1 a
-backend that failed for good.
+The task of the --labels file (or of an eval checkpoint) fixes the record
+shape: intent labels utterances, emotion and act label dialogues.
+Option precedence: CLI flags > --config file > defaults, applied once in main
+before the command runs. A config-file key is the flag's name with
+underscores (--filter-percentile: filter_percentile), its value is converted
+like the flag's, and a key that nothing reads is rejected. An option neither
+sets keeps the default of the dataclass it fills (AugmentPlan, GenParams,
+MockGenConfig, FilterConfig, LoopConfig, EdaConfig, AedaConfig); only seed
+and backend default here. The mock backend is configured by a JSON template
+file mapping each label to a list of utterances; the HTTP backend reads its
+endpoint from --endpoint, the config file, or else WEAKDAP_ENDPOINT. Exit
+code 2 means a usage or input error, 1 a backend that failed for good.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .corpus import (
     Dataset,
     load_jsonl,
     load_label_space,
-    majority_label,
+    majority_index,
     record_labels,
     sample_few_shot,
     write_jsonl,
@@ -46,7 +48,7 @@ from .weaklabel import (
     train,
 )
 
-DEFAULTS = {"seed": 0, "schema": "dialogue", "backend": "mock"}
+DEFAULTS = {"seed": 0, "backend": "mock"}
 
 BASELINE_OPTIONS = {
     "eda": ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd", "n_aug"),
@@ -61,8 +63,7 @@ OPTIONS = [
     ("--val", {}, "weakdap!"),
     ("--model", {}, "eval!"),
     ("--method", {"choices": list(BASELINE_OPTIONS)}, "baseline!"),
-    ("--labels", {}, "sample! augment! train! weakdap! eval! baseline!"),
-    ("--schema", {"choices": ["dialogue", "utterance"]}, "sample train weakdap eval"),
+    ("--labels", {}, "sample! augment! train! weakdap! baseline!"),
     ("--fraction", {"type": float}, "sample"),
     ("--no-stratify", {"action": "store_true"}, "sample"),
     ("--strategy", {"choices": STRATEGIES}, _GENERATE),
@@ -110,63 +111,59 @@ def _load_config(path) -> dict:
     return config
 
 
-def resolve(args, config: dict, key: str):
-    """flags > config file (converted like the flag) > DEFAULTS, else None."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        convert = CONFIG_TYPES[key]
-        try:
-            return convert(config[key]) if convert else config[key]
-        except (TypeError, ValueError):
-            raise ValueError(f"config key {key!r}: {config[key]!r} is not "
-                             f"{convert.__name__}") from None
-    return DEFAULTS.get(key)
+def _fill_options(args, config: dict) -> None:
+    """Set each option of the command that no flag set: from the config file
+    (converted like the flag), else from DEFAULTS. Keys of options the
+    command lacks are ignored."""
+    for key, convert in CONFIG_TYPES.items():
+        if not hasattr(args, key) or getattr(args, key) is not None:
+            continue
+        if key in config:
+            try:
+                setattr(args, key, convert(config[key]) if convert else config[key])
+            except (TypeError, ValueError):
+                raise ValueError(f"config key {key!r}: {config[key]!r} is not "
+                                 f"{convert.__name__}") from None
+        elif key in DEFAULTS:
+            setattr(args, key, DEFAULTS[key])
 
 
-def _given(args, config, *keys, **renamed) -> dict:
+def _given(args, *keys, **renamed) -> dict:
     """Keyword arguments for a dataclass: the options among keys (and the
-    field=option pairs of renamed) that a flag or the config file sets, so
-    the rest keep the dataclass's defaults."""
+    field=option pairs of renamed) that are set, so the rest keep the
+    dataclass's defaults."""
     fields = {**{key: key for key in keys}, **renamed}
-    values = {field: resolve(args, config, key) for field, key in fields.items()}
+    values = {field: getattr(args, key) for field, key in fields.items()}
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _make_backend(args, config):
-    backend = resolve(args, config, "backend")
-    if backend == "mock":
-        templates_path = resolve(args, config, "mock_templates")
-        if not templates_path:
+def _make_backend(args):
+    if args.backend == "mock":
+        if not args.mock_templates:
             raise ValueError("mock backend needs --mock-templates")
-        with open(templates_path, encoding="utf-8") as f:
+        with open(args.mock_templates, encoding="utf-8") as f:
             templates = json.load(f)
-        return MockBackend(MockGenConfig(templates=templates, seed=resolve(args, config, "seed"),
-                                         **_given(args, config, "noise_rate")))
-    if backend == "http":
-        return HttpBackend(endpoint=resolve(args, config, "endpoint"))
-    raise ValueError(f"unknown backend {backend!r}")
+        return MockBackend(MockGenConfig(templates=templates, seed=args.seed,
+                                         **_given(args, "noise_rate")))
+    if args.backend == "http":
+        return HttpBackend(endpoint=args.endpoint)
+    raise ValueError(f"unknown backend {args.backend!r}")
 
 
-def _generation(args, config, strategy: str, task: str):
+def _generation(args, strategy: str, task: str):
     """The (AugmentPlan, PromptSpec, backend, GenParams) of augment and weakdap."""
-    seed = resolve(args, config, "seed")
-    plan = AugmentPlan(strategy=strategy, seed=seed,
-                       **_given(args, config, "multiplier", "label_mode"))
-    params = GenParams(seed=seed, **_given(args, config, "top_p", "max_new_tokens"))
-    return plan, PromptSpec(task=task, strategy=strategy), _make_backend(args, config), params
+    plan = AugmentPlan(strategy=strategy, seed=args.seed,
+                       **_given(args, "multiplier", "label_mode"))
+    params = GenParams(**_given(args, "top_p", "max_new_tokens"))
+    return plan, PromptSpec(task=task), _make_backend(args), params
 
 
-def cmd_sample(args, config):
+def cmd_sample(args):
     label_space = load_label_space(args.labels)
-    schema = resolve(args, config, "schema")
-    fraction = resolve(args, config, "fraction")
-    seed = resolve(args, config, "seed")
-    if fraction is None:
+    if args.fraction is None:
         raise ValueError("sample needs --fraction")
-    partition = load_jsonl(args.data, schema, label_space)
-    sampled = sample_few_shot(partition, fraction, seed, label_space,
+    partition = load_jsonl(args.data, label_space.schema, label_space)
+    sampled = sample_few_shot(partition, args.fraction, args.seed, label_space,
                               stratified=not args.no_stratify)
     os.makedirs(args.out, exist_ok=True)
     write_jsonl(sampled, os.path.join(args.out, "sampled.jsonl"))
@@ -174,8 +171,8 @@ def cmd_sample(args, config):
     for rec in sampled:
         counts.update(record_labels(rec, label_space.task))
     manifest = {
-        "fraction": fraction,
-        "seed": seed,
+        "fraction": args.fraction,
+        "seed": args.seed,
         "stratified": not args.no_stratify,
         "input_records": len(partition),
         "sampled_records": len(sampled),
@@ -186,23 +183,23 @@ def cmd_sample(args, config):
     print(f"sampled {len(sampled)}/{len(partition)} records -> {args.out}")
 
 
-def _strategy_and_schema(args, config, schema=None) -> tuple[str, str]:
-    """The strategy and the schema of the records it reads: utterances for
-    incontext, dialogues for the others. A given schema picks the default
-    strategy (incontext for utterances, else lta) and must fit the strategy."""
-    strategy = resolve(args, config, "strategy") or (
-        "incontext" if schema == "utterance" else "lta")
-    needed = "utterance" if strategy == "incontext" else "dialogue"
-    if schema not in (None, needed):
-        raise ValueError(f"strategy {strategy!r} needs {needed} records, not {schema}")
-    return strategy, needed
+def _strategy(args, label_space) -> str:
+    """The strategy, which must fit the task's records: incontext reads
+    utterances, the others dialogues. Defaults to incontext for intent, else
+    lta."""
+    utterances = label_space.schema == "utterance"
+    strategy = args.strategy or ("incontext" if utterances else "lta")
+    if (strategy == "incontext") != utterances:
+        raise ValueError(f"strategy {strategy!r} does not fit task {label_space.task!r}, "
+                         f"whose records are {label_space.schema}s")
+    return strategy
 
 
-def cmd_augment(args, config):
+def cmd_augment(args):
     label_space = load_label_space(args.labels)
-    strategy, schema = _strategy_and_schema(args, config)
-    gold = load_jsonl(args.data, schema, label_space)
-    plan, spec, backend, params = _generation(args, config, strategy, label_space.task)
+    strategy = _strategy(args, label_space)
+    gold = load_jsonl(args.data, label_space.schema, label_space)
+    plan, spec, backend, params = _generation(args, strategy, label_space.task)
     candidates = run_augmentation(gold, plan, backend, spec, label_space, params)
     write_candidates(candidates, args.out)
     produced = len(candidates)
@@ -210,65 +207,52 @@ def cmd_augment(args, config):
     print(f"produced {produced} candidates ({dropped} dropped) -> {args.out}")
 
 
-def _load_dataset(train_path, val_path, schema, label_space) -> Dataset:
-    return Dataset(
-        label_space=label_space,
-        train=load_jsonl(train_path, schema, label_space),
-        validation=load_jsonl(val_path, schema, label_space),
-    )
-
-
-def cmd_train(args, config):
+def cmd_train(args):
     label_space = load_label_space(args.labels)
-    schema = resolve(args, config, "schema")
-    records = load_jsonl(args.data, schema, label_space)
+    records = load_jsonl(args.data, label_space.schema, label_space)
     featurizer = HashedFeaturizer(FeaturizerConfig())
     texts, labels = instances_of(records, label_space, featurizer.config.context_window)
-    model = train(texts, labels, label_space, featurizer,
-                  TrainConfig(seed=resolve(args, config, "seed")))
+    model = train(texts, labels, label_space, featurizer, TrainConfig(seed=args.seed))
     model.save(args.out)
     print(f"trained on {len(texts)} instances -> {args.out}")
 
 
-def cmd_weakdap(args, config):
+def cmd_weakdap(args):
     label_space = load_label_space(args.labels)
-    strategy, schema = _strategy_and_schema(args, config,
-                                            args.schema or config.get("schema"))
-    dataset = _load_dataset(args.train, args.val, schema, label_space)
-    plan, spec, backend, params = _generation(args, config, strategy, label_space.task)
-    filter_cfg = FilterConfig(**_given(args, config, percentile="filter_percentile"))
-    loop_cfg = LoopConfig(**_given(args, config, "epsilon", "patience", "max_iterations",
+    strategy = _strategy(args, label_space)
+    dataset = Dataset(label_space=label_space,
+                      train=load_jsonl(args.train, label_space.schema, label_space),
+                      validation=load_jsonl(args.val, label_space.schema, label_space))
+    plan, spec, backend, params = _generation(args, strategy, label_space.task)
+    filter_cfg = FilterConfig(**_given(args, percentile="filter_percentile"))
+    loop_cfg = LoopConfig(**_given(args, "epsilon", "patience", "max_iterations",
                                    "metric", "regen"))
     _, _, state = run_weakdap(dataset, plan, filter_cfg, loop_cfg, backend, spec,
-                              gen_params=params,
-                              train_cfg=TrainConfig(seed=resolve(args, config, "seed")),
+                              gen_params=params, train_cfg=TrainConfig(seed=args.seed),
                               out_dir=args.out)
     print(f"ran {state.iteration + 1} iterations; best score "
           f"{state.best_score:.4f} at iteration {state.best_iteration} -> {args.out}")
 
 
-def cmd_eval(args, config):
-    label_space = load_label_space(args.labels)
-    schema = resolve(args, config, "schema")
-    model = WeakLabeler.load(args.model, expected_label_space=label_space)
-    records = load_jsonl(args.data, schema, label_space)
-    majority = label_space.majority if label_space.majority is not None \
-        else label_space.index(majority_label(records, label_space))
+def cmd_eval(args):
+    model = WeakLabeler.load(args.model)
+    label_space = model.label_space
+    records = load_jsonl(args.data, label_space.schema, label_space)
     texts, gold = instances_of(records, label_space, model.featurizer.config.context_window)
-    report = evaluate_model(model, texts, gold, label_space, majority)
+    report = evaluate_model(model, texts, gold, label_space,
+                            majority_index(records, label_space))
     print(report.to_json())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(report.to_json())
 
 
-def cmd_baseline(args, config):
+def cmd_baseline(args):
     label_space = load_label_space(args.labels)
     records = load_jsonl(args.data, "utterance", label_space)
     out_records = baselines.perturb_records(
-        records, args.method, resolve(args, config, "seed"),
-        resolve(args, config, "lexicon"),
-        **_given(args, config, *BASELINE_OPTIONS[args.method]))
+        records, args.method, args.seed, args.lexicon,
+        **_given(args, *BASELINE_OPTIONS[args.method]))
     write_jsonl(out_records, args.out)
     print(f"{args.method}: wrote {len(out_records)} augmented records -> {args.out}")
 
@@ -301,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args, _load_config(args.config))
+        _fill_options(args, _load_config(args.config))
+        args.func(args)
     except (ValueError, OSError) as e:  # bad input, CorpusError included; unreadable files
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -20,6 +20,9 @@ SPEAKERS = ("A", "B")
 
 EMOTION_LABELS = ("neutral", "anger", "disgust", "fear", "happiness", "sadness", "surprise")
 ACT_LABELS = ("inform", "question", "directive", "commissive")
+# the record shape each task labels: emotion and act are turn labels of
+# dialogues, intent a label of single utterances
+TASK_SCHEMAS = {"emotion": "dialogue", "act": "dialogue", "intent": "utterance"}
 
 
 class CorpusError(ValueError):
@@ -99,6 +102,8 @@ class LabelSpace:
     majority: int | None = None
 
     def __post_init__(self):
+        if self.task not in TASK_SCHEMAS:
+            raise CorpusError(f"task must be one of {tuple(TASK_SCHEMAS)}, got {self.task!r}")
         if isinstance(self.labels, str):
             raise CorpusError("labels must be a list of label names, not a string")
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -118,6 +123,11 @@ class LabelSpace:
             return self.labels.index(label)
         except ValueError:
             raise CorpusError(f"unknown label {label!r}") from None
+
+    @property
+    def schema(self) -> str:
+        """The shape of the records the task labels: dialogue or utterance."""
+        return TASK_SCHEMAS[self.task]
 
     def to_dict(self) -> dict:
         d = {"task": self.task, "labels": list(self.labels)}
@@ -257,6 +267,14 @@ def majority_label(partition, label_space: LabelSpace) -> str:
     return max(label_space.labels, key=lambda l: (counts[l], -label_space.index(l)))
 
 
+def majority_index(partition, label_space: LabelSpace) -> int:
+    """The label space's majority index if it sets one, else that of the
+    partition's most frequent label."""
+    if label_space.majority is not None:
+        return label_space.majority
+    return label_space.index(majority_label(partition, label_space))
+
+
 def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
@@ -290,8 +308,7 @@ def sample_few_shot(partition, fraction: float, seed: int, label_space: LabelSpa
         chosen = set(rng.sample(range(len(partition)), k))
         return [rec for i, rec in enumerate(partition) if i in chosen]
 
-    majority = label_space.labels[label_space.majority] if label_space.majority is not None \
-        else majority_label(partition, label_space)
+    majority = label_space.labels[majority_index(partition, label_space)]
     groups: dict[str, list[int]] = {label: [] for label in label_space.labels}
     for i, rec in enumerate(partition):
         if isinstance(rec, Conversation):

@@ -29,10 +29,6 @@ from .prompt import RenderedPrompt
 class BackendError(RuntimeError):
     """Transport or protocol failure after retries."""
 
-    def __init__(self, message: str, attempts: int = 1):
-        super().__init__(message)
-        self.attempts = attempts
-
 
 @dataclass
 class GenParams:
@@ -193,31 +189,28 @@ class HttpBackend:
                 with self._slots:
                     status, answer = self._post(body)
             except ssl.SSLCertVerificationError as e:  # an OSError, but retrying cannot fix it
-                raise BackendError(f"backend request failed: {e}", attempts=attempt) from e
+                raise BackendError(f"backend request failed: {e}") from e
             except (OSError, http.client.HTTPException) as e:
                 last_err = e
             else:
                 if status < 500:
-                    return self._completions(status, answer, attempt)
+                    return self._completions(status, answer)
                 last_err = f"HTTP {status}"
             if attempt < self.max_attempts:
                 time.sleep(random.uniform(0, self.backoff * 2 ** (attempt - 1)))
-        raise BackendError(f"backend unreachable after {self.max_attempts} attempts: {last_err}",
-                           attempts=self.max_attempts)
+        raise BackendError(f"backend unreachable after {self.max_attempts} attempts: {last_err}")
 
     @staticmethod
-    def _completions(status: int, answer: bytes, attempt: int) -> list[Completion]:
+    def _completions(status: int, answer: bytes) -> list[Completion]:
         """The completions of a final (non-5xx) answer, or BackendError."""
         if not 200 <= status < 300:
-            raise BackendError(f"backend request failed: HTTP {status}", attempts=attempt)
+            raise BackendError(f"backend request failed: HTTP {status}")
         try:
             texts = json.loads(answer)["completions"]
         except (KeyError, TypeError, ValueError) as e:
-            raise BackendError(f"backend request failed: bad answer: {e!r}",
-                               attempts=attempt) from e
+            raise BackendError(f"backend request failed: bad answer: {e!r}") from e
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
-            raise BackendError("backend request failed: completions are not a list of strings",
-                               attempts=attempt)
+            raise BackendError("backend request failed: completions are not a list of strings")
         return [Completion(raw=t, parsed=None) for t in texts]
 
 

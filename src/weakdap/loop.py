@@ -25,7 +25,7 @@ from .augment import (
     run_augmentation,
     write_candidates,
 )
-from .corpus import Dataset, LabelSpace, majority_label
+from .corpus import Dataset, LabelSpace, majority_index
 from .genbackend import GenParams
 from .prompt import PromptSpec
 from .weaklabel import (
@@ -137,8 +137,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     featurizer = HashedFeaturizer(feat_cfg or FeaturizerConfig())
     train_cfg = train_cfg or TrainConfig()
     label_space = dataset.label_space
-    majority = label_space.majority if label_space.majority is not None \
-        else label_space.index(majority_label(dataset.train, label_space))
+    majority = majority_index(dataset.train, label_space)
 
     # gold instances do not change between iterations: build them once
     window = featurizer.config.context_window

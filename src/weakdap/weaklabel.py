@@ -276,7 +276,7 @@ class WeakLabeler:
             f.write(json.dumps(doc, sort_keys=True))
 
     @classmethod
-    def load(cls, path, expected_label_space: LabelSpace | None = None) -> "WeakLabeler":
+    def load(cls, path) -> "WeakLabeler":
         """Read a v3 checkpoint, the format `save` writes. Any other version,
         or a malformed checkpoint, raises WeakLabelError."""
         with open(path, encoding="utf-8") as f:
@@ -295,9 +295,6 @@ class WeakLabeler:
             model = cls(*_checkpoint_parts(doc))
         except (KeyError, TypeError, ValueError) as e:
             raise WeakLabelError(f"malformed checkpoint {path}: {e}") from e
-        if (expected_label_space is not None
-                and model.label_space.labels != tuple(expected_label_space.labels)):
-            raise WeakLabelError("checkpoint label space does not match data label space")
         return model
 
 

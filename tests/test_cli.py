@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import weakdap.loop
-from weakdap.cli import _make_backend, build_parser, main
+from weakdap.cli import _fill_options, _make_backend, build_parser, main
 from weakdap.corpus import LabeledUtterance, write_jsonl
 from weakdap.genbackend import MockBackend
 
@@ -48,6 +48,8 @@ def workspace(tmp_path_factory):
                 root / "val_utterances.jsonl")
     (root / "labels.json").write_text(json.dumps(
         {"task": "emotion", "labels": list(TOY_LABELS), "majority": 0}))
+    (root / "intent_labels.json").write_text(json.dumps(
+        {"task": "intent", "labels": list(TOY_LABELS)}))
     (root / "templates.json").write_text(json.dumps(toy_templates()))
     return root
 
@@ -144,7 +146,7 @@ class TestAugment:
     def test_in_context_reads_utterances(self, workspace, tmp_path):
         out = tmp_path / "cands.jsonl"
         rc = main(["augment", "--data", str(workspace / "intent_train.jsonl"),
-                   "--labels", str(workspace / "labels.json"), "--strategy", "incontext",
+                   "--labels", str(workspace / "intent_labels.json"), "--strategy", "incontext",
                    "--multiplier", "1.0", "--seed", "2", "--backend", "mock",
                    "--mock-templates", str(workspace / "templates.json"),
                    "--out", str(out)])
@@ -194,7 +196,8 @@ class TestAugment:
         def endpoint(flags, config):
             args = parser.parse_args(["augment", "--data", "d", "--labels", "l",
                                       "--out", "o", "--backend", "http", *flags])
-            return _make_backend(args, config).endpoint
+            _fill_options(args, config)
+            return _make_backend(args).endpoint
 
         assert endpoint([], {}) == "http://env"
         assert endpoint([], {"endpoint": "http://config"}) == "http://config"
@@ -220,7 +223,6 @@ class TestTrainEval:
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
                    "--out", str(report_path)])
         assert rc == 0
         report = json.loads(report_path.read_text())
@@ -247,7 +249,6 @@ class TestTrainEval:
         capsys.readouterr()
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
                    "--out", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
         assert rc == 2
@@ -267,8 +268,7 @@ class TestTrainEval:
         model_path.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["eval", "--model", str(model_path),
-                   "--data", str(workspace / "val.jsonl"),
-                   "--labels", str(workspace / "labels.json")])
+                   "--data", str(workspace / "val.jsonl")])
         assert rc == 2
         assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
 
@@ -319,40 +319,34 @@ class TestWeakdapCommand:
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["config"]["loop"]["regen"] == "refilter"
 
-    def _utterance_args(self, workspace, out, extra):
-        return ["weakdap", "--schema", "utterance",
-                "--train", str(workspace / "intent_train.jsonl"),
-                "--val", str(workspace / "val_utterances.jsonl"),
-                "--labels", str(workspace / "labels.json"),
-                "--backend", "mock",
-                "--mock-templates", str(workspace / "templates.json"),
-                "--max-iterations", "1", "--seed", "5", "--out", str(out), *extra]
-
-    def test_strategy_schema_mismatch_is_usage_error(self, workspace, tmp_path, capsys):
-        rc = main(self._utterance_args(workspace, tmp_path, ["--strategy", "lta"]))
+    def test_strategy_task_mismatch_is_usage_error(self, workspace, tmp_path, capsys):
+        """Checked before any data file is read: the data paths do not exist."""
+        missing = str(tmp_path / "missing.jsonl")
+        rc = main(["weakdap", "--train", missing, "--val", missing,
+                   "--labels", str(workspace / "intent_labels.json"),
+                   "--strategy", "lta", "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: strategy 'lta' does not fit task 'intent', whose records are utterances\n")
+        rc = main(["augment", "--data", missing, "--labels", str(workspace / "labels.json"),
+                   "--strategy", "incontext", "--out", str(tmp_path / "c.jsonl")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert err.startswith("error: ")
-        assert "Traceback" not in err
+        assert err == ("error: strategy 'incontext' does not fit task 'emotion', "
+                       "whose records are dialogues\n")
+        assert not (tmp_path / "run").exists() and not (tmp_path / "c.jsonl").exists()
 
     def test_in_context_loop_honours_multiplier(self, workspace, tmp_path):
-        rc = main(self._utterance_args(workspace, tmp_path,
-                                       ["--strategy", "incontext", "--multiplier", "2.0"]))
+        rc = main(["weakdap", "--train", str(workspace / "intent_train.jsonl"),
+                   "--val", str(workspace / "val_utterances.jsonl"),
+                   "--labels", str(workspace / "intent_labels.json"),
+                   "--backend", "mock", "--mock-templates", str(workspace / "templates.json"),
+                   "--max-iterations", "1", "--seed", "5", "--out", str(tmp_path),
+                   "--strategy", "incontext", "--multiplier", "2.0"])
         assert rc == 0
         run = json.loads((tmp_path / "run.json").read_text())
         assert run["config"]["plan"]["strategy"] == "incontext"
         assert 32 < run["iterations"][0]["counts"]["produced"] <= 64
-
-    def test_utterance_schema_defaults_to_in_context(self, workspace, tmp_path):
-        assert main(self._utterance_args(workspace, tmp_path, [])) == 0
-        run = json.loads((tmp_path / "run.json").read_text())
-        assert run["config"]["plan"]["strategy"] == "incontext"
-
-    def test_in_context_strategy_implies_utterance_schema(self, workspace, tmp_path):
-        args = self._utterance_args(workspace, tmp_path, ["--strategy", "incontext"])
-        args.remove("--schema")
-        args.remove("utterance")
-        assert main(args) == 0
 
     def test_random_strategy_runs_through_the_filter(self, workspace, tmp_path):
         rc = main(_weakdap_args(workspace, tmp_path, ["--strategy", "random"]))
@@ -387,6 +381,7 @@ class TestWeakdapCommand:
         ({"out": "elsewhere"}, "unknown config key 'out'"),
         ({"epsilon": None}, "config key 'epsilon': None is not float"),
         ([{"regen": "refilter"}], "a config file holds a JSON object, not list"),
+        ({"schema": "utterance"}, "unknown config key 'schema'"),
     ])
     def test_config_file_value_checked_before_generation(self, workspace, tmp_path,
                                                          monkeypatch, capsys, config, error):
@@ -433,6 +428,27 @@ class TestWeakdapCommand:
         assert '"epsilon": 1.0' in run
         assert '"max_iterations": 2' in run
         assert '"percentile": 90.0' in run
+
+
+def test_intent_data_needs_no_schema_or_strategy(workspace, tmp_path):
+    """The intent labels file alone makes every command read utterances, and
+    augment and weakdap default to the in-context strategy."""
+    labels = ["--labels", str(workspace / "intent_labels.json")]
+    generate = ["--backend", "mock", "--mock-templates", str(workspace / "templates.json")]
+    train, val = str(workspace / "intent_train.jsonl"), str(workspace / "val_utterances.jsonl")
+    model = tmp_path / "model.json"
+    assert main(["sample", "--data", train, *labels, "--fraction", "0.5",
+                 "--out", str(tmp_path / "sample")]) == 0
+    assert main(["augment", "--data", train, *labels, *generate,
+                 "--out", str(tmp_path / "c.jsonl")]) == 0
+    assert main(["train", "--data", train, *labels, "--out", str(model)]) == 0
+    assert main(["eval", "--model", str(model), "--data", val]) == 0
+    assert main(["weakdap", "--train", train, "--val", val, *labels, *generate,
+                 "--max-iterations", "1", "--out", str(tmp_path / "run")]) == 0
+    rows = [json.loads(l) for l in (tmp_path / "c.jsonl").read_text().splitlines()]
+    assert rows and {r["strategy"] for r in rows} == {"incontext"}
+    run = json.loads((tmp_path / "run" / "run.json").read_text())
+    assert run["config"]["plan"]["strategy"] == "incontext"
 
 
 class TestBaselineCommand:
@@ -528,7 +544,6 @@ def test_readme_commands_parse():
 
 
 STRATEGIES = ["lta", "ata", "cta", "incontext", "random"]
-SCHEMAS = ["dialogue", "utterance"]
 BACKEND = {
     "--backend": ("backend", False, ["mock", "http"], None, None),
     "--mock-templates": ("mock_templates", False, None, None, None),
@@ -543,7 +558,6 @@ OPTION_SURFACE = {
     "sample": {
         "--data": ("data", True, None, None, None),
         "--labels": ("labels", True, None, None, None),
-        "--schema": ("schema", False, SCHEMAS, None, None),
         "--fraction": ("fraction", False, None, "float", None),
         "--seed": ("seed", False, None, "int", None),
         "--no-stratify": ("no_stratify", False, None, None, 0),
@@ -562,7 +576,6 @@ OPTION_SURFACE = {
     "train": {
         "--data": ("data", True, None, None, None),
         "--labels": ("labels", True, None, None, None),
-        "--schema": ("schema", False, SCHEMAS, None, None),
         "--seed": ("seed", False, None, "int", None),
         "--out": ("out", True, None, None, None),
     },
@@ -570,7 +583,6 @@ OPTION_SURFACE = {
         "--train": ("train", True, None, None, None),
         "--val": ("val", True, None, None, None),
         "--labels": ("labels", True, None, None, None),
-        "--schema": ("schema", False, SCHEMAS, None, None),
         "--strategy": ("strategy", False, STRATEGIES, None, None),
         "--multiplier": ("multiplier", False, None, "float", None),
         "--label-mode": ("label_mode", False, ["gold", "random"], None, None),
@@ -588,8 +600,6 @@ OPTION_SURFACE = {
     "eval": {
         "--model": ("model", True, None, None, None),
         "--data": ("data", True, None, None, None),
-        "--labels": ("labels", True, None, None, None),
-        "--schema": ("schema", False, SCHEMAS, None, None),
         "--out": ("out", False, None, None, None),
     },
     "baseline": {

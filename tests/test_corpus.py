@@ -11,6 +11,7 @@ from weakdap.corpus import (
     Turn,
     load_jsonl,
     load_label_space,
+    majority_index,
     majority_label,
     sample_few_shot,
     write_jsonl,
@@ -34,6 +35,12 @@ class TestInvariants:
         with pytest.raises(CorpusError, match="string"):
             load_label_space(path)
         assert LabelSpace.from_dict({"task": "emotion", "labels": ["a", "b"]}).labels == ("a", "b")
+
+    def test_task_fixes_the_schema(self):
+        assert [LabelSpace(task=task, labels=("a",)).schema
+                for task in ("emotion", "act", "intent")] == ["dialogue", "dialogue", "utterance"]
+        with pytest.raises(CorpusError, match="task must be one of"):
+            LabelSpace(task="topic", labels=("a",))
 
     def test_minimal_record_loads(self, tmp_path):
         line = {"id": "d1", "turns": [
@@ -169,6 +176,13 @@ class TestMajorityLabel:
     def test_empty_partition(self):
         with pytest.raises(CorpusError):
             majority_label([], dlg_space())
+
+    def test_majority_index_prefers_the_label_space(self):
+        part = self._utts({"question": 10, "inform": 3})
+        counted = LabelSpace(task="intent", labels=("inform", "question"))
+        assert majority_index(part, counted) == 1
+        set_one = LabelSpace(task="intent", labels=("inform", "question"), majority=0)
+        assert majority_index([], set_one) == 0
 
 
 class TestSampleFewShot:

@@ -196,9 +196,9 @@ class TestHttpBackend:
     def test_retry_exhaustion_raises_with_attempts(self, http_server):
         _Handler.fail_times = 10
         backend = HttpBackend(endpoint=http_server, backoff=0.01)
-        with pytest.raises(BackendError) as exc:
+        with pytest.raises(BackendError, match="after 3 attempts"):
             backend.complete(rp(), GenParams())
-        assert exc.value.attempts == 3
+        assert len(_Handler.requests_seen) == 3
 
     @pytest.mark.parametrize("status, reply", [(400, b""), (200, b"not json"),
                                                (200, b'{"no": "completions"}'),
@@ -208,9 +208,8 @@ class TestHttpBackend:
         _Handler.fail_times = 10
         _Handler.fail_with = (status, reply)
         backend = HttpBackend(endpoint=http_server, backoff=0.01)
-        with pytest.raises(BackendError) as exc:
+        with pytest.raises(BackendError):
             backend.complete(rp(), GenParams())
-        assert exc.value.attempts == 1
         assert len(_Handler.requests_seen) == 1
 
     def test_endpoint_path_prefix_is_kept(self, http_server):
@@ -255,9 +254,9 @@ class TestHttpBackend:
         backend = HttpBackend(endpoint="https://localhost/v1")
         monkeypatch.setattr(backend, "_post", refused)
         monkeypatch.setattr(time, "sleep", sleeps.append)
-        with pytest.raises(BackendError, match="certificate verify failed") as exc:
+        with pytest.raises(BackendError, match="certificate verify failed"):
             backend.complete(rp(), GenParams())
-        assert (len(calls), sleeps, exc.value.attempts) == (1, [], 1)
+        assert (len(calls), sleeps) == (1, [])
 
     @pytest.mark.parametrize("kwargs", [{"max_parallel": 0}, {"max_attempts": 0},
                                         {"backoff": -0.5}, {"timeout": 0}],

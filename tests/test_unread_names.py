@@ -1,14 +1,17 @@
 """Every name the `weakdap` package defines has a reader in the program.
 
 The names are the top-level functions and classes, the methods that are not
-dunders, and the dataclass fields of `src/weakdap/*.py`. A read is a name or
+dunders, the dataclass fields, and the attributes that `__init__` sets on
+`self` in the other classes of `src/weakdap/*.py`. A read is a name or
 attribute load in `perfbench/`, or in `src/weakdap` outside the body of a
 name that is itself unread, or a `from ... import` of the name in
 `perfbench/`; a keyword argument that sets a field is not a read, and a
-dataclass method that passes `self` to `asdict` reads every field. The match
-is by name alone, so a name read under another owner (`plan.strategy` reads
-every `strategy`) passes. Tests are not readers: a name that only tests read
-goes, or is listed in UNREAD with its reason.
+dataclass method that passes `self` to `asdict` reads every field. An
+`__init__` attribute is read only by an attribute load: a parameter of the
+same name does not read it. The match is by name alone, so a name read under
+another owner (`plan.strategy` reads every `strategy`) passes. Tests are not
+readers: a name that only tests read goes, or is listed in UNREAD with its
+reason.
 
 Every parameter of a function in `src/weakdap` is loaded as a name in that
 function's body, nested functions included.
@@ -40,22 +43,38 @@ def _dumps_self(node) -> bool:
                for sub in ast.walk(node))
 
 
+def _init_attributes(node: ast.ClassDef) -> list[str]:
+    """The attributes that the class's `__init__` assigns on its first
+    parameter, in order of first assignment."""
+    names = []
+    for member in node.body:
+        if isinstance(member, ast.FunctionDef) and member.name == "__init__" and member.args.args:
+            owner = member.args.args[0].arg
+            names.extend(sub.attr for sub in ast.walk(member)
+                         if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                         and getattr(sub.value, "id", None) == owner)
+    return list(dict.fromkeys(names))
+
+
 def _reads(nodes, imports_count: bool = False) -> set[str]:
+    """The names loaded in nodes; an attribute load also adds "." + its name,
+    the only read of an `__init__` attribute."""
     read = set()
     for node in (sub for top in nodes for sub in ast.walk(top)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             read.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
+            read.update((node.attr, "." + node.attr))
         elif imports_count and isinstance(node, ast.ImportFrom):
             read.update(alias.name for alias in node.names)
     return read
 
 
 def _units(module: str, source: str):
-    """(qualified name or None, bare name, reads) for each part of a module:
-    a top-level function, a method or dataclass field, the rest of a class,
-    or a top-level statement that defines nothing (None: always runs)."""
+    """(qualified name or None, the read that keeps it, reads) for each part
+    of a module: a top-level function, a method, dataclass field or `__init__`
+    attribute, the rest of a class, or a top-level statement that defines
+    nothing (None: always runs)."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{module}.{node.name}", node.name, _reads([node])
@@ -78,6 +97,9 @@ def _units(module: str, source: str):
             else:
                 reads = _reads([member])
                 yield f"{node.name}.{name}", name, reads | fields if _dumps_self(member) else reads
+        if not _is_dataclass(node):
+            for attr in _init_attributes(node):
+                yield f"{node.name}.{attr}", "." + attr, set()
         yield f"{module}.{node.name}", node.name, _reads(rest)
 
 
@@ -148,6 +170,20 @@ def test_check_finds_an_unread_name():
     bench = "from cli import imported\nhelper()\n"
     assert unread_names({"cli": source}, [bench], kept=["cli.exempt"]) == [
         "Spec.idle", "Spec.unset", "cli.chained", "cli.exempt", "cli.orphan"]
+
+
+def test_check_finds_an_unread_init_attribute():
+    source = ("class Client:\n"
+              "    def __init__(self, url, retries, timeout):\n"
+              "        self.url = url\n"
+              "        self.retries = retries\n"
+              "        self.timeout, self._open = timeout, False\n"
+              "        other = Client\n"
+              "        other.ignored = 0\n"
+              "    def send(self): return self.url, self._open\n"
+              "def main(retries=3): return Client('u', retries, 1).send()\n")
+    bench = "def timeout(client): return client.timeout\n"
+    assert unread_names({"cli": source}, [bench]) == ["Client.retries"]
 
 
 def test_asdict_of_self_reads_every_field():
