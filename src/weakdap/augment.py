@@ -292,17 +292,30 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     return [c for cands in ordered_map(run, jobs) for c in cands]
 
 
-def candidate_to_dict(cand: Candidate) -> dict:
+def candidate_to_dict(cand: Candidate, window: int) -> dict:
+    """One candidates.jsonl line. A dialogue candidate's payload keeps only
+    the turns its instances read with this context window: from `window`
+    turns before its first generated turn on. `generated_turns` index the
+    stored turns; `turn_offset`, written when nonzero, is the position of the
+    first stored turn in the source dialogue, whose earlier turns are the
+    gold record's own."""
+    payload, generated = cand.payload, cand.generated_turns
+    offset = max(0, generated[0] - window) if generated else 0
+    if offset:
+        payload = replace(payload, turns=payload.turns[offset:])
+        generated = tuple(i - offset for i in generated)
     d = {
         "id": cand.id,
         "strategy": cand.strategy,
         "source_id": cand.source_id,
         "prescribed_label": cand.prescribed_label,
-        "payload": record_to_dict(cand.payload) if cand.payload is not None else None,
+        "payload": record_to_dict(payload) if payload is not None else None,
         "verdict": cand.verdict,
     }
-    if cand.generated_turns:
-        d["generated_turns"] = list(cand.generated_turns)
+    if generated:
+        d["generated_turns"] = list(generated)
+    if offset:
+        d["turn_offset"] = offset
     if cand.silver_label is not None:
         d["silver_label"] = cand.silver_label
     if cand.entropy is not None:
@@ -310,8 +323,9 @@ def candidate_to_dict(cand: Candidate) -> dict:
     return d
 
 
-def write_candidates(candidates, path) -> None:
+def write_candidates(candidates, path, window: int) -> None:
     ordered = sorted(candidates, key=lambda c: c.id)
     with open(path, "w", encoding="utf-8") as f:
         for cand in ordered:
-            f.write(json.dumps(candidate_to_dict(cand), ensure_ascii=False, sort_keys=True) + "\n")
+            f.write(json.dumps(candidate_to_dict(cand, window), ensure_ascii=False,
+                               sort_keys=True) + "\n")

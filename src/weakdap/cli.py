@@ -201,7 +201,7 @@ def cmd_augment(args):
     gold = load_jsonl(args.data, label_space.schema, label_space)
     plan, spec, backend, params = _generation(args, strategy, label_space.task)
     candidates = run_augmentation(gold, plan, backend, spec, label_space, params)
-    write_candidates(candidates, args.out)
+    write_candidates(candidates, args.out, FeaturizerConfig().context_window)
     produced = len(candidates)
     dropped = sum(1 for c in candidates if c.verdict.startswith("dropped"))
     print(f"produced {produced} candidates ({dropped} dropped) -> {args.out}")
@@ -249,7 +249,10 @@ def cmd_eval(args):
 
 def cmd_baseline(args):
     label_space = load_label_space(args.labels)
-    records = load_jsonl(args.data, "utterance", label_space)
+    if label_space.schema != "utterance":
+        raise ValueError(f"baseline perturbs utterances; task {label_space.task!r} "
+                         f"labels {label_space.schema}s")
+    records = load_jsonl(args.data, label_space.schema, label_space)
     out_records = baselines.perturb_records(
         records, args.method, args.seed, args.lexicon,
         **_given(args, *BASELINE_OPTIONS[args.method]))

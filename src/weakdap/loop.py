@@ -193,7 +193,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
         if out_dir:
             iter_dir = os.path.join(out_dir, f"iter_{t}")
             os.makedirs(iter_dir, exist_ok=True)
-            write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"))
+            write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"), window)
             model.save(os.path.join(iter_dir, "model.json"))
 
         stop = state.update(score, loop_cfg)
@@ -210,8 +210,10 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
 
 def snapshot(state: LoopState, records, plan: AugmentPlan, filter_cfg: FilterConfig,
              loop_cfg: LoopConfig, out_dir) -> None:
-    """Persist the complete run record (effective config, per-iteration
-    counts/scores/checkpoint references, best pointer) as run.json."""
+    """Persist the run record as run.json: the plan, filter and loop configs
+    (not the featurizer, trainer, generation or backend settings), the
+    per-iteration counts/scores/checkpoint references, the loop state and the
+    best pointer."""
     doc = {
         "config": {
             "plan": asdict(plan),

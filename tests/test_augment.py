@@ -3,12 +3,15 @@ import math
 import random
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
 from weakdap.augment import (
     AugmentPlan,
+    Candidate,
     _plan_jobs,
+    candidate_to_dict,
     cross_lingual_augment,
     normalize_text,
     ordered_map,
@@ -28,10 +31,28 @@ SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
 SPEC = PromptSpec(task="emotion")
 
 
-def read_candidates(path) -> list[tuple[dict, object]]:
-    """(document, payload record) of each line of a dialogue candidates file."""
-    docs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-    return [(d, record_from_dict(d["payload"], "dialogue")) for d in docs]
+def candidate_from_line(d: dict, gold=None) -> Candidate:
+    """The candidate a candidates.jsonl document describes. With gold (id ->
+    gold conversation), a dialogue payload is rebuilt whole: the first
+    turn_offset turns of its source, then the stored turns; without it, the
+    payload holds the stored turns alone."""
+    offset = d.get("turn_offset", 0) if gold is not None else 0
+    payload = d["payload"]
+    if payload is not None:
+        payload = record_from_dict(payload, "dialogue" if "turns" in payload else "utterance")
+    if offset:
+        payload = replace(payload, turns=gold[d["source_id"]].turns[:offset] + payload.turns)
+    return Candidate(id=d["id"], payload=payload, prescribed_label=d["prescribed_label"],
+                     strategy=d["strategy"], source_id=d["source_id"],
+                     generated_turns=tuple(i + offset for i in d.get("generated_turns", ())),
+                     silver_label=d.get("silver_label"), entropy=d.get("entropy"),
+                     verdict=d["verdict"])
+
+
+def read_candidates(path, gold=None) -> list[Candidate]:
+    """The candidates of a candidates file, rebuilt as candidate_from_line does."""
+    return [candidate_from_line(json.loads(line), gold)
+            for line in path.read_text(encoding="utf-8").splitlines()]
 
 
 class CountingBackend:
@@ -331,8 +352,8 @@ class TestRandomStrategy:
             assert instances_of([cand], SPACE, window=2) == \
                 ([turn.text], [cand.prescribed_label])
             assert candidate_instance_text(cand, SPACE, window=2) == turn.text
-        write_candidates(cands, tmp_path / "c.jsonl")
-        loaded = {d["id"]: payload for d, payload in read_candidates(tmp_path / "c.jsonl")}
+        write_candidates(cands, tmp_path / "c.jsonl", 2)
+        loaded = {c.id: c.payload for c in read_candidates(tmp_path / "c.jsonl")}
         assert all(loaded[c.id] == c.payload for c in cands)
 
     def test_speaker_cues_are_stop_markers(self):
@@ -468,14 +489,61 @@ class TestOrderedMap:
 class TestCandidatePersistence:
     def test_round_trip(self, tmp_path):
         rng = random.Random(18)
-        gold = [toy_conversation(f"g{i}", rng) for i in range(4)]
+        gold = [toy_conversation(f"g{i}", rng, n=5 + i % 3) for i in range(4)]
         plan = AugmentPlan(strategy="lta", multiplier=1.0, seed=3)
         cands = run_augmentation(gold, plan, mock_backend(), SPEC, SPACE, GenParams())
         path = tmp_path / "c.jsonl"
-        write_candidates(cands, path)
-        loaded = read_candidates(path)
-        assert sorted(d["id"] for d, _ in loaded) == sorted(c.id for c in cands)
+        write_candidates(cands, path, 1)
+        lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert all(len(d["payload"]["turns"]) == 2 for d in lines)  # context + generated
+        loaded = read_candidates(path, {g.id: g for g in gold})
+        assert sorted(c.id for c in loaded) == sorted(c.id for c in cands)
         by_id = {c.id: c for c in cands}
-        for d, payload in loaded:
-            assert payload.turns == by_id[d["id"]].payload.turns
-            assert d["prescribed_label"] == by_id[d["id"]].prescribed_label
+        for c in loaded:
+            assert c.payload == by_id[c.id].payload
+            assert c.generated_turns == by_id[c.id].generated_turns
+            assert c.prescribed_label == by_id[c.id].prescribed_label
+
+
+class TestCandidateLine:
+    """A candidate's line stores only the turns its instances read with the
+    context window: the generated turns and up to `window` turns before the
+    first. Gold's first turn_offset turns and the stored turns rebuild the
+    payload, and generated_turns index the stored turns."""
+
+    def _candidates(self, strategy):
+        """(gold, label space, candidates) of one augmentation run."""
+        plan = AugmentPlan(strategy=strategy, multiplier=2.0, seed=4)
+        if strategy == "incontext":
+            gold = utterances("r", "es", 3)
+            return gold, INTENT_SPACE, run_augmentation(
+                gold, plan, intent_backend(), INTENT_SPEC, INTENT_SPACE,
+                GenParams(mode="beam", num_return=3), en_pool=utterances("e", "en", 6))
+        rng = random.Random(23)
+        gold = [toy_conversation(f"g{i}", rng, n=5 + i % 3) for i in range(6)]
+        return gold, SPACE, run_augmentation(gold, plan, mock_backend(), SPEC, SPACE,
+                                             GenParams())
+
+    @pytest.mark.parametrize("window", [0, 1, 2])
+    @pytest.mark.parametrize("strategy", ["lta", "ata", "cta", "random", "incontext"])
+    def test_line_holds_the_turns_instances_read(self, strategy, window):
+        gold, space, cands = self._candidates(strategy)
+        gold_by_id = {g.id: g for g in gold}
+        assert cands and all(c.payload is not None for c in cands)
+        for cand in cands:
+            d = json.loads(json.dumps(candidate_to_dict(cand, window)))
+            whole = candidate_from_line(d, gold_by_id)
+            assert (whole.payload, whole.generated_turns) == (cand.payload, cand.generated_turns)
+            stored = candidate_from_line(d)
+            assert instances_of([stored], space, window) == instances_of([cand], space, window)
+            assert candidate_instance_text(stored, space, window) == \
+                candidate_instance_text(cand, space, window)
+            if strategy == "incontext":
+                assert "generated_turns" not in d and "turn_offset" not in d
+                continue
+            generated = [cand.payload.turns[i] for i in cand.generated_turns]
+            assert [stored.payload.turns[i] for i in d["generated_turns"]] == generated
+            # nothing but the read turns: the context window and the generated turns
+            first = cand.generated_turns[0]
+            assert len(stored.payload.turns) == min(first, window) + len(generated)
+            assert d.get("turn_offset", 0) == first - min(first, window)

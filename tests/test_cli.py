@@ -456,7 +456,7 @@ class TestBaselineCommand:
         out = tmp_path / "eda.jsonl"
         rc = main(["baseline", "--method", "eda",
                    "--data", str(workspace / "utterances.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
+                   "--labels", str(workspace / "intent_labels.json"),
                    "--n-aug", "2", "--seed", "0", "--out", str(out)])
         assert rc == 0
         rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
@@ -467,7 +467,7 @@ class TestBaselineCommand:
         out = tmp_path / "aeda.jsonl"
         rc = main(["baseline", "--method", "aeda",
                    "--data", str(workspace / "utterances.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
+                   "--labels", str(workspace / "intent_labels.json"),
                    "--seed", "0", "--out", str(out)])
         assert rc == 0
         rows = [json.loads(l) for l in out.read_text().strip().split("\n")]
@@ -478,7 +478,7 @@ class TestBaselineCommand:
         head = ["--config", str(config)] if config else []
         assert main([*head, "baseline", "--method", "aeda",
                      "--data", str(workspace / "utterances.jsonl"),
-                     "--labels", str(workspace / "labels.json"),
+                     "--labels", str(workspace / "intent_labels.json"),
                      "--seed", "0", "--out", str(out), *flags]) == 0
         return out.read_bytes()
 
@@ -492,6 +492,16 @@ class TestBaselineCommand:
         assert from_config == self._aeda(workspace, tmp_path / "flag1.jsonl",
                                          flags=["--alpha", "1.0"])
         assert from_flag == default
+
+    def test_dialogue_task_is_usage_error(self, workspace, tmp_path, capsys):
+        """Checked before the data is read: the data path does not exist."""
+        out = tmp_path / "eda.jsonl"
+        rc = main(["baseline", "--method", "eda", "--data", str(tmp_path / "missing.jsonl"),
+                   "--labels", str(workspace / "labels.json"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: baseline perturbs utterances; task 'emotion' labels dialogues\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("name,text", [

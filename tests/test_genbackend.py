@@ -342,11 +342,11 @@ class TestConcurrentGeneration:
                                                                    monkeypatch):
         endpoint, stats = slow_server
         monkeypatch.setattr(augment, "MAX_WORKERS", 1)
-        serial = [candidate_to_dict(c) for c in self._augment(endpoint, "cta", 12, 4)]
+        serial = [candidate_to_dict(c, 1) for c in self._augment(endpoint, "cta", 12, 4)]
         assert stats["peak"] == 1
         stats["peak"] = 0
         monkeypatch.setattr(augment, "MAX_WORKERS", 8)
-        pooled = [candidate_to_dict(c) for c in self._augment(endpoint, "cta", 12, 4)]
+        pooled = [candidate_to_dict(c, 1) for c in self._augment(endpoint, "cta", 12, 4)]
         assert 1 < stats["peak"] <= 3
         assert pooled == serial
         assert stats["requests"] == 2 * 12 * 2  # two generated turns per conversation

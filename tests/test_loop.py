@@ -185,7 +185,8 @@ class TestRunWeakdap:
         # later filtering wrote its verdicts to copies: the iteration-0 objects
         # still serialize to exactly what iteration 0 wrote
         pool0 = sorted(pools[0], key=lambda c: c.id)
-        assert [json.dumps(augment.candidate_to_dict(c), ensure_ascii=False, sort_keys=True)
+        assert [json.dumps(augment.candidate_to_dict(c, FEAT.context_window),
+                           ensure_ascii=False, sort_keys=True)
                 for c in pool0] \
             == (tmp_path / "iter_0/candidates.jsonl").read_text().splitlines()
         assert all(c.silver_label is None and c.entropy is None for c in pool0)
@@ -354,13 +355,15 @@ class TestGoldenRunDirectories:
     digests and says why."""
 
     @pytest.mark.parametrize("strategy,regen,digest", [
+        # LTA, CTA and ATA: computed when candidate lines began to store only
+        # the turns their instances read (run.json and model.json unchanged)
+        ("lta", "fresh", "2f19c474c1719edfd93974ef4262e4bf021e7e939daad5c23eb71475845e7bff"),
+        ("cta", "fresh", "abb7af08ab55414606e8beba642e5399094d02221202bea33f0fa6dda4d9f77c"),
+        ("ata", "fresh", "9573a098da7be44ee6233a2e5585331ed4a3417f42071ec957328b50d6f06a66"),
         # computed before the trainer step ran against the whole weight block
-        ("lta", "fresh", "80f608ca92dc2a34fce5d1be43bca98f66c113ed457f0d58b5f587dd1ecd9c45"),
-        ("cta", "fresh", "b555eae567d87236a8633e72254b5def66acce71bd0f20bef0dc6bfa4ebf6d1b"),
         ("incontext", "refilter", "0e175974016ac55e1e71b7405c65f6c201c0d0d3c26324b899332ae5e9773820"),
-        # ATA, and `random`'s context-free generated turns: computed before
-        # the featurizer memoized token pairs
-        ("ata", "fresh", "68f202ec7b7f56af4895502f0a15b4a102e885573596dff0dc3e42ad3c68083d"),
+        # `random`'s context-free generated turns: computed before the
+        # featurizer memoized token pairs
         ("random", "fresh", "de954b8469935bf32686ee7cc5f2d4ea2354af764fc04666d4efaa7d03abfea8"),
     ])
     def test_run_directory_digest(self, strategy, regen, digest, tmp_path):
