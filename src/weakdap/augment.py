@@ -14,7 +14,8 @@ conversations instead of the dialogue, and its candidate is the generated
 turn alone. The in-context strategy prompts with same-intent English examples
 and a Spanish reference and keeps up to three beams that duplicate no gold
 text; the Spanish gold utterances are the references, the English ones (or a
-separate English pool) the examples.
+separate English pool) the examples. Both draw their examples from one
+label-keyed index through `draw_examples`.
 
 Generation order never affects results: every candidate's seed is derived
 from (plan seed, pass index, source id, position), so the scheduler generates
@@ -83,14 +84,6 @@ class AugmentPlan:
             raise ValueError("multiplier must be > 0")
 
 
-def _labeled_turn(speaker: str, text: str, label: str, task: str) -> Turn:
-    if task == "emotion":
-        return Turn(speaker=speaker, text=text, emotion=label)
-    if task == "act":
-        return Turn(speaker=speaker, text=text, act=label)
-    raise CorpusError(f"no dialogue turn label for task {task!r}")
-
-
 def prescribe_label(gold_turn: Turn, label_space: LabelSpace, mode: str,
                     rng: random.Random) -> str:
     """Label for a replaced turn: the gold turn's own label, or a seeded
@@ -103,33 +96,41 @@ def prescribe_label(gold_turn: Turn, label_space: LabelSpace, mode: str,
     return label
 
 
+def draw_examples(index, label: str, k: int, rng: random.Random, source=None) -> list[str]:
+    """Up to k example texts of `label` from an example index (label ->
+    [(source record id, text)]), drawn by rng.sample in index order; the
+    texts of record `source` are left out."""
+    texts = [text for record_id, text in index.get(label, ()) if record_id != source]
+    return rng.sample(texts, min(k, len(texts)))
+
+
 def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, cand_id: str,
                   plan: AugmentPlan, backend, spec: PromptSpec, label_space: LabelSpace,
-                  params: GenParams, pool=None) -> Candidate:
+                  params: GenParams, index=None) -> Candidate:
     """One candidate from generating the 1-based turns of `steps`, a list of
     consecutive (turn index, generation seed) pairs. Turns before the first
     step are gold, every generated turn is context for the later steps, and
     the candidate ends at the last step. Labels are drawn from rng in step
-    order; a parse failure drops the whole candidate. With a pool (label ->
-    [(conversation id, turn text)]) a turn is generated without context: its
-    prompt holds up to k_examples turns of other conversations drawn from rng
-    after the label, and the candidate holds the generated turns alone."""
-    turns = [] if pool is not None else list(conv.turns[: steps[0][0] - 1])
+    order; a parse failure drops the whole candidate. With an example index
+    (see draw_examples) a turn is generated without context: its prompt holds
+    up to k_examples turns of other conversations drawn from rng after the
+    label, and the candidate holds the generated turns alone."""
+    turns = [] if index is not None else list(conv.turns[: steps[0][0] - 1])
     stop = tuple(params.stop_markers) + tuple(f"{n} " for n in spec.speaker_names)
     for i, seed in steps:
         target = conv.turns[i - 1]
         label = prescribe_label(target, label_space, plan.label_mode, rng)
-        if pool is None:
+        if index is None:
             prompt = render_dialogue_prompt(turns, spec, label)
         else:
-            others = [text for cid, text in pool.get(label, ()) if cid != conv.id]
-            examples = rng.sample(others, min(spec.k_examples, len(others)))
+            examples = draw_examples(index, label, spec.k_examples, rng, conv.id)
             prompt = render_context_free_prompt(examples, spec, target.speaker, label)
         completion = generate(prompt, replace(params, seed=seed, stop_markers=stop), backend)[0]
         if completion.parsed is None:
             return Candidate(id=cand_id, payload=None, prescribed_label=label,
                              strategy=strategy, source_id=conv.id, verdict="dropped_parse")
-        turns.append(_labeled_turn(target.speaker, completion.parsed, label, label_space.task))
+        turns.append(Turn(speaker=target.speaker, text=completion.parsed,
+                          **{label_space.task: label}))
     payload = Conversation(id=cand_id, turns=tuple(turns), provenance="silver",
                            source_id=conv.id)
     return Candidate(id=cand_id, payload=payload, prescribed_label=label, strategy=strategy,
@@ -152,35 +153,33 @@ def visit_steps(conv: Conversation, strategy: str, seed: int) -> list[tuple]:
     return [("random" if strategy == "random" else "lta", "", [(conv.n, seed)], seed)]
 
 
-def cross_lingual_augment(ref: LabeledUtterance, pool, backend, spec: PromptSpec,
+def cross_lingual_augment(ref: LabeledUtterance, index, backend, spec: PromptSpec,
                           params: GenParams, id_prefix: str,
                           gold_keys=frozenset(), seed: int = 0) -> list[Candidate]:
-    """Beam-generate up to BEAM_CAP new Spanish utterances for the reference's
-    intent, mixing it with seeded same-intent English examples from the pool;
-    duplicates of gold (gold_keys holds the gold texts after normalize_text)
-    or of earlier sequences are rejected."""
-    rng = random.Random(seed)
-    same_intent = [u for u in pool if u.intent == ref.intent]
-    k = min(spec.k_examples, len(same_intent))
-    examples = rng.sample(same_intent, k) if k else []
+    """Beam-generate params.num_return new Spanish utterances for the
+    reference's intent, mixing it with up to k_examples English examples of
+    that intent drawn from the example index (see draw_examples) with a
+    generator seeded by `seed`. A beam that does not parse is a dropped_parse
+    candidate; one that duplicates gold (gold_keys holds the gold texts after
+    normalize_text) or an earlier beam is discarded."""
+    examples = draw_examples(index, ref.intent, spec.k_examples, random.Random(seed))
     prompt = render_intent_prompt(ref, examples)
-    beam_params = replace(params, seed=seed, mode="beam",
-                          num_return=min(params.num_return, BEAM_CAP))
-    completions = generate(prompt, beam_params, backend)
-    seen = set(gold_keys)
+    completions = generate(prompt, replace(params, seed=seed, mode="beam"), backend)
+    seen = set()
     out = []
     for j, c in enumerate(completions):
-        if c.parsed is None:
-            continue
-        key = normalize_text(c.parsed)
-        if key in seen:
-            continue
-        seen.add(key)
         cand_id = f"{id_prefix}-b{j}"
-        payload = LabeledUtterance(id=cand_id, text=c.parsed, intent=ref.intent, lang="es",
-                                   provenance="silver", source_id=ref.id)
+        payload = None
+        if c.parsed is not None:
+            key = normalize_text(c.parsed)
+            if key in gold_keys or key in seen:
+                continue
+            seen.add(key)
+            payload = LabeledUtterance(id=cand_id, text=c.parsed, intent=ref.intent, lang="es",
+                                       provenance="silver", source_id=ref.id)
         out.append(Candidate(id=cand_id, payload=payload, prescribed_label=ref.intent,
                              strategy="incontext", source_id=ref.id,
+                             verdict="pending" if payload is not None else "dropped_parse",
                              hidden_label=c.hidden_label))
     return out
 
@@ -219,10 +218,10 @@ def _plan_jobs(gold, plan: AugmentPlan, num_return: int = 1) -> list[tuple]:
     """Budget scheduler: repeated full passes over gold with fresh seeds until
     ceil(multiplier * |gold|) candidate slots are planned; the final partial
     pass visits a seeded uniform shuffle of gold. Returns one (record,
-    candidate id prefix, seed, slots) job per visit, in output order. A visit
-    has min(num_return, BEAM_CAP) slots in-context and one per layout of
-    visit_steps otherwise; the last job keeps only what is left of the
-    budget."""
+    candidate id prefix, seed, slots) job per visit, in output order. A
+    visit's slots are its beam indices range(min(num_return, BEAM_CAP))
+    in-context and the layouts of visit_steps otherwise; the last job keeps
+    only the first slots, as many as are left of the budget."""
     target = math.ceil(plan.multiplier * len(gold))
     jobs = []
     planned = 0
@@ -236,14 +235,23 @@ def _plan_jobs(gold, plan: AugmentPlan, num_return: int = 1) -> list[tuple]:
                 break
             seed = stable_seed(f"{plan.seed}|{pass_idx}|{rec.id}")
             if plan.strategy == "incontext":
-                slots = min(num_return, BEAM_CAP)
+                slots = range(min(num_return, BEAM_CAP))
             else:
-                slots = len(visit_steps(rec, plan.strategy, seed))
-            keep = min(slots, target - planned)
-            jobs.append((rec, f"{rec.id}-s{plan.strategy}-p{pass_idx}", seed, keep))
-            planned += keep
+                slots = visit_steps(rec, plan.strategy, seed)
+            slots = slots[: target - planned]
+            jobs.append((rec, f"{rec.id}-s{plan.strategy}-p{pass_idx}", seed, slots))
+            planned += len(slots)
         pass_idx += 1
     return jobs
+
+
+def _example_index(entries) -> dict:
+    """The example index (label -> [(source record id, text)]) of
+    (label, record id, text) entries, in entry order."""
+    index = {}
+    for label, record_id, text in entries:
+        index.setdefault(label, []).append((record_id, text))
+    return index
 
 
 def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
@@ -252,41 +260,39 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     """Candidates for the jobs of _plan_jobs, generated concurrently across
     source records (see ordered_map) and returned in plan order. Never
     produces more than the budget; parse failures count as produced
-    candidates. The strategy must fit the records' schema. The `random`
-    strategy draws its examples from the turns of all gold conversations.
-    In-context, the references (and the budget's base) are the gold
-    utterances not in English; the examples come from en_pool, or else from
-    the English gold utterances, so no record is both."""
+    candidates. The strategy must fit the records' schema. Examples come from
+    one index built here: for `random` the turns of all gold conversations
+    under their labels, in-context the utterances of en_pool, or else the
+    English gold utterances, under their intents. In-context, the references
+    (and the budget's base) are the gold utterances not in English, so no
+    record is both."""
     gold = list(gold)
     dialogue = plan.strategy != "incontext"
     if any(isinstance(rec, Conversation) != dialogue for rec in gold):
         raise ValueError(f"strategy {plan.strategy!r} needs "
                          f"{'dialogue' if dialogue else 'utterance'} records")
-    turn_pool = None
+    index = None
     if plan.strategy == "random":
-        turn_pool = {}
-        for conv in gold:
-            for turn in conv.turns:
-                turn_pool.setdefault(turn.label(label_space.task), []).append(
-                    (conv.id, turn.text))
+        index = _example_index((turn.label(label_space.task), conv.id, turn.text)
+                               for conv in gold for turn in conv.turns)
     if not dialogue:
         gold_keys = frozenset(normalize_text(u.text) for u in gold)
         english = [u for u in gold if u.lang == "en"]
-        pool = en_pool if en_pool is not None else english
+        index = _example_index((u.intent, u.id, u.text)
+                               for u in (en_pool if en_pool is not None else english))
         gold = [u for u in gold if u.lang != "en"]
         if english and not gold:
             raise ValueError("in-context augmentation needs non-English references")
 
     def run(job) -> list[Candidate]:
-        rec, prefix, seed, keep = job
-        if plan.strategy == "incontext":
-            return cross_lingual_augment(rec, pool, backend, spec,
-                                         replace(params, num_return=keep), prefix,
+        rec, prefix, seed, slots = job
+        if not dialogue:
+            return cross_lingual_augment(rec, index, backend, spec,
+                                         replace(params, num_return=len(slots)), prefix,
                                          gold_keys, seed)
-        # cut before generating: only kept layouts send requests
         return [replace_turns(rec, steps, random.Random(rng_seed), name, prefix + suffix,
-                              plan, backend, spec, label_space, params, turn_pool)
-                for name, suffix, steps, rng_seed in visit_steps(rec, plan.strategy, seed)[:keep]]
+                              plan, backend, spec, label_space, params, index)
+                for name, suffix, steps, rng_seed in slots]
 
     jobs = _plan_jobs(gold, plan, params.num_return)
     return [c for cands in ordered_map(run, jobs) for c in cands]

@@ -11,9 +11,10 @@ like the flag's, and a key that nothing reads is rejected. An option neither
 sets keeps the default of the dataclass it fills (AugmentPlan, GenParams,
 MockGenConfig, FilterConfig, LoopConfig, EdaConfig, AedaConfig); only seed
 and backend default here. The mock backend is configured by a JSON template
-file mapping each label to a list of utterances; the HTTP backend reads its
-endpoint from --endpoint, the config file, or else WEAKDAP_ENDPOINT. Exit
-code 2 means a usage or input error, 1 a backend that failed for good.
+file mapping each label of the label space to a list of utterances, checked
+before any generation; the HTTP backend reads its endpoint from --endpoint,
+the config file, or else WEAKDAP_ENDPOINT. Exit code 2 means a usage or
+input error, 1 a backend that failed for good.
 """
 from __future__ import annotations
 
@@ -137,25 +138,29 @@ def _given(args, *keys, **renamed) -> dict:
     return {field: value for field, value in values.items() if value is not None}
 
 
-def _make_backend(args):
+def _make_backend(args, labels):
     if args.backend == "mock":
         if not args.mock_templates:
             raise ValueError("mock backend needs --mock-templates")
         with open(args.mock_templates, encoding="utf-8") as f:
             templates = json.load(f)
-        return MockBackend(MockGenConfig(templates=templates, seed=args.seed,
-                                         **_given(args, "noise_rate")))
+        config = MockGenConfig(templates=templates, seed=args.seed, **_given(args, "noise_rate"))
+        missing = [label for label in labels if label not in templates]
+        if missing:
+            raise ValueError(f"mock templates have no label {', '.join(map(repr, missing))}")
+        return MockBackend(config)
     if args.backend == "http":
         return HttpBackend(endpoint=args.endpoint)
     raise ValueError(f"unknown backend {args.backend!r}")
 
 
-def _generation(args, strategy: str, task: str):
+def _generation(args, strategy: str, label_space):
     """The (AugmentPlan, PromptSpec, backend, GenParams) of augment and weakdap."""
     plan = AugmentPlan(strategy=strategy, seed=args.seed,
                        **_given(args, "multiplier", "label_mode"))
     params = GenParams(**_given(args, "top_p", "max_new_tokens"))
-    return plan, PromptSpec(task=task), _make_backend(args), params
+    backend = _make_backend(args, label_space.labels)
+    return plan, PromptSpec(task=label_space.task), backend, params
 
 
 def cmd_sample(args):
@@ -199,7 +204,7 @@ def cmd_augment(args):
     label_space = load_label_space(args.labels)
     strategy = _strategy(args, label_space)
     gold = load_jsonl(args.data, label_space.schema, label_space)
-    plan, spec, backend, params = _generation(args, strategy, label_space.task)
+    plan, spec, backend, params = _generation(args, strategy, label_space)
     candidates = run_augmentation(gold, plan, backend, spec, label_space, params)
     write_candidates(candidates, args.out, FeaturizerConfig().context_window)
     produced = len(candidates)
@@ -223,7 +228,7 @@ def cmd_weakdap(args):
     dataset = Dataset(label_space=label_space,
                       train=load_jsonl(args.train, label_space.schema, label_space),
                       validation=load_jsonl(args.val, label_space.schema, label_space))
-    plan, spec, backend, params = _generation(args, strategy, label_space.task)
+    plan, spec, backend, params = _generation(args, strategy, label_space)
     filter_cfg = FilterConfig(**_given(args, percentile="filter_percentile"))
     loop_cfg = LoopConfig(**_given(args, "epsilon", "patience", "max_iterations",
                                    "metric", "regen"))

@@ -45,11 +45,11 @@ class Turn:
             raise CorpusError("turn text is empty after trimming")
 
     def label(self, task: str) -> str | None:
-        if task == "emotion":
-            return self.emotion
-        if task == "act":
-            return self.act
-        raise CorpusError(f"turns carry no {task!r} label")
+        """The label field named after the task; a task that does not label
+        dialogues raises CorpusError."""
+        if TASK_SCHEMAS.get(task) != "dialogue":
+            raise CorpusError(f"turns carry no {task!r} label")
+        return getattr(self, task)
 
 
 @dataclass(frozen=True)

@@ -119,9 +119,9 @@ class HttpBackend:
     [0, backoff * 2^k) before retry k+1 so concurrent callers do not retry
     in lockstep, then raises BackendError. A certificate that fails
     verification, or any other answer, such as a 3xx or 4xx or a body that
-    is not JSON with a list of completions, raises at once. In-flight
-    requests are capped by a semaphore so concurrent augmentation cannot
-    overload the server. An explicit endpoint beats WEAKDAP_ENDPOINT.
+    is not JSON with a list of exactly n completion strings, raises at once.
+    In-flight requests are capped by a semaphore so concurrent augmentation
+    cannot overload the server. An explicit endpoint beats WEAKDAP_ENDPOINT.
     """
 
     def __init__(self, endpoint: str | None = None, max_parallel: int = 4,
@@ -194,15 +194,15 @@ class HttpBackend:
                 last_err = e
             else:
                 if status < 500:
-                    return self._completions(status, answer)
+                    return self._completions(status, answer, params.num_return)
                 last_err = f"HTTP {status}"
             if attempt < self.max_attempts:
                 time.sleep(random.uniform(0, self.backoff * 2 ** (attempt - 1)))
         raise BackendError(f"backend unreachable after {self.max_attempts} attempts: {last_err}")
 
     @staticmethod
-    def _completions(status: int, answer: bytes) -> list[Completion]:
-        """The completions of a final (non-5xx) answer, or BackendError."""
+    def _completions(status: int, answer: bytes, n: int) -> list[Completion]:
+        """The n completions of a final (non-5xx) answer, or BackendError."""
         if not 200 <= status < 300:
             raise BackendError(f"backend request failed: HTTP {status}")
         try:
@@ -211,6 +211,9 @@ class HttpBackend:
             raise BackendError(f"backend request failed: bad answer: {e!r}") from e
         if not isinstance(texts, list) or not all(isinstance(t, str) for t in texts):
             raise BackendError("backend request failed: completions are not a list of strings")
+        if len(texts) != n:
+            raise BackendError(f"backend request failed: {len(texts)} completions, "
+                               f"asked for {n}")
         return [Completion(raw=t, parsed=None) for t in texts]
 
 

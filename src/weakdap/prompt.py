@@ -111,14 +111,10 @@ def render_context_free_prompt(examples, spec: PromptSpec, speaker: str,
 
 
 def render_intent_prompt(reference: LabeledUtterance, examples) -> RenderedPrompt:
-    """Cross-lingual in-context prompt: English same-intent examples, the
-    Spanish reference, then a cue asking for a new Spanish utterance."""
-    examples = list(examples)
-    for ex in examples:
-        if ex.intent != reference.intent:
-            raise PromptError(
-                f"example intent {ex.intent!r} does not match reference {reference.intent!r}")
-    lines = [f"English: {ex.text} => intent: {ex.intent}" for ex in examples]
+    """Cross-lingual in-context prompt: English example texts, each rendered
+    under the reference's intent, the Spanish reference, then a cue asking
+    for a new Spanish utterance."""
+    lines = [f"English: {text} => intent: {reference.intent}" for text in examples]
     lines.append(f"Spanish: {reference.text} => intent: {reference.intent}")
     lines.append("Spanish (new, same intent):")
     return RenderedPrompt(text="\n".join(lines), prescribed_label=reference.intent)

@@ -119,14 +119,6 @@ def instances_of(records, label_space: LabelSpace, window: int = 1):
     return texts, labels
 
 
-def candidate_instance_text(cand: Candidate, label_space: LabelSpace, window: int = 1) -> str:
-    """Scoring instance for a candidate: the last of its instances_of, so a
-    dialogue candidate's final generated turn in context."""
-    if cand.payload is None:
-        raise WeakLabelError(f"candidate {cand.id!r} has no payload")
-    return instances_of([cand], label_space, window)[0][-1]
-
-
 class HashedFeaturizer:
     """Sparse hashed word n-gram + character trigram features (crc32, stable
     across processes).
@@ -474,8 +466,11 @@ def nearest_rank_threshold(entropies, percentile: float) -> float:
 
 
 def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
-                      window: int | None = None) -> list[Candidate]:
-    """Assign silver labels and entropies, then apply the percentile rule.
+                      window: int | None = None) -> None:
+    """Assign silver labels and entropies, then apply the percentile rule, in
+    place. A candidate with a payload and a pending verdict is scored by the
+    last text of its instances_of, so a dialogue candidate by its final
+    generated turn in context.
 
     Candidates whose silver label matches the prescription are kept
     unconditionally. Among the mismatched ones, those at or above the P-th
@@ -487,8 +482,8 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
         window = model.featurizer.config.context_window
     scorable = [c for c in candidates if c.payload is not None and c.verdict == "pending"]
     if not scorable:
-        return list(candidates)
-    probs = model.predict_proba([candidate_instance_text(c, model.label_space, window)
+        return
+    probs = model.predict_proba([instances_of([c], model.label_space, window)[0][-1]
                                  for c in scorable])
     mismatched = []
     for cand, p in zip(scorable, probs):
@@ -502,7 +497,6 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
         tau = nearest_rank_threshold([c.entropy for c in mismatched], config.percentile)
         for cand in mismatched:
             cand.verdict = "kept" if cand.entropy >= tau else "dropped_mismatch"
-    return list(candidates)
 
 
 def planted_noise_retention(candidates) -> dict:

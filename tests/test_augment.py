@@ -5,6 +5,7 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from weakdap.augment import (
@@ -13,6 +14,7 @@ from weakdap.augment import (
     _plan_jobs,
     candidate_to_dict,
     cross_lingual_augment,
+    draw_examples,
     normalize_text,
     ordered_map,
     replace_turns,
@@ -21,9 +23,9 @@ from weakdap.augment import (
     write_candidates,
 )
 from weakdap.corpus import LabelSpace, LabeledUtterance, record_from_dict
-from weakdap.genbackend import GenParams, MockBackend, MockGenConfig
+from weakdap.genbackend import Completion, GenParams, MockBackend, MockGenConfig
 from weakdap.prompt import PromptSpec
-from weakdap.weaklabel import candidate_instance_text, instances_of
+from weakdap.weaklabel import FilterConfig, filter_candidates, instances_of
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
@@ -205,7 +207,17 @@ class TestTrajectory:
         assert labels == [turns[i].emotion for i in (2, 3, 4)]
         assert labels[-1] == cand.prescribed_label
         assert turns[2].text != conv.turns[2].text and turns[3].text != conv.turns[3].text
-        assert candidate_instance_text(cand, SPACE, window=1) == expected[-1]
+        scored = []
+
+        class RecordingModel:
+            label_space = SPACE
+
+            def predict_proba(self, texts):
+                scored.extend(texts)
+                return np.full((len(texts), len(SPACE.labels)), 1 / len(SPACE.labels))
+
+        filter_candidates([cand], RecordingModel(), FilterConfig(), window=1)
+        assert scored == [expected[-1]]  # the filter scores the last generated turn
 
     def test_parse_failure_aborts_candidate(self):
         backend = MockBackend(MockGenConfig(templates={l: [" "] for l in TOY_LABELS}))
@@ -225,9 +237,14 @@ class TestCrossLingual:
         spec = PromptSpec(task="intent")
         return ref, pool, backend, spec
 
+    @staticmethod
+    def _index(pool):
+        return {"alarm/set": [(u.id, u.text) for u in pool]}
+
     def test_distinct_beams_all_kept(self):
         ref, pool, backend, spec = self._setup()
-        cands = cross_lingual_augment(ref, pool, backend, spec, GenParams(num_return=3), "r")
+        cands = cross_lingual_augment(ref, self._index(pool), backend, spec,
+                                      GenParams(num_return=3), "r")
         assert 1 <= len(cands) <= 3
         texts = [c.payload.text for c in cands]
         assert len(set(texts)) == len(texts)
@@ -237,14 +254,59 @@ class TestCrossLingual:
     def test_gold_duplicate_dropped(self):
         ref, pool, backend, spec = self._setup()
         gold_keys = {"despiertame a las siete", "alarma para las ocho", "pon el despertador"}
-        cands = cross_lingual_augment(ref, pool, backend, spec, GenParams(num_return=3), "r",
-                                      gold_keys=gold_keys)
+        cands = cross_lingual_augment(ref, self._index(pool), backend, spec,
+                                      GenParams(num_return=3), "r", gold_keys=gold_keys)
         assert cands == []
 
     def test_cap_at_three_sequences(self):
         ref, pool, backend, spec = self._setup()
-        cands = cross_lingual_augment(ref, pool, backend, spec, GenParams(num_return=5), "r")
+        counting = CountingBackend(backend)
+        plan = AugmentPlan(strategy="incontext", multiplier=3.0)
+        space = LabelSpace(task="intent", labels=("alarm/set",))
+        cands = run_augmentation([ref], plan, counting, spec, space, GenParams(num_return=5),
+                                 en_pool=pool)
+        assert [params.num_return for params, _ in counting.requests] == [3]
         assert len(cands) <= 3
+
+    def test_unparsable_beam_is_recorded_and_duplicate_discarded(self):
+        ref, pool, _, spec = self._setup()
+
+        class Fixed:
+            def complete(self, prompt, params):
+                return [Completion(raw=t, parsed=None, hidden_label="alarm/set")
+                        for t in ("  ", "otra alarma", "Otra  ALARMA")]
+
+        cands = cross_lingual_augment(ref, self._index(pool), Fixed(), spec,
+                                      GenParams(num_return=3), "r")
+        assert [(c.id, c.verdict) for c in cands] == [("r-b0", "dropped_parse"),
+                                                      ("r-b1", "pending")]
+        assert cands[0].payload is None and cands[0].prescribed_label == "alarm/set"
+        assert cands[1].payload.text == "otra alarma"
+
+    def test_draws_keep_an_english_record_sharing_the_reference_id(self):
+        ref, pool, backend, spec = self._setup()
+        pool = pool[:3] + [replace(pool[3], id=ref.id)]
+        counting = CountingBackend(backend)
+        cross_lingual_augment(ref, self._index(pool), counting, spec, GenParams(), "r")
+        ((_, prompt),) = counting.requests
+        assert sorted(prompt.split("\n")[:4]) == \
+            sorted(f"English: {u.text} => intent: alarm/set" for u in pool)
+
+
+class TestDrawExamples:
+    INDEX = {"a": [("c1", "one"), ("c2", "two"), ("c1", "three"), ("c3", "four")],
+             "b": [("c2", "five")]}
+
+    def test_same_label_texts_of_other_records(self):
+        drawn = draw_examples(self.INDEX, "a", 10, random.Random(0), "c1")
+        assert sorted(drawn) == ["four", "two"]
+        assert draw_examples(self.INDEX, "b", 10, random.Random(0), "c2") == []
+        assert draw_examples(self.INDEX, "missing", 10, random.Random(0)) == []
+
+    def test_at_most_k_drawn_by_sample(self):
+        texts = ["one", "two", "three", "four"]
+        assert draw_examples(self.INDEX, "a", 2, random.Random(5)) == \
+            random.Random(5).sample(texts, 2)
 
 
 class TestDedup:
@@ -296,9 +358,12 @@ class TestBudgetScheduler:
         assert len(cands) == 6
         assert backend.calls == 6
         # generating every turn and cutting the list gives the same candidates
-        expected = [c for conv, prefix, seed, keep in _plan_jobs(gold, plan)
+        jobs = _plan_jobs(gold, plan)
+        assert all(slots == visit_steps(conv, "ata", seed)[:len(slots)]
+                   for conv, _, seed, slots in jobs)
+        expected = [c for conv, prefix, seed, slots in jobs
                     for c in generate_visit(conv, seed, plan, prefix,
-                                            mock_backend(noise_rate=0.3))[:keep]]
+                                            mock_backend(noise_rate=0.3))[:len(slots)]]
         assert cands == expected
 
     def test_deterministic(self):
@@ -351,7 +416,6 @@ class TestRandomStrategy:
             assert cand.generated_turns == (0,)
             assert instances_of([cand], SPACE, window=2) == \
                 ([turn.text], [cand.prescribed_label])
-            assert candidate_instance_text(cand, SPACE, window=2) == turn.text
         write_candidates(cands, tmp_path / "c.jsonl", 2)
         loaded = {c.id: c.payload for c in read_candidates(tmp_path / "c.jsonl")}
         assert all(loaded[c.id] == c.payload for c in cands)
@@ -396,7 +460,7 @@ class TestInContextBudget:
         refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
         plan, backend, cands = self._run(refs, 2.0, 1, en_pool=pool)
         jobs = _plan_jobs(refs, plan, 1)
-        assert sum(keep for *_, keep in jobs) == 16
+        assert sum(len(slots) for *_, slots in jobs) == 16
         assert backend.calls == 16
         assert len(cands) == 16
         assert len({c.id for c in cands}) == 16
@@ -438,6 +502,20 @@ class TestInContextBudget:
             assert reference not in examples
             references.add(reference)
         assert references == {u.text for u in spanish}
+
+    def test_unparsable_beams_are_dropped_parse_candidates(self):
+        refs = utterances("r", "es", 2)
+        backend = MockBackend(MockGenConfig(templates={intent: ["   "] for intent in INTENTS}))
+        for num_return, multiplier in ((1, 1.0), (3, 3.0)):
+            plan = AugmentPlan(strategy="incontext", multiplier=multiplier, seed=5)
+            cands = run_augmentation(refs, plan, backend, INTENT_SPEC, INTENT_SPACE,
+                                     GenParams(num_return=num_return))
+            assert [c.id for c in cands] == [f"{prefix}-b{j}"
+                                             for _, prefix, _, slots
+                                             in _plan_jobs(refs, plan, num_return)
+                                             for j in slots]
+            assert len(cands) == 4 * num_return
+            assert all(c.verdict == "dropped_parse" and c.payload is None for c in cands)
 
     def test_english_only_gold_has_no_references(self):
         with pytest.raises(ValueError, match="non-English"):
@@ -536,8 +614,6 @@ class TestCandidateLine:
             assert (whole.payload, whole.generated_turns) == (cand.payload, cand.generated_turns)
             stored = candidate_from_line(d)
             assert instances_of([stored], space, window) == instances_of([cand], space, window)
-            assert candidate_instance_text(stored, space, window) == \
-                candidate_instance_text(cand, space, window)
             if strategy == "incontext":
                 assert "generated_turns" not in d and "turn_offset" not in d
                 continue

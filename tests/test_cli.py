@@ -6,6 +6,8 @@ import random
 import re
 import shlex
 import socket
+import threading
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -197,12 +199,40 @@ class TestAugment:
             args = parser.parse_args(["augment", "--data", "d", "--labels", "l",
                                       "--out", "o", "--backend", "http", *flags])
             _fill_options(args, config)
-            return _make_backend(args).endpoint
+            return _make_backend(args, ()).endpoint
 
         assert endpoint([], {}) == "http://env"
         assert endpoint([], {"endpoint": "http://config"}) == "http://config"
         assert endpoint(["--endpoint", "http://flag"],
                         {"endpoint": "http://config"}) == "http://flag"
+
+    def test_answer_without_completions_is_clean_error(self, workspace, tmp_path, capsys):
+        class Empty(BaseHTTPRequestHandler):
+            def do_POST(self):
+                self.rfile.read(int(self.headers["Content-Length"]))
+                self.send_response(200)
+                self.end_headers()
+                self.wfile.write(b'{"completions": []}')
+
+            def log_message(self, *args):
+                pass
+
+        server = HTTPServer(("127.0.0.1", 0), Empty)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            rc = main(["augment", "--data", str(workspace / "train.jsonl"),
+                       "--labels", str(workspace / "labels.json"), "--backend", "http",
+                       "--endpoint", f"http://127.0.0.1:{server.server_port}",
+                       "--out", str(tmp_path / "c.jsonl")])
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: backend request failed: 0 completions, asked for 1\n"
+        assert not (tmp_path / "c.jsonl").exists()
 
     def test_mock_backend_requires_templates(self, workspace, tmp_path, capsys):
         rc = main(["augment", "--data", str(workspace / "train.jsonl"),
@@ -406,6 +436,17 @@ class TestWeakdapCommand:
         assert calls == []
         assert not (out / "run.json").exists()
 
+    def test_templates_missing_a_label_exit_2_before_generation(self, workspace, tmp_path,
+                                                                capsys):
+        templates = {label: ["some text"] for label in TOY_LABELS if label != "anger"}
+        (tmp_path / "templates.json").write_text(json.dumps(templates))
+        args = _weakdap_args(workspace, tmp_path / "out")
+        args[args.index("--mock-templates") + 1] = str(tmp_path / "templates.json")
+        rc = main(args)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: mock templates have no label 'anger'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         main(_weakdap_args(workspace, a))
@@ -510,9 +551,10 @@ class TestBaselineCommand:
     ("labels.json", '{"labels": ["neutral"]}'),
     ("templates.json", '["neutral"]'),
     ("templates.json", '{"neutral": "ok then"}'),
+    ("templates.json", '{"neutral": ["ok then"]}'),
     ("train.jsonl", None),
 ], ids=["unknown-backend", "config-not-json", "labels-without-task", "templates-not-object",
-        "template-string", "missing-data"])
+        "template-string", "templates-missing-labels", "missing-data"])
 def test_usage_errors_exit_2(workspace, tmp_path, capsys, name, text):
     """One input file of an augment run replaced by text, or missing if None."""
     paths = {n: workspace / n for n in ("labels.json", "templates.json", "train.jsonl")}

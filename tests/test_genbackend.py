@@ -203,7 +203,10 @@ class TestHttpBackend:
     @pytest.mark.parametrize("status, reply", [(400, b""), (200, b"not json"),
                                                (200, b'{"no": "completions"}'),
                                                (302, b""),  # redirects are not followed
-                                               (200, b'{"completions": "one text"}')])
+                                               (200, b'{"completions": "one text"}'),
+                                               # n is 1: not exactly n completions
+                                               (200, b'{"completions": []}'),
+                                               (200, b'{"completions": ["a", "b"]}')])
     def test_non_transient_failure_is_not_retried(self, http_server, status, reply):
         _Handler.fail_times = 10
         _Handler.fail_with = (status, reply)

@@ -776,7 +776,7 @@ class TestFilter:
         assert all(c.silver_label is not None and c.entropy is not None for c in cands)
 
     def test_empty_list(self):
-        assert filter_candidates([], _StubModel({}, SPACE), FilterConfig()) == []
+        assert filter_candidates([], _StubModel({}, SPACE), FilterConfig()) is None
 
     def test_matches_brute_force_oracle_random_batches(self):
         rng = np.random.default_rng(6)
