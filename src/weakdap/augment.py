@@ -32,7 +32,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn, record_to_dict
+from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn, to_dict
 from .genbackend import GenParams, generate, stable_seed
 from .prompt import (
     PromptSpec,
@@ -315,7 +315,7 @@ def candidate_to_dict(cand: Candidate, window: int) -> dict:
         "strategy": cand.strategy,
         "source_id": cand.source_id,
         "prescribed_label": cand.prescribed_label,
-        "payload": record_to_dict(payload) if payload is not None else None,
+        "payload": to_dict(payload) if payload is not None else None,
         "verdict": cand.verdict,
     }
     if generated:

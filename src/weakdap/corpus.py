@@ -14,12 +14,10 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field
 
 SPEAKERS = ("A", "B")
 
-EMOTION_LABELS = ("neutral", "anger", "disgust", "fear", "happiness", "sadness", "surprise")
-ACT_LABELS = ("inform", "question", "directive", "commissive")
 # the record shape each task labels: emotion and act are turn labels of
 # dialogues, intent a label of single utterances
 TASK_SCHEMAS = {"emotion": "dialogue", "act": "dialogue", "intent": "utterance"}
@@ -102,13 +100,18 @@ class LabelSpace:
     majority: int | None = None
 
     def __post_init__(self):
-        if self.task not in TASK_SCHEMAS:
+        if not isinstance(self.task, str) or self.task not in TASK_SCHEMAS:
             raise CorpusError(f"task must be one of {tuple(TASK_SCHEMAS)}, got {self.task!r}")
         if isinstance(self.labels, str):
             raise CorpusError("labels must be a list of label names, not a string")
+        if not isinstance(self.labels, (list, tuple)) or \
+                not all(isinstance(label, str) for label in self.labels):
+            raise CorpusError(f"labels must be a list of label names, got {self.labels!r}")
         object.__setattr__(self, "labels", tuple(self.labels))
         if len(set(self.labels)) != len(self.labels):
             raise CorpusError("duplicate label names")
+        if self.majority is not None and type(self.majority) is not int:
+            raise CorpusError(f"majority must be a label index, got {self.majority!r}")
         if self.majority is not None and not (0 <= self.majority < len(self.labels)):
             raise CorpusError("majority index out of range")
 
@@ -128,16 +131,6 @@ class LabelSpace:
     def schema(self) -> str:
         """The shape of the records the task labels: dialogue or utterance."""
         return TASK_SCHEMAS[self.task]
-
-    def to_dict(self) -> dict:
-        d = {"task": self.task, "labels": list(self.labels)}
-        if self.majority is not None:
-            d["majority"] = self.majority
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LabelSpace":
-        return cls(task=d["task"], labels=d["labels"], majority=d.get("majority"))
 
 
 @dataclass
@@ -167,51 +160,33 @@ def record_labels(record, task: str) -> list[str]:
     return [record.intent]
 
 
-def _turn_from_dict(d: dict) -> Turn:
-    return Turn(speaker=d["speaker"], text=d["text"], emotion=d.get("emotion"), act=d.get("act"))
-
-
-def _turn_to_dict(t: Turn) -> dict:
-    d = {"speaker": t.speaker, "text": t.text}
-    if t.emotion is not None:
-        d["emotion"] = t.emotion
-    if t.act is not None:
-        d["act"] = t.act
+def to_dict(obj) -> dict:
+    """A record, turn or label space as a JSON object: each field that
+    differs from its default, in field order; a conversation's turns the
+    same way."""
+    d = {}
+    for name, f in obj.__dataclass_fields__.items():
+        value = getattr(obj, name)
+        if value != f.default:
+            d[name] = [to_dict(t) for t in value] if name == "turns" else value
     return d
 
 
-def record_to_dict(record) -> dict:
-    if isinstance(record, Conversation):
-        d = {"id": record.id, "turns": [_turn_to_dict(t) for t in record.turns]}
-        if record.provenance != "gold":
-            d["provenance"] = record.provenance
-            d["source_id"] = record.source_id
-        return d
-    d = {"id": record.id, "text": record.text, "intent": record.intent, "lang": record.lang}
-    if record.provenance != "gold":
-        d["provenance"] = record.provenance
-        d["source_id"] = record.source_id
-    return d
+def from_dict(cls, d: dict):
+    """The `cls` of a JSON object written by `to_dict`: every field without a
+    default, each other field that `d` holds; keys that are not fields are
+    ignored."""
+    kwargs = {}
+    for name, f in cls.__dataclass_fields__.items():
+        if f.default is MISSING or name in d:
+            kwargs[name] = [from_dict(Turn, t) for t in d[name]] if name == "turns" else d[name]
+    return cls(**kwargs)
 
 
 def record_from_dict(d: dict, schema: str):
-    if schema == "dialogue":
-        return Conversation(
-            id=d["id"],
-            turns=tuple(_turn_from_dict(t) for t in d["turns"]),
-            provenance=d.get("provenance", "gold"),
-            source_id=d.get("source_id"),
-        )
-    if schema == "utterance":
-        return LabeledUtterance(
-            id=d["id"],
-            text=d["text"],
-            intent=d["intent"],
-            lang=d["lang"],
-            provenance=d.get("provenance", "gold"),
-            source_id=d.get("source_id"),
-        )
-    raise CorpusError(f"unknown schema {schema!r}")
+    if schema not in ("dialogue", "utterance"):
+        raise CorpusError(f"unknown schema {schema!r}")
+    return from_dict(Conversation if schema == "dialogue" else LabeledUtterance, d)
 
 
 def load_jsonl(path, schema: str, label_space: LabelSpace | None = None) -> list:
@@ -246,7 +221,7 @@ def load_jsonl(path, schema: str, label_space: LabelSpace | None = None) -> list
 def write_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
-            f.write(json.dumps(record_to_dict(rec), ensure_ascii=False) + "\n")
+            f.write(json.dumps(to_dict(rec), ensure_ascii=False) + "\n")
 
 
 def load_label_space(path) -> LabelSpace:
@@ -254,17 +229,22 @@ def load_label_space(path) -> LabelSpace:
         d = json.load(f)
     if not (isinstance(d, dict) and "task" in d and "labels" in d):
         raise CorpusError(f"{path}: a label space is a JSON object with task and labels")
-    return LabelSpace.from_dict(d)
+    return from_dict(LabelSpace, d)
+
+
+def _most_frequent(labels, label_space: LabelSpace) -> str:
+    """The label of the space that occurs most often in labels; ties go to the
+    lowest label index, since max keeps the first of equal keys."""
+    counts = Counter(labels)
+    return max(label_space.labels, key=counts.__getitem__)
 
 
 def majority_label(partition, label_space: LabelSpace) -> str:
     """Most frequent task label in the partition; ties go to the lowest label index."""
     if not partition:
         raise CorpusError("empty partition")
-    counts = Counter()
-    for rec in partition:
-        counts.update(record_labels(rec, label_space.task))
-    return max(label_space.labels, key=lambda l: (counts[l], -label_space.index(l)))
+    return _most_frequent((label for rec in partition
+                           for label in record_labels(rec, label_space.task)), label_space)
 
 
 def majority_index(partition, label_space: LabelSpace) -> int:
@@ -282,10 +262,8 @@ def _round_half_away(x: float) -> int:
 def _conversation_stratum(conv: Conversation, label_space: LabelSpace, majority: str) -> str:
     """Stratum of a whole conversation: most frequent non-majority turn label,
     falling back to the majority label when no other label occurs."""
-    counts = Counter(l for l in record_labels(conv, label_space.task) if l != majority)
-    if not counts:
-        return majority
-    return max(label_space.labels, key=lambda l: (counts[l], -label_space.index(l)))
+    labels = [l for l in record_labels(conv, label_space.task) if l != majority]
+    return _most_frequent(labels, label_space) if labels else majority
 
 
 def sample_few_shot(partition, fraction: float, seed: int, label_space: LabelSpace,

@@ -40,6 +40,8 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
+        if self.mode not in ("top_p_sampling", "beam"):
+            raise ValueError(f"mode must be one of top_p_sampling, beam; got {self.mode!r}")
         if self.mode == "top_p_sampling" and not (0 < self.top_p <= 1):
             raise ValueError(f"top_p must be in (0, 1], got {self.top_p}")
         if self.num_return < 1:

@@ -43,7 +43,7 @@ from .weaklabel import (
 REGENS = ("fresh", "refilter")
 
 
-class LoopError(RuntimeError):
+class LoopError(ValueError):
     pass
 
 

@@ -22,7 +22,7 @@ from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from .augment import Candidate
-from .corpus import Conversation, LabelSpace, LabeledUtterance
+from .corpus import Conversation, LabelSpace, LabeledUtterance, from_dict, to_dict
 
 
 class WeakLabelError(ValueError):
@@ -85,7 +85,7 @@ class FilterConfig:
             raise WeakLabelError("percentile must be in [0, 100]")
 
 
-def dialogue_instance_text(conv: Conversation, turn_idx: int, window: int = 1) -> str:
+def dialogue_instance_text(conv: Conversation, turn_idx: int, window: int) -> str:
     """Instance text for one turn: up to `window` previous turns, then the
     target utterance. Context words are speaker-tagged token by token so they
     occupy a separate feature namespace from the target's own words."""
@@ -97,7 +97,7 @@ def dialogue_instance_text(conv: Conversation, turn_idx: int, window: int = 1) -
     return " ".join(parts)
 
 
-def instances_of(records, label_space: LabelSpace, window: int = 1):
+def instances_of(records, label_space: LabelSpace, window: int):
     """(texts, labels) of the classifier instances of gold records and
     candidates: every labeled turn of a conversation, every generated turn of
     a dialogue candidate in its generated context under its prescribed label,
@@ -258,7 +258,7 @@ class WeakLabeler:
         doc = {
             "version": 3,
             "featurizer": asdict(self.featurizer.config),
-            "label_space": self.label_space.to_dict(),
+            "label_space": to_dict(self.label_space),
             "columns": self.columns.tolist(),
             "weights": base64.b64encode(block).decode("ascii"),
             "bias": [float(b) for b in self.bias],
@@ -293,7 +293,7 @@ class WeakLabeler:
 def _checkpoint_parts(doc: dict):
     """(featurizer, columns, block, bias, label space) of a v3 checkpoint
     document, checked against each other."""
-    label_space = LabelSpace.from_dict(doc["label_space"])
+    label_space = from_dict(LabelSpace, doc["label_space"])
     fcfg = dict(doc["featurizer"])
     fcfg["word_ngrams"] = tuple(fcfg["word_ngrams"])
     featurizer = HashedFeaturizer(FeaturizerConfig(**fcfg))

@@ -116,6 +116,23 @@ class TestSample:
         assert manifest["fraction"] == 0.5  # from config file
         assert manifest["seed"] == 9  # flag wins
 
+    @pytest.mark.parametrize("field,value", [
+        ("majority", "0"), ("majority", 1.5), ("majority", [0]), ("majority", True),
+        ("labels", 5), ("labels", ["neutral", 3]), ("task", ["emotion"]),
+    ], ids=["majority-string", "majority-float", "majority-list", "majority-bool",
+            "labels-number", "labels-non-string", "task-list"])
+    def test_malformed_label_space_is_usage_error(self, workspace, tmp_path, capsys,
+                                                  field, value):
+        labels = {"task": "emotion", "labels": list(TOY_LABELS), "majority": 0, field: value}
+        (tmp_path / "labels.json").write_text(json.dumps(labels))
+        rc = main(["sample", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(tmp_path / "labels.json"),
+                   "--fraction", "0.25", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {field} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
 
 class TestAugment:
     def test_budget_and_output(self, workspace, tmp_path):
@@ -445,6 +462,16 @@ class TestWeakdapCommand:
         rc = main(args)
         assert rc == 2
         assert capsys.readouterr().err == "error: mock templates have no label 'anger'\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--train", "--val"])
+    def test_empty_partition_is_usage_error(self, workspace, tmp_path, capsys, flag):
+        (tmp_path / "empty.jsonl").write_text("")
+        args = _weakdap_args(workspace, tmp_path / "out")
+        args[args.index(flag) + 1] = str(tmp_path / "empty.jsonl")
+        assert main(args) == 2
+        assert capsys.readouterr().err == \
+            "error: gold dataset needs train and validation partitions\n"
         assert not (tmp_path / "out").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):

@@ -9,11 +9,13 @@ from weakdap.corpus import (
     LabelSpace,
     LabeledUtterance,
     Turn,
+    from_dict,
     load_jsonl,
     load_label_space,
     majority_index,
     majority_label,
     sample_few_shot,
+    to_dict,
     write_jsonl,
 )
 
@@ -29,12 +31,12 @@ class TestInvariants:
         with pytest.raises(CorpusError, match="string"):
             LabelSpace(task="emotion", labels="abc")
         with pytest.raises(CorpusError, match="string"):
-            LabelSpace.from_dict({"task": "emotion", "labels": "abc"})
+            from_dict(LabelSpace, {"task": "emotion", "labels": "abc"})
         path = tmp_path / "labels.json"
         path.write_text(json.dumps({"task": "emotion", "labels": "abc"}))
         with pytest.raises(CorpusError, match="string"):
             load_label_space(path)
-        assert LabelSpace.from_dict({"task": "emotion", "labels": ["a", "b"]}).labels == ("a", "b")
+        assert from_dict(LabelSpace, {"task": "emotion", "labels": ["a", "b"]}).labels == ("a", "b")
 
     def test_task_fixes_the_schema(self):
         assert [LabelSpace(task=task, labels=("a",)).schema
@@ -144,6 +146,32 @@ class TestRoundTrip:
         p1 = tmp_path / "a.jsonl"
         write_jsonl(part, p1)
         assert [r.id for r in load_jsonl(p1, "utterance")] == [r.id for r in part]
+
+    def test_gold_source_id_survives_a_round_trip(self, tmp_path):
+        line = {"id": "t1", "turns": [{"speaker": "A", "text": "Hi", "emotion": "happiness"},
+                                      {"speaker": "B", "text": "Hello"}],
+                "source_id": "orig-7"}
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1.write_text(json.dumps(line) + "\n")
+        (record,) = load_jsonl(p1, "dialogue")
+        assert (record.provenance, record.source_id) == ("gold", "orig-7")
+        write_jsonl([record], p2)
+        assert p2.read_text() == p1.read_text()
+
+    def test_line_holds_the_fields_off_their_defaults(self, tmp_path):
+        """Fields in order, defaults left out, keys that are no field ignored."""
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        p1.write_text(json.dumps({"lang": "es", "note": "x", "intent": "a", "text": "hola",
+                                  "id": "u1", "provenance": "gold"}) + "\n")
+        write_jsonl(load_jsonl(p1, "utterance"), p2)
+        assert p2.read_text() == '{"id": "u1", "text": "hola", "intent": "a", "lang": "es"}\n'
+        silver = LabeledUtterance(id="s1", text="hola", intent="a", lang="es",
+                                  provenance="silver", source_id="u1")
+        assert to_dict(silver) == {"id": "s1", "text": "hola", "intent": "a", "lang": "es",
+                                   "provenance": "silver", "source_id": "u1"}
+        space = LabelSpace(task="intent", labels=("a", "b"))
+        assert to_dict(space) == {"task": "intent", "labels": ("a", "b")}
+        assert from_dict(LabelSpace, {**to_dict(space), "majority": 1}).majority == 1
 
 
 class TestMajorityLabel:

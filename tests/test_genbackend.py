@@ -376,3 +376,8 @@ class TestGenParams:
     def test_invalid_num_return(self):
         with pytest.raises(ValueError):
             GenParams(num_return=0)
+
+    def test_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            GenParams(mode="bogus", top_p=7.0)
+        assert GenParams(mode="beam", top_p=7.0).mode == "beam"

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from weakdap.corpus import ACT_LABELS, EMOTION_LABELS, LabeledUtterance, Turn
+from weakdap.corpus import LabeledUtterance, Turn
 from weakdap.prompt import (
     ACT_VERBS,
     EMOTION_ADJECTIVES,
@@ -26,9 +26,8 @@ class TestEmotionCue:
         assert render_emotion_cue("Alice", "surprise") == "Alice in a surprised mood:"
 
     def test_map_total_over_all_emotions(self):
-        for e in EMOTION_LABELS:
-            cue = render_emotion_cue("Alice", e)
-            assert cue == f"Alice in a {EMOTION_ADJECTIVES[e]} mood:"
+        for emotion, adjective in EMOTION_ADJECTIVES.items():
+            assert render_emotion_cue("Alice", emotion) == f"Alice in a {adjective} mood:"
 
     def test_unknown_emotion(self):
         with pytest.raises(PromptError):
@@ -46,8 +45,8 @@ class TestActCue:
         assert render_act_cue("Alice", "Bob", "inform") == "Alice informs Bob:"
 
     def test_map_total_and_distinct(self):
-        cues = {render_act_cue("Alice", "Bob", a) for a in ACT_LABELS}
-        assert len(cues) == len(ACT_LABELS)
+        cues = {render_act_cue("Alice", "Bob", a) for a in ACT_VERBS}
+        assert len(cues) == len(ACT_VERBS)
         assert len(set(ACT_VERBS.values())) == len(ACT_VERBS)
 
     def test_unknown_act(self):

@@ -1,8 +1,9 @@
 """Every name the `weakdap` package defines has a reader in the program.
 
-The names are the top-level functions and classes, the methods that are not
-dunders, the dataclass fields, and the attributes that `__init__` sets on
-`self` in the other classes of `src/weakdap/*.py`. A read is a name or
+The names are the top-level functions and classes, the names that a
+top-level assignment binds and the methods (dunders left out of both), the
+dataclass fields, and the attributes that `__init__` sets on `self` in the
+other classes of `src/weakdap/*.py`. A read is a name or
 attribute load in `perfbench/`, or in `src/weakdap` outside the body of a
 name that is itself unread, or a `from ... import` of the name in
 `perfbench/`; a keyword argument that sets a field is not a read, and a
@@ -56,6 +57,19 @@ def _init_attributes(node: ast.ClassDef) -> list[str]:
     return list(dict.fromkeys(names))
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def _bound_names(node) -> list[str]:
+    """The names, not dunders, that a top-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)
+            and not _is_dunder(sub.id)]
+
+
 def _reads(nodes, imports_count: bool = False) -> set[str]:
     """The names loaded in nodes; an attribute load also adds "." + its name,
     the only read of an `__init__` attribute."""
@@ -72,15 +86,19 @@ def _reads(nodes, imports_count: bool = False) -> set[str]:
 
 def _units(module: str, source: str):
     """(qualified name or None, the read that keeps it, reads) for each part
-    of a module: a top-level function, a method, dataclass field or `__init__`
-    attribute, the rest of a class, or a top-level statement that defines
-    nothing (None: always runs)."""
+    of a module: a top-level function, a name a top-level assignment binds, a
+    method, dataclass field or `__init__` attribute, the rest of a class, or a
+    top-level statement that defines nothing (None: always runs)."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield f"{module}.{node.name}", node.name, _reads([node])
             continue
         if not isinstance(node, ast.ClassDef):
-            yield None, None, _reads([node])
+            names = _bound_names(node)
+            for name in names:
+                yield f"{module}.{name}", name, _reads([node])
+            if not names:
+                yield None, None, _reads([node])
             continue
         rest = node.decorator_list + node.bases
         fields = {m.target.id for m in node.body if isinstance(m, ast.AnnAssign)} \
@@ -92,7 +110,7 @@ def _units(module: str, source: str):
                 name = member.target.id
             else:
                 name = None
-            if name is None or (name.startswith("__") and name.endswith("__")):
+            if name is None or _is_dunder(name):
                 rest.append(member)
             else:
                 reads = _reads([member])
@@ -170,6 +188,20 @@ def test_check_finds_an_unread_name():
     bench = "from cli import imported\nhelper()\n"
     assert unread_names({"cli": source}, [bench], kept=["cli.exempt"]) == [
         "Spec.idle", "Spec.unset", "cli.chained", "cli.exempt", "cli.orphan"]
+
+
+def test_check_finds_an_unread_constant():
+    source = ("LIMIT = 3\n"
+              "UNUSED = (1, 2)\n"
+              "BASE = 2\n"
+              "DERIVED = BASE * 2\n"
+              "SHARED: int = 5\n"
+              "A, B = 1, 2\n"
+              "__all__ = ['main']\n"
+              "def main(): return LIMIT + A\n")
+    bench = "from cli import SHARED\n"
+    assert unread_names({"cli": source}, [bench]) == [
+        "cli.B", "cli.BASE", "cli.DERIVED", "cli.UNUSED"]
 
 
 def test_check_finds_an_unread_init_attribute():
