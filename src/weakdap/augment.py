@@ -50,6 +50,9 @@ LABEL_MODES = ("gold", "random")
 # by 7% for no gain.
 MAX_WORKERS = 8
 
+# Largest multiplier a plan takes, far above any in use: the job list grows with it.
+MAX_MULTIPLIER = 100.0
+
 # Most beams one in-context prompt asks for.
 BEAM_CAP = 3
 
@@ -80,8 +83,9 @@ class AugmentPlan:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.label_mode not in LABEL_MODES:
             raise ValueError(f"unknown label mode {self.label_mode!r}")
-        if self.multiplier <= 0:
-            raise ValueError("multiplier must be > 0")
+        if not 0 < self.multiplier <= MAX_MULTIPLIER:
+            raise ValueError(f"multiplier must be in (0, {MAX_MULTIPLIER:g}], "
+                             f"got {self.multiplier}")
 
 
 def prescribe_label(gold_turn: Turn, label_space: LabelSpace, mode: str,

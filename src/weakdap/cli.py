@@ -235,7 +235,7 @@ def cmd_weakdap(args):
     _, _, state = run_weakdap(dataset, plan, filter_cfg, loop_cfg, backend, spec,
                               gen_params=params, train_cfg=TrainConfig(seed=args.seed),
                               out_dir=args.out)
-    print(f"ran {state.iteration + 1} iterations; best score "
+    print(f"ran {len(state.score_history)} iterations; best score "
           f"{state.best_score:.4f} at iteration {state.best_iteration} -> {args.out}")
 
 

@@ -5,7 +5,10 @@ gold + silver. Every later iteration filters fresh (or re-filtered) candidates
 with the previous iteration's classifier, trains from scratch, and scores on
 the validation split. The loop stops once the score has failed to beat the
 best by at least epsilon for k consecutive iterations, or at the safety cap.
-The best checkpoint and its silver set are retained throughout.
+The best classifier and its silver set are retained throughout.
+
+A run directory holds only what is read: the candidates of each iteration,
+the best classifier (once) and the run record; see run_weakdap.
 """
 from __future__ import annotations
 
@@ -56,8 +59,10 @@ class LoopConfig:
     regen: str = "fresh"  # one of REGENS
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
+        # every metric lies in [0, 1], so no gain reaches an epsilon of 1 or
+        # more: each larger epsilon would stop the loop exactly as 1 does
+        if not 0 < self.epsilon <= 1:
+            raise ValueError(f"epsilon must be in (0, 1], got {self.epsilon}")
         if self.patience < 1 or self.max_iterations < 1:
             raise ValueError("patience and max_iterations must be >= 1")
         if self.metric not in metrics.METRICS:
@@ -74,10 +79,9 @@ class LoopState:
     Patience is measured against the score at the last reset, which only
     advances when a score beats it by at least epsilon; k consecutive
     sub-epsilon rounds stop the loop. Best-model selection is independent of
-    the reference: the retained checkpoint is the plain running maximum of the
+    the reference: the retained model is the plain running maximum of the
     score history, earliest iteration on ties.
     """
-    iteration: int = 0
     score_history: list[float] = field(default_factory=list)
     best_score: float = -math.inf
     best_iteration: int = -1
@@ -94,10 +98,9 @@ class LoopState:
             self.no_improve_count += 1
         if first or score > self.best_score:
             self.best_score, self.best_iteration = score, len(history)
-        self.iteration = len(history)
         history.append(score)
         return (self.no_improve_count >= config.patience
-                or self.iteration + 1 >= config.max_iterations)
+                or len(history) >= config.max_iterations)
 
 
 def evaluate_model(model: WeakLabeler, texts, gold, label_space: LabelSpace,
@@ -111,7 +114,7 @@ def evaluate_model(model: WeakLabeler, texts, gold, label_space: LabelSpace,
 
 def _verdict_counts(candidates) -> dict:
     counts = {"produced": len(candidates)}
-    for v in ("kept", "dropped_mismatch", "dropped_parse", "pending"):
+    for v in ("kept", "dropped_mismatch", "dropped_parse"):
         counts[v] = sum(1 for c in candidates if c.verdict == v)
     return counts
 
@@ -125,10 +128,13 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
                 en_pool=None):
     """Run the full loop; returns (best model, best kept silver, LoopState).
 
-    When out_dir is set, every iteration persists its candidates and model
-    checkpoint plus a run.json record; two runs with identical configuration
-    and the mock backend produce byte-identical directories. en_pool holds
-    the in-context strategy's English examples (see augment.run_augmentation).
+    When out_dir is set, it is the run directory: each iteration t writes
+    `iter_<t>/candidates.jsonl`, and the loop's end saves the best model once
+    as `model.json`, then `run.json` (the plan, filter and loop configs, each
+    iteration's counts, score and candidates file, and the loop state). Two
+    runs with identical configuration and the mock backend produce
+    byte-identical directories. en_pool holds the in-context strategy's
+    English examples (see augment.run_augmentation).
     """
     if not dataset.train or not dataset.validation:
         raise LoopError("gold dataset needs train and validation partitions")
@@ -144,8 +150,6 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     gold_texts, gold_labels = instances_of(dataset.train, label_space, window)
     val_texts, val_gold = instances_of(dataset.validation, label_space, window)
 
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
     state = LoopState()
     records = []
     best_model = None
@@ -181,20 +185,17 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
         score = report.score(loop_cfg.metric)
 
         counts = _verdict_counts(candidates)
-        record = {
+        records.append({
             "iteration": t,
             "counts": counts,
             "effective_multiplier": counts["kept"] / len(dataset.train),
             "score": score,
-            "model": f"iter_{t}/model.json",
             "candidates": f"iter_{t}/candidates.jsonl",
-        }
-        records.append(record)
+        })
         if out_dir:
             iter_dir = os.path.join(out_dir, f"iter_{t}")
             os.makedirs(iter_dir, exist_ok=True)
             write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"), window)
-            model.save(os.path.join(iter_dir, "model.json"))
 
         stop = state.update(score, loop_cfg)
         if state.best_iteration == t:
@@ -204,28 +205,9 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             break
 
     if out_dir:
-        snapshot(state, records, plan, filter_cfg, loop_cfg, out_dir)
+        best_model.save(os.path.join(out_dir, "model.json"))
+        config = {"plan": asdict(plan), "filter": asdict(filter_cfg), "loop": asdict(loop_cfg)}
+        doc = {"config": config, "iterations": records, "state": asdict(state)}
+        with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
+            json.dump(doc, f, sort_keys=True, indent=2)
     return best_model, best_silver, state
-
-
-def snapshot(state: LoopState, records, plan: AugmentPlan, filter_cfg: FilterConfig,
-             loop_cfg: LoopConfig, out_dir) -> None:
-    """Persist the run record as run.json: the plan, filter and loop configs
-    (not the featurizer, trainer, generation or backend settings), the
-    per-iteration counts/scores/checkpoint references, the loop state and the
-    best pointer."""
-    doc = {
-        "config": {
-            "plan": asdict(plan),
-            "filter": asdict(filter_cfg),
-            "loop": asdict(loop_cfg),
-        },
-        "iterations": records,
-        "state": asdict(state),
-        "best": {
-            "iteration": state.best_iteration,
-            "model": f"iter_{state.best_iteration}/model.json",
-        },
-    }
-    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
-        json.dump(doc, f, sort_keys=True, indent=2)

@@ -78,7 +78,6 @@ class TrainConfig:
 @dataclass
 class FilterConfig:
     percentile: float = 80.0
-    enabled: bool = True
 
     def __post_init__(self):
         if not (0 <= self.percentile <= 100):
@@ -475,8 +474,8 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     Candidates whose silver label matches the prescription are kept
     unconditionally. Among the mismatched ones, those at or above the P-th
     entropy percentile of the mismatched batch survive as high-uncertainty
-    candidates; the rest are dropped. Disabled filtering keeps everything but
-    still annotates.
+    candidates; the rest are dropped. P = 0 keeps everything but still
+    annotates: it is the no-filter condition.
     """
     if window is None:
         window = model.featurizer.config.context_window
@@ -489,7 +488,7 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     for cand, p in zip(scorable, probs):
         cand.silver_label = model.label_space.labels[int(p.argmax())]
         cand.entropy = entropy_bits(p)
-        if not config.enabled or cand.silver_label == cand.prescribed_label:
+        if cand.silver_label == cand.prescribed_label:
             cand.verdict = "kept"
         else:
             mismatched.append(cand)

