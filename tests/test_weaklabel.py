@@ -758,7 +758,6 @@ class TestFilter:
         cands, table = stub_candidates(probs, ["neutral"] * 15)
         filter_candidates(cands, _StubModel(table, SPACE), FilterConfig(percentile=0))
         assert all(c.verdict == "kept" for c in cands)
-        assert all(c.silver_label is not None and c.entropy is not None for c in cands)
 
     def test_single_mismatched_is_kept(self):
         rng = np.random.default_rng(4)
@@ -766,6 +765,15 @@ class TestFilter:
         cands, table = stub_candidates(probs, ["neutral"])
         filter_candidates(cands, _StubModel(table, SPACE), FilterConfig(percentile=80))
         assert cands[0].verdict == "kept"
+
+    def test_disabled_keeps_all_but_annotates(self):
+        # P = 0 is the no-filter condition
+        rng = np.random.default_rng(5)
+        probs = [self._prob_with_entropy(rng, argmax=1) for _ in range(10)]
+        cands, table = stub_candidates(probs, ["neutral"] * 10)
+        filter_candidates(cands, _StubModel(table, SPACE), FilterConfig(percentile=0))
+        assert all(c.verdict == "kept" for c in cands)
+        assert all(c.silver_label is not None and c.entropy is not None for c in cands)
 
     def test_empty_list(self):
         assert filter_candidates([], _StubModel({}, SPACE), FilterConfig()) is None
