@@ -35,6 +35,8 @@ from dataclasses import dataclass, replace
 from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn, to_dict
 from .genbackend import GenParams, generate, stable_seed
 from .prompt import (
+    K_EXAMPLES,
+    SPEAKER_NAMES,
     PromptSpec,
     render_context_free_prompt,
     render_dialogue_prompt,
@@ -117,17 +119,17 @@ def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, 
     the candidate ends at the last step. Labels are drawn from rng in step
     order; a parse failure drops the whole candidate. With an example index
     (see draw_examples) a turn is generated without context: its prompt holds
-    up to k_examples turns of other conversations drawn from rng after the
+    up to K_EXAMPLES turns of other conversations drawn from rng after the
     label, and the candidate holds the generated turns alone."""
     turns = [] if index is not None else list(conv.turns[: steps[0][0] - 1])
-    stop = tuple(params.stop_markers) + tuple(f"{n} " for n in spec.speaker_names)
+    stop = tuple(params.stop_markers) + tuple(f"{n} " for n in SPEAKER_NAMES.values())
     for i, seed in steps:
         target = conv.turns[i - 1]
         label = prescribe_label(target, label_space, plan.label_mode, rng)
         if index is None:
             prompt = render_dialogue_prompt(turns, spec, label)
         else:
-            examples = draw_examples(index, label, spec.k_examples, rng, conv.id)
+            examples = draw_examples(index, label, K_EXAMPLES, rng, conv.id)
             prompt = render_context_free_prompt(examples, spec, target.speaker, label)
         completion = generate(prompt, replace(params, seed=seed, stop_markers=stop), backend)[0]
         if completion.parsed is None:
@@ -157,16 +159,16 @@ def visit_steps(conv: Conversation, strategy: str, seed: int) -> list[tuple]:
     return [("random" if strategy == "random" else "lta", "", [(conv.n, seed)], seed)]
 
 
-def cross_lingual_augment(ref: LabeledUtterance, index, backend, spec: PromptSpec,
-                          params: GenParams, id_prefix: str,
-                          gold_keys=frozenset(), seed: int = 0) -> list[Candidate]:
+def cross_lingual_augment(ref: LabeledUtterance, index, backend, params: GenParams,
+                          id_prefix: str, gold_keys=frozenset(),
+                          seed: int = 0) -> list[Candidate]:
     """Beam-generate params.num_return new Spanish utterances for the
-    reference's intent, mixing it with up to k_examples English examples of
+    reference's intent, mixing it with up to K_EXAMPLES English examples of
     that intent drawn from the example index (see draw_examples) with a
     generator seeded by `seed`. A beam that does not parse is a dropped_parse
     candidate; one that duplicates gold (gold_keys holds the gold texts after
     normalize_text) or an earlier beam is discarded."""
-    examples = draw_examples(index, ref.intent, spec.k_examples, random.Random(seed))
+    examples = draw_examples(index, ref.intent, K_EXAMPLES, random.Random(seed))
     prompt = render_intent_prompt(ref, examples)
     completions = generate(prompt, replace(params, seed=seed, mode="beam"), backend)
     seen = set()
@@ -291,7 +293,7 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     def run(job) -> list[Candidate]:
         rec, prefix, seed, slots = job
         if not dialogue:
-            return cross_lingual_augment(rec, index, backend, spec,
+            return cross_lingual_augment(rec, index, backend,
                                          replace(params, num_return=len(slots)), prefix,
                                          gold_keys, seed)
         return [replace_turns(rec, steps, random.Random(rng_seed), name, prefix + suffix,

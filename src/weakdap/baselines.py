@@ -52,6 +52,8 @@ class EdaConfig:
         for name in ("alpha_sr", "alpha_ri", "alpha_rs", "alpha_rd"):
             if not (0 <= getattr(self, name) <= 1):
                 raise BaselineError(f"{name} must be in [0, 1]")
+        if self.n_aug < 1:
+            raise BaselineError(f"n_aug must be >= 1, got {self.n_aug}")
         for word, syns in self.synonym_lexicon.items():
             if not syns:
                 raise BaselineError(f"lexicon entry {word!r} has no synonyms")
@@ -66,6 +68,8 @@ class AedaConfig:
     def __post_init__(self):
         if not self.punctuation:
             raise BaselineError("punctuation set must be non-empty")
+        if not 0 <= self.alpha <= 1:
+            raise BaselineError(f"alpha must be in [0, 1], got {self.alpha}")
 
 
 def _synonym_replacement(words, alpha, lexicon, rng):

@@ -50,10 +50,14 @@ class Turn:
         return getattr(self, task)
 
 
-def _check_ids(kind: str, record) -> None:
-    """A record's id is a string, and its source_id None or a string."""
+def _check_record(kind: str, record) -> None:
+    """A record's id is a string, its provenance gold or silver, and its
+    source_id None or a string."""
     if not isinstance(record.id, str):
         raise CorpusError(f"{kind} id must be a string, got {record.id!r}")
+    if record.provenance not in ("gold", "silver"):
+        raise CorpusError(f"{kind} {record.id!r}: provenance must be gold or silver, "
+                          f"got {record.provenance!r}")
     if record.source_id is not None and not isinstance(record.source_id, str):
         raise CorpusError(f"{kind} {record.id!r}: source_id must be a string, "
                           f"got {record.source_id!r}")
@@ -67,7 +71,7 @@ class Conversation:
     source_id: str | None = None
 
     def __post_init__(self):
-        _check_ids("conversation", self)
+        _check_record("conversation", self)
         object.__setattr__(self, "turns", tuple(self.turns))
         least = 1 if self.provenance == "silver" else 2
         if len(self.turns) < least:
@@ -93,7 +97,7 @@ class LabeledUtterance:
     source_id: str | None = None
 
     def __post_init__(self):
-        _check_ids("utterance", self)
+        _check_record("utterance", self)
         if not isinstance(self.text, str):
             raise CorpusError(f"utterance {self.id!r}: text must be a string, got {self.text!r}")
         if not self.text.strip():

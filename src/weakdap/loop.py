@@ -154,21 +154,16 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     records = []
     best_model = None
     best_silver: list[Candidate] = []
-    pool0: list[Candidate] = []
     model = None
 
     for t in range(loop_cfg.max_iterations):
         if t == 0 or loop_cfg.regen == "fresh":
             plan_t = replace(plan, seed=plan.seed + 1000 * t)
-            candidates = run_augmentation(dataset.train, plan_t, backend, prompt_spec,
-                                          label_space, gen_params, en_pool)
-            if t == 0:
-                pool0 = candidates
-        else:
-            # payloads are frozen; a filter sets only the copy's scalar fields
-            candidates = [replace(c, verdict="pending" if c.verdict in ("kept", "dropped_mismatch")
-                                  else c.verdict)
-                          for c in pool0]
+            pool = run_augmentation(dataset.train, plan_t, backend, prompt_spec,
+                                    label_space, gen_params, en_pool)
+        # the pool is never judged: payloads are frozen, and each iteration
+        # sets verdicts, silver labels and entropies on its own copies
+        candidates = [replace(c) for c in pool]
         if t == 0:
             # first generation trains on unfiltered silver
             for c in candidates:

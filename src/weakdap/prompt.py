@@ -28,6 +28,13 @@ ACT_VERBS = {
 }
 
 
+# The name each speaker of a dialogue goes by in a prompt.
+SPEAKER_NAMES = {"A": "Alice", "B": "Bob"}
+
+# Most examples one context-free or in-context prompt holds.
+K_EXAMPLES = 10
+
+
 class PromptError(ValueError):
     pass
 
@@ -36,21 +43,6 @@ class PromptError(ValueError):
 class PromptSpec:
     task: str  # emotion | act | intent
     strategy: str = "lta"  # lta | ata | cta | incontext | random
-    speaker_names: tuple[str, str] = ("Alice", "Bob")
-    k_examples: int = 10
-
-    def __post_init__(self):
-        a, b = self.speaker_names
-        if not a or not b or a == b:
-            raise PromptError("speaker names must be distinct and non-empty")
-        if self.k_examples < 1:
-            raise PromptError("k_examples must be >= 1")
-
-    def name_of(self, speaker: str) -> str:
-        return self.speaker_names[0] if speaker == "A" else self.speaker_names[1]
-
-    def other_name_of(self, speaker: str) -> str:
-        return self.speaker_names[1] if speaker == "A" else self.speaker_names[0]
 
 
 @dataclass(frozen=True)
@@ -73,9 +65,10 @@ def render_act_cue(speaker_name: str, other_name: str, act: str) -> str:
 
 def _cue(spec: PromptSpec, speaker: str, label: str) -> str:
     if spec.task == "emotion":
-        return render_emotion_cue(spec.name_of(speaker), label)
+        return render_emotion_cue(SPEAKER_NAMES[speaker], label)
     if spec.task == "act":
-        return render_act_cue(spec.name_of(speaker), spec.other_name_of(speaker), label)
+        other = "B" if speaker == "A" else "A"
+        return render_act_cue(SPEAKER_NAMES[speaker], SPEAKER_NAMES[other], label)
     raise PromptError(f"no dialogue cue for task {spec.task!r}")
 
 

@@ -29,20 +29,18 @@ class WeakLabelError(ValueError):
     pass
 
 
+# Characters in a char n-gram. Words are hashed as unigrams and bigrams.
+CHAR_NGRAM = 3
+
+
 @dataclass(frozen=True)
 class FeaturizerConfig:
     dim: int = 1 << 15
-    word_ngrams: tuple[int, ...] = (1, 2)
-    char_ngram: int = 3
     context_window: int = 1  # previous turns folded into the instance text
 
     def __post_init__(self):
         if self.dim < 1:
             raise WeakLabelError("hash dimension must be >= 1")
-        if any(n < 1 for n in self.word_ngrams):
-            raise WeakLabelError("word n-gram orders must be >= 1")
-        if self.char_ngram < 1:
-            raise WeakLabelError("char n-gram must be >= 1")
         if self.context_window < 0:
             raise WeakLabelError("context window must be >= 0")
 
@@ -73,6 +71,8 @@ class TrainConfig:
             raise WeakLabelError("val fraction must be in [0, 1)")
         if self.patience < 1:
             raise WeakLabelError("patience must be >= 1")
+        if self.seed < 0:  # numpy's generator takes no negative seed
+            raise WeakLabelError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -119,20 +119,19 @@ def instances_of(records, label_space: LabelSpace, window: int):
 
 
 class HashedFeaturizer:
-    """Sparse hashed word n-gram + character trigram features (crc32, stable
-    across processes).
+    """Sparse hashed word unigram and bigram + character trigram features
+    (crc32, stable across processes).
 
     It remembers the finished, l2-normalized row of every text it has
     featurized, so a text is hashed once however often it is asked for: one
     featurizer serves a whole `run_weakdap` run, and every model trained in
     the run scores through it. It also remembers, per lowercased token, the
-    columns of its unigram and of the char n-grams inside it, and per
-    adjacent token pair (a, b), the columns of its bigrams and of the char
-    n-grams that start in a and end in b, so a new text hashes only its word
-    n-grams of order 3 and up. A pair whose b is shorter than char_ngram - 1
-    is not remembered: a gram that starts in a can run past b, so such a pair
-    is hashed in its text. No memo is locked; call it from the main thread
-    only."""
+    columns of its unigram and of the char trigrams inside it, and per
+    adjacent token pair (a, b), the columns of its bigram and of the char
+    trigrams that start in a and end in b, so a new text is mostly looked up.
+    A pair whose b is shorter than CHAR_NGRAM - 1 is not remembered: a gram
+    that starts in a can run past b, so such a pair is hashed in its text. No
+    memo is locked; call it from the main thread only."""
 
     def __init__(self, config: FeaturizerConfig):
         self.config = config
@@ -147,20 +146,18 @@ class HashedFeaturizer:
 
     def _indices(self, text: str) -> list[int]:
         """The hashed column of every gram of `text`, repeats included: each
-        word n-gram of the lowercased tokens joined by "_", and "#" plus each
-        char n-gram of the tokens run together."""
-        cfg = self.config
-        n = cfg.char_ngram
+        word unigram and bigram of the lowercased tokens, a bigram joined by
+        "_", and "#" plus each char trigram of the tokens run together."""
+        n = CHAR_NGRAM
         tokens = text.lower().split()
         cols = []
         for token in tokens:
             own = self._token_columns.get(token)
             if own is None:
                 own = self._token_columns[token] = self._columns(
-                    [token] * cfg.word_ngrams.count(1)
-                    + ["#" + token[i:i + n] for i in range(len(token) - n + 1)])
+                    [token] + ["#" + token[i:i + n] for i in range(len(token) - n + 1)])
             cols += own
-        # bigrams, and char n-grams that start in a token and end past it
+        # bigrams, and char trigrams that start in a token and end past it
         compact = "".join(tokens)
         last = len(compact) - n + 1  # one past the last start of a whole gram
         end = 0
@@ -169,17 +166,12 @@ class HashedFeaturizer:
             pair = self._pair_columns.get((a, b))
             if pair is None:
                 pair = self._columns(
-                    [a + "_" + b] * cfg.word_ngrams.count(2)
-                    + ["#" + compact[i:i + n] for i in range(max(start, end - n + 1),
-                                                             min(end, last))])
+                    [a + "_" + b] + ["#" + compact[i:i + n]
+                                     for i in range(max(start, end - n + 1), min(end, last))])
                 if len(b) >= n - 1:  # every gram that starts in a ends in b
                     self._pair_columns[a, b] = pair
             cols += pair
-        grams = []
-        for k in cfg.word_ngrams:
-            if k > 2:
-                grams.extend("_".join(tokens[i:i + k]) for i in range(len(tokens) - k + 1))
-        return cols + self._columns(grams)
+        return cols
 
     def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
         """Rows of `texts`, each l2-normalized."""
@@ -250,12 +242,12 @@ class WeakLabeler:
         return [self.label_space.labels[i] for i in probs.argmax(axis=1)]
 
     def save(self, path) -> None:
-        """Checkpoint v3: `columns` as a JSON list, and `weights` as the
+        """Checkpoint v4: `columns` as a JSON list, and `weights` as the
         base64 of their C x len(columns) block, row-major little-endian
         float64."""
         block = np.asarray(self.block.T, dtype="<f8").tobytes()
         doc = {
-            "version": 3,
+            "version": 4,
             "featurizer": asdict(self.featurizer.config),
             "label_space": to_dict(self.label_space),
             "columns": self.columns.tolist(),
@@ -268,7 +260,7 @@ class WeakLabeler:
 
     @classmethod
     def load(cls, path) -> "WeakLabeler":
-        """Read a v3 checkpoint, the format `save` writes. Any other version,
+        """Read a v4 checkpoint, the format `save` writes. Any other version,
         or a malformed checkpoint, raises WeakLabelError."""
         with open(path, encoding="utf-8") as f:
             try:
@@ -276,7 +268,7 @@ class WeakLabeler:
             except ValueError as e:
                 raise WeakLabelError(f"checkpoint {path} is not JSON: {e}") from e
         version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version != 3:
+        if type(version) is not int or version != 4:
             raise WeakLabelError(f"unsupported checkpoint version {version!r}")
         missing = [key for key in ("featurizer", "label_space", "columns", "weights", "bias")
                    if key not in doc]
@@ -290,12 +282,10 @@ class WeakLabeler:
 
 
 def _checkpoint_parts(doc: dict):
-    """(featurizer, columns, block, bias, label space) of a v3 checkpoint
+    """(featurizer, columns, block, bias, label space) of a v4 checkpoint
     document, checked against each other."""
     label_space = from_dict(LabelSpace, doc["label_space"])
-    fcfg = dict(doc["featurizer"])
-    fcfg["word_ngrams"] = tuple(fcfg["word_ngrams"])
-    featurizer = HashedFeaturizer(FeaturizerConfig(**fcfg))
+    featurizer = HashedFeaturizer(FeaturizerConfig(**doc["featurizer"]))
     C, dim = len(label_space), featurizer.config.dim
     bias = np.array(doc["bias"], dtype=np.float64)
     if bias.shape != (C,):

@@ -242,8 +242,8 @@ class TestCrossLingual:
         return {"alarm/set": [(u.id, u.text) for u in pool]}
 
     def test_distinct_beams_all_kept(self):
-        ref, pool, backend, spec = self._setup()
-        cands = cross_lingual_augment(ref, self._index(pool), backend, spec,
+        ref, pool, backend, _ = self._setup()
+        cands = cross_lingual_augment(ref, self._index(pool), backend,
                                       GenParams(num_return=3), "r")
         assert 1 <= len(cands) <= 3
         texts = [c.payload.text for c in cands]
@@ -252,9 +252,9 @@ class TestCrossLingual:
         assert all(c.payload.lang == "es" for c in cands)
 
     def test_gold_duplicate_dropped(self):
-        ref, pool, backend, spec = self._setup()
+        ref, pool, backend, _ = self._setup()
         gold_keys = {"despiertame a las siete", "alarma para las ocho", "pon el despertador"}
-        cands = cross_lingual_augment(ref, self._index(pool), backend, spec,
+        cands = cross_lingual_augment(ref, self._index(pool), backend,
                                       GenParams(num_return=3), "r", gold_keys=gold_keys)
         assert cands == []
 
@@ -269,14 +269,14 @@ class TestCrossLingual:
         assert len(cands) <= 3
 
     def test_unparsable_beam_is_recorded_and_duplicate_discarded(self):
-        ref, pool, _, spec = self._setup()
+        ref, pool, _, _ = self._setup()
 
         class Fixed:
             def complete(self, prompt, params):
                 return [Completion(raw=t, parsed=None, hidden_label="alarm/set")
                         for t in ("  ", "otra alarma", "Otra  ALARMA")]
 
-        cands = cross_lingual_augment(ref, self._index(pool), Fixed(), spec,
+        cands = cross_lingual_augment(ref, self._index(pool), Fixed(),
                                       GenParams(num_return=3), "r")
         assert [(c.id, c.verdict) for c in cands] == [("r-b0", "dropped_parse"),
                                                       ("r-b1", "pending")]
@@ -284,10 +284,10 @@ class TestCrossLingual:
         assert cands[1].payload.text == "otra alarma"
 
     def test_draws_keep_an_english_record_sharing_the_reference_id(self):
-        ref, pool, backend, spec = self._setup()
+        ref, pool, backend, _ = self._setup()
         pool = pool[:3] + [replace(pool[3], id=ref.id)]
         counting = CountingBackend(backend)
-        cross_lingual_augment(ref, self._index(pool), counting, spec, GenParams(), "r")
+        cross_lingual_augment(ref, self._index(pool), counting, GenParams(), "r")
         ((_, prompt),) = counting.requests
         assert sorted(prompt.split("\n")[:4]) == \
             sorted(f"English: {u.text} => intent: alarm/set" for u in pool)
@@ -431,7 +431,7 @@ class TestRandomStrategy:
 
 INTENTS = ("alarm/set", "weather/find")
 INTENT_SPACE = LabelSpace(task="intent", labels=INTENTS)
-INTENT_SPEC = PromptSpec(task="intent", k_examples=3)
+INTENT_SPEC = PromptSpec(task="intent")
 
 
 def intent_backend():

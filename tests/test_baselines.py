@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from weakdap import augment
 from weakdap.augment import AugmentPlan, _plan_jobs, run_augmentation
 from weakdap.baselines import (
     AedaConfig,
@@ -14,7 +15,7 @@ from weakdap.baselines import (
 )
 from weakdap.corpus import LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
-from weakdap.prompt import PromptSpec, render_context_free_prompt
+from weakdap.prompt import K_EXAMPLES, PromptSpec, render_context_free_prompt
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
@@ -149,7 +150,7 @@ class TestRandomInContext:
         rng = random.Random(3)
         return [toy_conversation(f"g{i}", rng, n=4) for i in range(n_convs)]
 
-    def _run(self, gold, k, seed=0):
+    def _run(self, gold, seed=0):
         """(candidate, its prompt) pairs of one `random` pass over gold."""
         prompts = {}
         inner = mock_backend()
@@ -160,8 +161,8 @@ class TestRandomInContext:
                 return inner.complete(prompt, params)
 
         plan = AugmentPlan(strategy="random", multiplier=1.0, seed=seed)
-        spec = PromptSpec(task="emotion", k_examples=k)
-        cands = run_augmentation(gold, plan, Recording(), spec, SPACE, GenParams())
+        cands = run_augmentation(gold, plan, Recording(), PromptSpec(task="emotion"), SPACE,
+                                 GenParams())
         seeds = {prefix: s for _, prefix, s, _ in _plan_jobs(gold, plan)}
         return [(c, prompts[seeds[c.id]]) for c in cands]
 
@@ -175,12 +176,13 @@ class TestRandomInContext:
         assert lines[:-1] == [f"Alice in a happy mood: {e}" for e in examples]
         assert rp.prescribed_label == "happiness"
 
-    def test_pool_limited(self):
+    def test_pool_limited(self, monkeypatch):
         # each prompt holds min(k, |pool|) same-label turns, none of its source
         gold = self._gold()
         by_id = {c.id: c for c in gold}
-        for k in (2, 10):
-            for cand, prompt in self._run(gold, k):
+        for k in (2, K_EXAMPLES):
+            monkeypatch.setattr(augment, "K_EXAMPLES", k)
+            for cand, prompt in self._run(gold):
                 source = by_id[cand.source_id]
                 pool = [t.text for c in gold if c is not source for t in c.turns
                         if t.emotion == cand.prescribed_label]
@@ -192,7 +194,7 @@ class TestRandomInContext:
 
     def test_deterministic_selection(self):
         gold = self._gold()
-        a, b, c = ([p.text for _, p in self._run(gold, 3, seed)] for seed in (0, 0, 1))
+        a, b, c = ([p.text for _, p in self._run(gold, seed)] for seed in (0, 0, 1))
         assert a == b != c
 
     def test_label_without_pooled_turns_gets_bare_cue(self):
@@ -201,12 +203,12 @@ class TestRandomInContext:
         rng = random.Random(4)
         gold = [toy_conversation("g0", rng, labels=["neutral", "sadness"]),
                 toy_conversation("g1", rng, labels=["neutral", "neutral"])]
-        (cand, prompt), _ = self._run(gold, 10)
+        (cand, prompt), _ = self._run(gold)
         assert (cand.source_id, cand.prescribed_label) == ("g0", "sadness")
         assert prompt.text == "Bob in a sad mood:"
 
     def test_candidate_carries_label_without_context(self):
-        pairs = self._run(self._gold(), 10)
+        pairs = self._run(self._gold())
         assert len(pairs) == 6
         for cand, _ in pairs:
             assert cand.strategy == "random"

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import weakdap.loop
-from weakdap.cli import _fill_options, _make_backend, build_parser, main
+from weakdap.cli import OPTIONS, _fill_options, _make_backend, build_parser, main
 from weakdap.corpus import LabeledUtterance, write_jsonl
 from weakdap.genbackend import MockBackend
 
@@ -266,7 +266,7 @@ class TestTrainEval:
                    "--labels", str(workspace / "labels.json"),
                    "--seed", "0", "--out", str(model_path)])
         assert rc == 0
-        assert json.loads(model_path.read_text())["version"] == 3
+        assert json.loads(model_path.read_text())["version"] == 4
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl"),
@@ -304,7 +304,7 @@ class TestTrainEval:
 
     def test_v2_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         """Version 2 stored `weights` as JSON rows over `columns`; only the
-        version 3 that `train` writes loads."""
+        version 4 that `train` writes loads."""
         model_path = tmp_path / "model.json"
         assert main(["train", "--data", str(workspace / "train.jsonl"),
                      "--labels", str(workspace / "labels.json"),
@@ -319,6 +319,23 @@ class TestTrainEval:
         assert rc == 2
         assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
 
+    def test_v3_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
+        """Version 3 held the same weights under a featurizer block that also
+        named its word n-gram orders and char n-gram size."""
+        model_path = tmp_path / "model.json"
+        assert main(["train", "--data", str(workspace / "train.jsonl"),
+                     "--labels", str(workspace / "labels.json"),
+                     "--out", str(model_path)]) == 0
+        doc = json.loads(model_path.read_text())
+        doc["version"] = 3
+        doc["featurizer"].update(word_ngrams=[1, 2], char_ngram=3)
+        model_path.write_text(json.dumps(doc, sort_keys=True))
+        capsys.readouterr()
+        rc = main(["eval", "--model", str(model_path),
+                   "--data", str(workspace / "val.jsonl")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unsupported checkpoint version 3\n"
+
     def test_corpus_error_exit_code(self, workspace, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps({
@@ -331,8 +348,9 @@ class TestTrainEval:
         assert rc == 2
 
     def test_non_string_text_exit_code(self, workspace, tmp_path, capsys):
-        """A turn text, record id or source id that is not a string is a
-        malformed line, reported with its path and line."""
+        """A turn text, record id or source id that is not a string, or a
+        provenance other than gold or silver, is a malformed line, reported
+        with its path and line."""
         turns = [{"speaker": "A", "text": "hi", "emotion": "neutral"},
                  {"speaker": "B", "text": "yo", "emotion": "neutral"}]
         lines = [
@@ -341,6 +359,8 @@ class TestTrainEval:
             {"id": 5, "turns": turns},
             {"id": "x", "turns": turns, "source_id": ["q"]},
             {"id": "x", "turns": turns, "source_id": 5},
+            {"id": "x", "turns": turns, "provenance": ["q"]},
+            {"id": "x", "turns": turns, "provenance": "bronze"},
         ]
         for line in lines:
             bad = tmp_path / "bad.jsonl"
@@ -461,6 +481,25 @@ class TestWeakdapCommand:
         assert err == f"error: {error}\n"
         assert calls == []
         assert not (out / "run.json").exists()
+
+    def test_negative_seed_exits_2_before_generation(self, workspace, tmp_path, monkeypatch,
+                                                     capsys):
+        """The trainer's seed is checked when its config is built, before
+        iteration 0 generates."""
+        calls = []
+        complete = MockBackend.complete
+
+        def counting(self, prompt, params):
+            calls.append(prompt)
+            return complete(self, prompt, params)
+
+        monkeypatch.setattr(MockBackend, "complete", counting)
+        out = tmp_path / "out"
+        rc = main(_weakdap_args(workspace, out, ["--seed=-1"]))
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert calls == []
+        assert not out.exists()
 
     def test_templates_missing_a_label_exit_2_before_generation(self, workspace, tmp_path,
                                                                 capsys):
@@ -716,6 +755,75 @@ OPTION_SURFACE = {
         "--out": ("out", True, None, None, None),
     },
 }
+
+
+def _documented_values():
+    """(flag, command) -> whether a number is one the flag takes there, from
+    README's table of numeric options."""
+    takes = {}
+    for flags, commands, values in re.findall(r"^\| (`--.+?) \| (`.+?) \| (.+?) \|$",
+                                              README.read_text(encoding="utf-8"), re.M):
+        interval = re.fullmatch(r"([(\[])(\S+), (\S+)([)\]])", values)
+        if interval:
+            left, lo, hi, right = interval.groups()
+            ok = (lambda v, lo=float(lo), hi=float(hi), lo_in=left == "[", hi_in=right == "]":
+                  (lo <= v if lo_in else lo < v) and (v <= hi if hi_in else v < hi))
+        elif values == "any integer":
+            ok = lambda v: True
+        else:
+            least = float(re.fullmatch(r"integer >= (\S+)", values).group(1))
+            ok = lambda v, least=least: v >= least
+        for flag in re.findall(r"`(--[\w-]+)`", flags):
+            for command in re.findall(r"`(\w+)`", commands):
+                takes[flag, command] = ok
+    return takes
+
+
+NUMERIC_OPTIONS = [(flag, command.rstrip("!"))
+                   for flag, keywords, commands in OPTIONS if keywords.get("type") in (float, int)
+                   for command in commands.split()]
+
+
+@pytest.mark.parametrize("flag,command", NUMERIC_OPTIONS,
+                         ids=[f"{command}{flag}" for flag, command in NUMERIC_OPTIONS])
+def test_numeric_option_extremes_exit_0_in_range_or_2(workspace, tmp_path, capsys, flag,
+                                                      command):
+    """Every numeric option, given each extreme value, exits 0 with a value
+    README documents for it, or 2 with one error line, and never raises."""
+    takes = _documented_values()[flag, command]
+    data = {name: str(workspace / name) for name in (
+        "train.jsonl", "val.jsonl", "utterances.jsonl", "labels.json", "intent_labels.json",
+        "templates.json")}
+    base = {
+        "sample": ["--data", data["train.jsonl"], "--labels", data["labels.json"],
+                   "--fraction", "0.5"],
+        "augment": ["--data", data["train.jsonl"], "--labels", data["labels.json"],
+                    "--mock-templates", data["templates.json"]],
+        "train": ["--data", data["train.jsonl"], "--labels", data["labels.json"]],
+        "weakdap": ["--train", data["train.jsonl"], "--val", data["val.jsonl"],
+                    "--labels", data["labels.json"], "--mock-templates", data["templates.json"],
+                    "--max-iterations", "1"],
+        "baseline": ["--method", "aeda" if flag == "--alpha" else "eda",
+                     "--data", data["utterances.jsonl"],
+                     "--labels", data["intent_labels.json"]],
+    }[command]
+    integer = {f: kw for f, kw, _ in OPTIONS}[flag]["type"] is int
+    for value in ("nan", "inf", "-inf", "-1", "0", "1e308"):
+        argv = [command, *base, "--out", str(tmp_path / value), f"{flag}={value}"]
+        try:
+            rc = main(argv)
+        except SystemExit as e:  # argparse: text that an integer option cannot parse
+            assert e.code == 2 and integer, (command, flag, value)
+            capsys.readouterr()
+            continue
+        err = capsys.readouterr().err
+        if rc == 0:
+            assert takes(float(value)), (command, flag, value)
+        else:
+            assert rc == 2, (command, flag, value, err)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert flag[2:].replace("-", "_").removeprefix("filter_") in err, err
+            assert not takes(float(value)), (command, flag, value, err)
 
 
 def _subparsers(parser):

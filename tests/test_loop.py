@@ -183,25 +183,26 @@ class TestRunWeakdap:
 
     def test_refilter_leaves_iteration_zero_candidates_alone(self, toy_dataset, tmp_path,
                                                               monkeypatch):
-        pools = []
+        """No generated candidate is ever judged: every iteration sets its
+        verdicts, silver labels and entropies on copies of the pool."""
+        for regen in ("refilter", "fresh"):
+            pools = []
 
-        def recording(*args, **kwargs):
-            pools.append(augment.run_augmentation(*args, **kwargs))
-            return pools[-1]
+            def recording(*args, **kwargs):
+                pool = augment.run_augmentation(*args, **kwargs)
+                pools.append((pool, [(c.verdict, c.silver_label, c.entropy) for c in pool]))
+                return pool
 
-        monkeypatch.setattr("weakdap.loop.run_augmentation", recording)
-        self._run(toy_dataset, out_dir=tmp_path, regen="refilter")
-        run = load_run(tmp_path)
-        assert len(pools) == 1 and len(run["iterations"]) >= 2
-        assert any(it["counts"]["dropped_mismatch"] > 0 for it in run["iterations"][1:])
-        # later filtering wrote its verdicts to copies: the iteration-0 objects
-        # still serialize to exactly what iteration 0 wrote
-        pool0 = sorted(pools[0], key=lambda c: c.id)
-        assert [json.dumps(augment.candidate_to_dict(c, FEAT.context_window),
-                           ensure_ascii=False, sort_keys=True)
-                for c in pool0] \
-            == (tmp_path / "iter_0/candidates.jsonl").read_text().splitlines()
-        assert all(c.silver_label is None and c.entropy is None for c in pool0)
+            monkeypatch.setattr("weakdap.loop.run_augmentation", recording)
+            out = tmp_path / regen
+            self._run(toy_dataset, out_dir=out, regen=regen)
+            run = load_run(out)
+            assert len(run["iterations"]) >= 2
+            assert len(pools) == (1 if regen == "refilter" else len(run["iterations"]))
+            assert any(it["counts"]["dropped_mismatch"] > 0 for it in run["iterations"][1:])
+            for pool, generated in pools:
+                assert [(c.verdict, c.silver_label, c.entropy) for c in pool] == generated
+                assert all(c.silver_label is None and c.entropy is None for c in pool)
 
     def test_fresh_mode_regenerates(self, toy_dataset, tmp_path):
         self._run(toy_dataset, out_dir=tmp_path, regen="fresh")
@@ -367,16 +368,15 @@ class TestGoldenRunDirectories:
     digests and says why."""
 
     @pytest.mark.parametrize("strategy,regen,digest", [
-        # all five computed when a run directory began to hold one model.json
-        # (the best iteration's, byte-identical to its old iter_<t>/model.json)
-        # in place of one checkpoint per iteration, and run.json dropped its
-        # best block, each iteration's model path, counts.pending,
-        # filter.enabled and state.iteration; every candidates file is unchanged
-        ("lta", "fresh", "40c4750c13eedb300776454099ef5d8e3e7e49ff8aca687c647a8e9f1ecbb18a"),
-        ("cta", "fresh", "f08c7e523c3c3090dded5e517b722fcff3e129c8c43075eca7edaf474afd09ba"),
-        ("ata", "fresh", "4a9c55d4336527796a46ae1cf3b005d8a0417c5772e0a257eafa7715f2400f78"),
-        ("incontext", "refilter", "135a49f46d5b1b2488dc7f9b202c97d8f42b1c6b280902a696aec2303b44a585"),
-        ("random", "fresh", "3a3c6e4fab22bee2d00fe178ae42bcf0b0ddf53beb69652a0ff4b21c761181ad"),
+        # all five computed when the checkpoint became version 4: model.json
+        # holds "version": 4 and a featurizer block without word_ngrams and
+        # char_ngram, now constants; its weights, every candidates file and
+        # run.json are byte-identical to those of version 3
+        ("lta", "fresh", "de0beebbce1253a7b8dda7ad0f632b7e903a69aa946ea4411bbc479d70c76ff0"),
+        ("cta", "fresh", "e6c85d61c505074abf2f826ff9d870a0fa09145e74b3769d1447aa9e8ac4b51e"),
+        ("ata", "fresh", "28c9f6e97a3264f32b621c2f8c74417a17f59268b48b1c8d58a65858a6623256"),
+        ("incontext", "refilter", "7b533d3830ed05f01f8dd57c9478e2162d35cfc862ef235e67b97d21895058e6"),
+        ("random", "fresh", "0fe2326f91e87bc46c87368e486c329f1ed6eb77d67ba0d6b54dbb77f2e17f4d"),
     ], ids=["lta-fresh", "cta-fresh", "ata-fresh", "incontext-refilter", "random-fresh"])
     def test_run_directory_digest(self, strategy, regen, digest, tmp_path):
         _small_run(strategy, tmp_path, iterations=3, regen=regen)

@@ -116,22 +116,6 @@ class TestIntentPrompt:
         assert len(rp.text.split("\n")) == 2
 
 
-class TestSpecValidation:
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(PromptError):
-            PromptSpec(task="emotion", speaker_names=("Alice", "Alice"))
-
-    def test_k_examples_positive(self):
-        with pytest.raises(PromptError):
-            PromptSpec(task="intent", k_examples=0)
-
-    def test_custom_names(self):
-        spec = PromptSpec(task="emotion", speaker_names=("Ana", "Ben"))
-        rp = render_dialogue_prompt(
-            [Turn(speaker="A", text="hi", emotion="neutral")], spec, "anger")
-        assert rp.text.endswith("Ben in a angry mood:")
-
-
 class TestLineCountProperty:
     def test_line_count_matches_context(self):
         rng = random.Random(5)

@@ -13,6 +13,7 @@ from weakdap.corpus import LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
+    CHAR_NGRAM,
     FeaturizerConfig,
     FilterConfig,
     HashedFeaturizer,
@@ -135,15 +136,15 @@ def unique_step_reference_train(texts, labels, featurizer, cfg):
     return best[1], best[2]
 
 
-def reference_grams(feat_cfg, text):
-    """The grams of `text` by the featurizer's spec: each word n-gram of the
-    lowercased tokens joined by "_", and "#" plus each char n-gram of the
-    lowercased text with its whitespace removed."""
+def reference_grams(text):
+    """The grams of `text` by the featurizer's spec: each word unigram and
+    bigram of the lowercased tokens, a bigram joined by "_", and "#" plus
+    each char n-gram of CHAR_NGRAM characters of the lowercased text with its
+    whitespace removed."""
     tokens = text.lower().split()
-    grams = ["_".join(tokens[i:i + n]) for n in feat_cfg.word_ngrams
-             for i in range(len(tokens) - n + 1)]
+    grams = tokens + [a + "_" + b for a, b in zip(tokens, tokens[1:])]
     compact = "".join(ch for ch in text.lower() if not ch.isspace())
-    n = feat_cfg.char_ngram
+    n = CHAR_NGRAM
     return grams + ["#" + compact[i:i + n] for i in range(len(compact) - n + 1)]
 
 
@@ -154,7 +155,7 @@ def reference_transform(feat_cfg, texts):
     data, indices, indptr = [], [], [0]
     for text in texts:
         counts = {}
-        for gram in reference_grams(feat_cfg, text):
+        for gram in reference_grams(text):
             idx = zlib.crc32(gram.encode("utf-8")) % feat_cfg.dim
             counts[idx] = counts.get(idx, 0.0) + 1.0
         for idx in sorted(counts):
@@ -255,17 +256,11 @@ class TestFeaturizer:
         texts = FEATURIZER_TEXTS + texts
         assert_same_csr(HashedFeaturizer(feat).transform(texts), reference_transform(feat, texts))
 
-    @pytest.mark.parametrize("feat", [
-        FEAT,
-        FeaturizerConfig(dim=1 << 14, word_ngrams=(1, 2, 3)),
-        FeaturizerConfig(dim=1 << 14, char_ngram=1),
-        FeaturizerConfig(dim=1 << 14, char_ngram=2),
-        FeaturizerConfig(dim=1 << 14, char_ngram=4),
-    ], ids=["default", "words123", "char1", "char2", "char4"])
+    @pytest.mark.parametrize("feat", [FEAT, FeaturizerConfig(dim=7)], ids=["default", "dim7"])
     def test_token_boundaries_match_reference(self, feat):
         texts = [
             "a b cd e fg h ij k",  # tokens of 1 and 2 characters
-            "ab", "A b", "x", "",  # shorter than char_ngram, and empty
+            "ab", "A b", "x", "",  # shorter than CHAR_NGRAM, and empty
             "¿Qué tal? Señor Ñandú, ¿dónde está el baño? ¡Qué día más bonito! Él está aquí",
             "again and again and again",
         ]
@@ -275,11 +270,7 @@ class TestFeaturizer:
         texts = ["ij k a b cd", "está él aquí ¡qué día!", "k fg ab x señor", "and ab again"]
         assert_same_csr(featurizer.transform(texts), reference_transform(feat, texts))
 
-    @pytest.mark.parametrize("char_ngram", [1, 2, 3, 4])
-    @pytest.mark.parametrize("word_ngrams", [(1,), (2,), (1, 2, 2), (1, 2, 3)],
-                             ids=["w1", "w2", "w122", "w123"])
-    def test_pair_memo_matches_reference(self, word_ngrams, char_ngram):
-        feat = FeaturizerConfig(dim=1 << 14, word_ngrams=word_ngrams, char_ngram=char_ngram)
+    def test_pair_memo_matches_reference(self):
         texts = [
             "hello a world",  # a short token in the middle
             "hello world a",  # and at the end, after a pair seen with another b
@@ -291,12 +282,12 @@ class TestFeaturizer:
             "world hello a world hello ab",
             "a b c hello a",
         ]
-        assert_same_csr(HashedFeaturizer(feat).transform(texts), reference_transform(feat, texts))
-        one = HashedFeaturizer(feat)
+        assert_same_csr(HashedFeaturizer(FEAT).transform(texts), reference_transform(FEAT, texts))
+        one = HashedFeaturizer(FEAT)
         singly = sparse.vstack([one.transform([text]) for text in texts], format="csr")
-        assert_same_csr(singly, reference_transform(feat, texts))
-        backwards = HashedFeaturizer(feat).transform(texts[::-1])[::-1]
-        assert_same_csr(backwards, reference_transform(feat, texts))
+        assert_same_csr(singly, reference_transform(FEAT, texts))
+        backwards = HashedFeaturizer(FEAT).transform(texts[::-1])[::-1]
+        assert_same_csr(backwards, reference_transform(FEAT, texts))
 
     def test_hashes_each_distinct_text_once(self, monkeypatch):
         featurizer = HashedFeaturizer(FEAT)
@@ -317,20 +308,12 @@ class TestFeaturizer:
 
     @pytest.mark.parametrize("kwargs,match", [
         ({"dim": 0}, "dimension"),
-        ({"word_ngrams": (0,)}, "word n-gram"),
-        ({"word_ngrams": (1, -1)}, "word n-gram"),
-        ({"char_ngram": 0}, "char n-gram"),
-        ({"char_ngram": -2}, "char n-gram"),
         ({"context_window": -1}, "context window"),
         ({"context_window": -2}, "context window"),
     ])
     def test_invalid_config_rejected(self, kwargs, match):
         with pytest.raises(WeakLabelError, match=match):
             FeaturizerConfig(**kwargs)
-
-    def test_config_without_word_ngrams_hashes_char_grams_only(self):
-        featurizer = HashedFeaturizer(FeaturizerConfig(dim=64, word_ngrams=()))
-        assert len(featurizer._indices("ab cd")) == 2  # "#abc", "#bcd"
 
 
 class TestTraining:
@@ -530,7 +513,7 @@ class TestTraining:
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         nonzero = np.flatnonzero(np.any(model.weights != 0, axis=0))
         assert doc["columns"] == nonzero.tolist()
         assert 0 < len(nonzero) < FEAT.dim
@@ -564,8 +547,8 @@ class TestCheckpoint:
         assert np.array_equal(WeakLabeler.load(path).predict_proba(["any text"]),
                               np.full((1, 4), 0.25))
 
-    @pytest.mark.parametrize("version", [None, 0, 4, "3", "2", 1, 2],
-                             ids=["None", "0", "4", "3", "2", "v1", "v2"])
+    @pytest.mark.parametrize("version", [None, 0, 5, "4", "3", "2", 1, 2, 3],
+                             ids=["None", "0", "5", "4", "3", "2", "v1", "v2", "v3"])
     def test_unknown_version_rejected(self, tmp_path, version):
         model = zero_model(np.zeros(4))
         path = tmp_path / "model.json"
@@ -608,7 +591,7 @@ class TestCheckpoint:
         (lambda d: d.update(weights="not base64!"), "malformed"),
         (lambda d: d.update(weights=[1.0, 2.0]), "malformed"),
         (lambda d: d.update(label_space={"labels": ["a", "b"]}), "malformed"),
-        (lambda d: d["featurizer"].update(char_ngram=-2), "char n-gram"),
+        (lambda d: d["featurizer"].update(dim=0), "dimension"),
         (lambda d: d["featurizer"].update(context_window=-2), "malformed.*context window"),
         (lambda d: d["featurizer"].update(unknown=1), "malformed"),
         (lambda d: d["label_space"].update(labels="abcd"), "malformed.*string"),
