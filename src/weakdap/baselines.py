@@ -59,15 +59,15 @@ class EdaConfig:
                 raise BaselineError(f"lexicon entry {word!r} has no synonyms")
 
 
+PUNCTUATION = (".", ";", "?", ":", "!", ",")  # the marks AEDA inserts
+
+
 @dataclass
 class AedaConfig:
-    punctuation: tuple[str, ...] = (".", ";", "?", ":", "!", ",")
     alpha: float = 0.3
     seed: int = 0
 
     def __post_init__(self):
-        if not self.punctuation:
-            raise BaselineError("punctuation set must be non-empty")
         if not 0 <= self.alpha <= 1:
             raise BaselineError(f"alpha must be in [0, 1], got {self.alpha}")
 
@@ -146,7 +146,7 @@ def aeda_augment(text: str, cfg: AedaConfig) -> str:
     out = []
     for i, w in enumerate(words):
         if i in positions:
-            out.append(rng.choice(cfg.punctuation))
+            out.append(rng.choice(PUNCTUATION))
         out.append(w)
     return " ".join(out)
 

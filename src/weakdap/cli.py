@@ -40,7 +40,7 @@ from .loop import REGENS, LoopConfig, evaluate_model, run_weakdap
 from .metrics import METRICS
 from .prompt import PromptSpec
 from .weaklabel import (
-    FeaturizerConfig,
+    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -206,7 +206,7 @@ def cmd_augment(args):
     gold = load_jsonl(args.data, label_space.schema, label_space)
     plan, spec, backend, params = _generation(args, strategy, label_space)
     candidates = run_augmentation(gold, plan, backend, spec, label_space, params)
-    write_candidates(candidates, args.out, FeaturizerConfig().context_window)
+    write_candidates(candidates, args.out, CONTEXT_WINDOW)
     produced = len(candidates)
     dropped = sum(1 for c in candidates if c.verdict.startswith("dropped"))
     print(f"produced {produced} candidates ({dropped} dropped) -> {args.out}")
@@ -215,9 +215,8 @@ def cmd_augment(args):
 def cmd_train(args):
     label_space = load_label_space(args.labels)
     records = load_jsonl(args.data, label_space.schema, label_space)
-    featurizer = HashedFeaturizer(FeaturizerConfig())
-    texts, labels = instances_of(records, label_space, featurizer.config.context_window)
-    model = train(texts, labels, label_space, featurizer, TrainConfig(seed=args.seed))
+    texts, labels = instances_of(records, label_space, CONTEXT_WINDOW)
+    model = train(texts, labels, label_space, HashedFeaturizer(), TrainConfig(seed=args.seed))
     model.save(args.out)
     print(f"trained on {len(texts)} instances -> {args.out}")
 
@@ -243,7 +242,7 @@ def cmd_eval(args):
     model = WeakLabeler.load(args.model)
     label_space = model.label_space
     records = load_jsonl(args.data, label_space.schema, label_space)
-    texts, gold = instances_of(records, label_space, model.featurizer.config.context_window)
+    texts, gold = instances_of(records, label_space, CONTEXT_WINDOW)
     report = evaluate_model(model, texts, gold, label_space,
                             majority_index(records, label_space))
     print(report.to_json())

@@ -32,7 +32,7 @@ from .corpus import Dataset, LabelSpace, majority_index
 from .genbackend import GenParams
 from .prompt import PromptSpec
 from .weaklabel import (
-    FeaturizerConfig,
+    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -107,7 +107,7 @@ def evaluate_model(model: WeakLabeler, texts, gold, label_space: LabelSpace,
                    majority: int) -> metrics.MetricReport:
     """The metric report of `model`'s predictions on the instance `texts`
     against their `gold` labels (`weaklabel.instances_of` of the evaluation
-    records, built with the model's context window)."""
+    records, built with CONTEXT_WINDOW)."""
     pred = model.predict(texts)
     return metrics.report_from_predictions(gold, pred, label_space, majority)
 
@@ -122,7 +122,6 @@ def _verdict_counts(candidates) -> dict:
 def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
                 loop_cfg: LoopConfig, backend, prompt_spec: PromptSpec,
                 gen_params: GenParams | None = None,
-                feat_cfg: FeaturizerConfig | None = None,
                 train_cfg: TrainConfig | None = None,
                 out_dir: str | None = None,
                 en_pool=None):
@@ -140,15 +139,14 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
         raise LoopError("gold dataset needs train and validation partitions")
     gen_params = gen_params or GenParams()
     # one featurizer for the whole run: every text is hashed once
-    featurizer = HashedFeaturizer(feat_cfg or FeaturizerConfig())
+    featurizer = HashedFeaturizer()
     train_cfg = train_cfg or TrainConfig()
     label_space = dataset.label_space
     majority = majority_index(dataset.train, label_space)
 
     # gold instances do not change between iterations: build them once
-    window = featurizer.config.context_window
-    gold_texts, gold_labels = instances_of(dataset.train, label_space, window)
-    val_texts, val_gold = instances_of(dataset.validation, label_space, window)
+    gold_texts, gold_labels = instances_of(dataset.train, label_space, CONTEXT_WINDOW)
+    val_texts, val_gold = instances_of(dataset.validation, label_space, CONTEXT_WINDOW)
 
     state = LoopState()
     records = []
@@ -173,7 +171,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             filter_candidates(candidates, model, filter_cfg)
 
         kept = [c for c in candidates if c.verdict == "kept"]
-        kept_texts, kept_labels = instances_of(kept, label_space, window)
+        kept_texts, kept_labels = instances_of(kept, label_space, CONTEXT_WINDOW)
         model = train(gold_texts + kept_texts, gold_labels + kept_labels,
                       label_space, featurizer, train_cfg)
         report = evaluate_model(model, val_texts, val_gold, label_space, majority)
@@ -190,7 +188,8 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
         if out_dir:
             iter_dir = os.path.join(out_dir, f"iter_{t}")
             os.makedirs(iter_dir, exist_ok=True)
-            write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"), window)
+            write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"),
+                             CONTEXT_WINDOW)
 
         stop = state.update(score, loop_cfg)
         if state.best_iteration == t:

@@ -15,7 +15,7 @@ import json
 import math
 import random
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -31,44 +31,27 @@ class WeakLabelError(ValueError):
 
 # Characters in a char n-gram. Words are hashed as unigrams and bigrams.
 CHAR_NGRAM = 3
+DIM = 1 << 15  # hashed feature columns
+CONTEXT_WINDOW = 1  # previous turns folded into an instance's text
+FEATURIZE_BATCH = 256  # new texts whose rows are built at once
 
-
-@dataclass(frozen=True)
-class FeaturizerConfig:
-    dim: int = 1 << 15
-    context_window: int = 1  # previous turns folded into the instance text
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise WeakLabelError("hash dimension must be >= 1")
-        if self.context_window < 0:
-            raise WeakLabelError("context window must be >= 0")
+# The trainer's step: mini-batch gradient descent with L2 decay, early
+# stopping on a held-out share of the instances.
+LEARNING_RATE = 0.5
+BATCH_SIZE = 32
+L2 = 1e-4
+VAL_FRACTION = 0.1
 
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.5
     epochs: int = 60
-    batch_size: int = 32
-    l2: float = 1e-4
     patience: int = 8
-    val_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise WeakLabelError("batch size must be >= 1")
         if self.epochs < 0:
             raise WeakLabelError("epochs must be >= 0")
-        if not self.learning_rate > 0:
-            raise WeakLabelError("learning rate must be > 0")
-        if not self.l2 >= 0:
-            raise WeakLabelError("l2 must be >= 0")
-        if not self.learning_rate * self.l2 < 1:
-            # the L2 decay of one step would reach or pass zero
-            raise WeakLabelError("learning_rate * l2 must be < 1")
-        if not 0 <= self.val_fraction < 1:
-            raise WeakLabelError("val fraction must be in [0, 1)")
         if self.patience < 1:
             raise WeakLabelError("patience must be >= 1")
         if self.seed < 0:  # numpy's generator takes no negative seed
@@ -118,6 +101,11 @@ def instances_of(records, label_space: LabelSpace, window: int):
     return texts, labels
 
 
+def _columns(grams) -> list[int]:
+    """The hashed column of each gram."""
+    return [zlib.crc32(g.encode("utf-8")) % DIM for g in grams]
+
+
 class HashedFeaturizer:
     """Sparse hashed word unigram and bigram + character trigram features
     (crc32, stable across processes).
@@ -133,16 +121,12 @@ class HashedFeaturizer:
     that starts in a can run past b, so such a pair is hashed in its text. No
     memo is locked; call it from the main thread only."""
 
-    def __init__(self, config: FeaturizerConfig):
-        self.config = config
-        self._rows = sparse.csr_matrix((0, config.dim))  # every row built so far
+    def __init__(self):
+        self._rows = sparse.csr_matrix((0, DIM))  # every row built so far
         self._row_of: dict[str, int] = {}  # text -> its row in self._rows
         self._token_columns: dict[str, list[int]] = {}  # token -> columns of its own grams
         # (a, b) -> columns of the grams that span exactly the pair
         self._pair_columns: dict[tuple[str, str], list[int]] = {}
-
-    def _columns(self, grams) -> list[int]:
-        return [zlib.crc32(g.encode("utf-8")) % self.config.dim for g in grams]
 
     def _indices(self, text: str) -> list[int]:
         """The hashed column of every gram of `text`, repeats included: each
@@ -154,7 +138,7 @@ class HashedFeaturizer:
         for token in tokens:
             own = self._token_columns.get(token)
             if own is None:
-                own = self._token_columns[token] = self._columns(
+                own = self._token_columns[token] = _columns(
                     [token] + ["#" + token[i:i + n] for i in range(len(token) - n + 1)])
             cols += own
         # bigrams, and char trigrams that start in a token and end past it
@@ -165,7 +149,7 @@ class HashedFeaturizer:
             start, end = end, end + len(a)
             pair = self._pair_columns.get((a, b))
             if pair is None:
-                pair = self._columns(
+                pair = _columns(
                     [a + "_" + b] + ["#" + compact[i:i + n]
                                      for i in range(max(start, end - n + 1), min(end, last))])
                 if len(b) >= n - 1:  # every gram that starts in a ends in b
@@ -174,21 +158,23 @@ class HashedFeaturizer:
         return cols
 
     def _featurize(self, texts: list[str]) -> sparse.csr_matrix:
-        """Rows of `texts`, each l2-normalized."""
-        dim = self.config.dim
+        """Rows of `texts`, each l2-normalized. Each row stores its columns
+        in descending order: the trainer's floating-point sums run in the
+        stored order, so every model's weights depend on it."""
         grams = [self._indices(text) for text in texts]
         cols = np.fromiter(itertools.chain.from_iterable(grams), dtype=np.int64)
         rows = np.repeat(np.arange(len(texts), dtype=np.int64), [len(g) for g in grams])
-        # sorted (row, column) keys: each row's columns ascending, with counts
-        keys, counts = np.unique(rows * dim + cols, return_counts=True)
-        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(keys // dim, minlength=len(texts)), out=indptr[1:])
-        X = sparse.csr_matrix((counts.astype(np.float64), keys % dim, indptr),
-                              shape=(len(texts), dim))
-        # l2 row normalization keeps gradients comparable across text lengths
-        norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
+        # sorted (row, DIM - 1 - column) keys: each row's columns descending
+        keys, counts = np.unique(rows * DIM + (DIM - 1 - cols), return_counts=True)
+        row_of = keys // DIM
+        # l2 row normalization keeps gradients comparable across text lengths;
+        # the squared counts are integers, so their sum is exact in any order
+        norms = np.sqrt(np.bincount(row_of, weights=counts * counts, minlength=len(texts)))
         norms[norms == 0] = 1.0
-        return sparse.diags(1.0 / norms) @ X
+        indptr = np.zeros(len(texts) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(row_of, minlength=len(texts)), out=indptr[1:])
+        return sparse.csr_matrix((counts * (1.0 / norms)[row_of], DIM - 1 - keys % DIM, indptr),
+                                 shape=(len(texts), DIM))
 
     def transform(self, texts) -> sparse.csr_matrix:
         texts = list(texts)
@@ -196,7 +182,10 @@ class HashedFeaturizer:
         if new:
             first = self._rows.shape[0]
             self._row_of.update(zip(new, range(first, first + len(new))))
-            self._rows = sparse.vstack([self._rows, self._featurize(new)], format="csr")
+            # a batch at a time bounds the memory of the (row, column) keys
+            batches = [self._featurize(new[i:i + FEATURIZE_BATCH])
+                       for i in range(0, len(new), FEATURIZE_BATCH)]
+            self._rows = sparse.vstack([self._rows, *batches], format="csr")
         return self._rows[[self._row_of[text] for text in texts]]
 
 
@@ -226,8 +215,8 @@ class WeakLabeler:
 
     @property
     def weights(self) -> np.ndarray:
-        """The dense C x dim weight matrix, built on each access."""
-        W = np.zeros((self.block.shape[1], self.featurizer.config.dim))
+        """The dense C x DIM weight matrix, built on each access."""
+        W = np.zeros((self.block.shape[1], DIM))
         W[:, self.columns] = self.block.T
         return W
 
@@ -248,7 +237,7 @@ class WeakLabeler:
         block = np.asarray(self.block.T, dtype="<f8").tobytes()
         doc = {
             "version": 4,
-            "featurizer": asdict(self.featurizer.config),
+            "featurizer": _featurizer_block(),
             "label_space": to_dict(self.label_space),
             "columns": self.columns.tolist(),
             "weights": base64.b64encode(block).decode("ascii"),
@@ -281,12 +270,19 @@ class WeakLabeler:
         return model
 
 
+def _featurizer_block() -> dict:
+    """A checkpoint's record of the featurizer its columns come from."""
+    return {"context_window": CONTEXT_WINDOW, "dim": DIM}
+
+
 def _checkpoint_parts(doc: dict):
     """(featurizer, columns, block, bias, label space) of a v4 checkpoint
     document, checked against each other."""
     label_space = from_dict(LabelSpace, doc["label_space"])
-    featurizer = HashedFeaturizer(FeaturizerConfig(**doc["featurizer"]))
-    C, dim = len(label_space), featurizer.config.dim
+    if doc["featurizer"] != _featurizer_block():
+        raise WeakLabelError(f"the featurizer must have hash dimension {DIM} and "
+                             f"context window {CONTEXT_WINDOW}")
+    C = len(label_space)
     bias = np.array(doc["bias"], dtype=np.float64)
     if bias.shape != (C,):
         raise WeakLabelError(f"bias must hold {C} values, one per label")
@@ -294,8 +290,8 @@ def _checkpoint_parts(doc: dict):
     if columns.ndim != 1 or (columns.size and columns.dtype.kind != "i"):
         raise WeakLabelError("columns must be a list of integers")
     columns = columns.astype(np.intp)
-    if columns.size and (columns[0] < 0 or columns[-1] >= dim or np.any(np.diff(columns) <= 0)):
-        raise WeakLabelError(f"columns must be strictly ascending and within [0, {dim})")
+    if columns.size and (columns[0] < 0 or columns[-1] >= DIM or np.any(np.diff(columns) <= 0)):
+        raise WeakLabelError(f"columns must be strictly ascending and within [0, {DIM})")
     raw = base64.b64decode(doc["weights"], validate=True)
     if len(raw) % 8:
         raise WeakLabelError("weights must be whole float64 values")
@@ -303,7 +299,7 @@ def _checkpoint_parts(doc: dict):
     if values.size != C * len(columns):
         raise WeakLabelError(f"weights must hold {C} x {len(columns)} values")
     block = np.array(values.reshape(C, len(columns)).T, dtype=np.float64, order="C")
-    return featurizer, columns, block, bias, label_space
+    return HashedFeaturizer(), columns, block, bias, label_space
 
 
 def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray, out: np.ndarray,
@@ -333,11 +329,9 @@ def _csr_matmul(indptr, indices, data, n_cols: int, M: np.ndarray, out: np.ndarr
 def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturizer,
           cfg: TrainConfig) -> WeakLabeler:
     """Fit the weak labeler on `featurizer`'s rows of the instances with
-    mini-batch gradient descent under `cfg`, and early stopping on the loss of
-    an internal validation split (the training loss when that split is empty).
-    Deterministic under `cfg.seed`.
-
-    A `val_fraction` of 0 makes no split: it trains on every instance.
+    mini-batch gradient descent, and early stopping under `cfg` on the loss of
+    an internal validation split of VAL_FRACTION of the instances (the
+    training loss when that split is empty). Deterministic under `cfg.seed`.
 
     It trains over the K hashed columns its instances use, not all of the
     featurizer's, renumbered 0..K-1 in ascending order through a mark array
@@ -361,7 +355,7 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     X = featurizer.transform(instances)
     n, C = X.shape[0], len(label_space)
     # Renumber the used columns 0..K-1 in their order: every product and sum
-    # runs as it would over all dim columns, so the weights are the same. It
+    # runs as it would over all DIM columns, so the weights are the same. It
     # also keeps every index in [0, K), which the unchecked kernels need.
     mark = np.zeros(X.shape[1], dtype=bool)
     mark[X.indices] = True
@@ -369,37 +363,38 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     K = len(used)
     remap = np.zeros(X.shape[1], dtype=X.indices.dtype)
     remap[used] = np.arange(K)
-    X = sparse.csr_matrix((X.data, remap[X.indices], X.indptr), shape=(n, K))
+    X.indices[:] = remap[X.indices]  # transform's own gather: the featurizer's rows stay
+    X = sparse.csr_matrix((X.data, X.indices, X.indptr), shape=(n, K))
 
     rng = random.Random(cfg.seed)
     order = list(range(n))
     rng.shuffle(order)
-    n_val = max(1, int(cfg.val_fraction * n)) if n > 2 and cfg.val_fraction > 0 else 0
-    val_idx, train_idx = order[:n_val], order[n_val:]
-    Xtr, ytr = X[train_idx], y[train_idx]
-    Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (Xtr, ytr)
+    n_val = max(1, int(VAL_FRACTION * n)) if n > 2 and VAL_FRACTION > 0 else 0
+    val_idx, train_idx = order[:n_val], np.array(order[n_val:], dtype=np.intp)
+    ytr = y[train_idx]
+    Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (X[train_idx], ytr)
     # W = s * V.T: the L2 decay of every step only rescales s, so a step
     # changes just the rows of V for the batch's feature columns.
-    decay = 1.0 - cfg.learning_rate * cfg.l2
+    decay = 1.0 - LEARNING_RATE * L2
     V = np.zeros((K, C))
     s = 1.0
     b = np.zeros(C)
     best = (math.inf, V.copy(), b.copy())  # best s * V, K x C
     stall = 0
     np_rng = np.random.default_rng(cfg.seed)
-    ntr = Xtr.shape[0]
+    ntr = len(train_idx)
     onehot = np.eye(C)[ytr]
-    scores = np.empty((min(cfg.batch_size, ntr), C))
+    scores = np.empty((min(BATCH_SIZE, ntr), C))
     G = np.empty((K, C))
     G_bytes = G.view(np.uint8)  # all-zero bytes are +0.0, and a byte fill is faster
 
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
-        Xp, Yp = Xtr[perm], onehot[perm]
-        indptr, indices, data = Xp.indptr, Xp.indices, Xp.data
-        for start in range(0, ntr, cfg.batch_size):
-            stop = min(start + cfg.batch_size, ntr)
-            batch = (indptr[start:stop + 1], indices, data, K)
+        Xp = batch = None  # free the last epoch's rows before the next gather
+        Xp, Yp = X[train_idx[perm]], onehot[perm]
+        for start in range(0, ntr, BATCH_SIZE):
+            stop = min(start + BATCH_SIZE, ntr)
+            batch = (Xp.indptr[start:stop + 1], Xp.indices, Xp.data, K)
             err = scores[:stop - start]
             err.fill(0.0)
             _csr_matmul(*batch, V, err)
@@ -412,9 +407,9 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
             # V - 0.0 == V (-0.0 included), so only those rows change.
             G_bytes.fill(0)
             _csr_matmul(*batch, err, G, transpose=True)
-            G *= cfg.learning_rate / ((stop - start) * s)
+            G *= LEARNING_RATE / ((stop - start) * s)
             V -= G
-            b -= cfg.learning_rate * (err.sum(axis=0) / (stop - start))  # err.mean, bit for bit
+            b -= LEARNING_RATE * (err.sum(axis=0) / (stop - start))  # err.mean, bit for bit
             if s < 1e-6:
                 V *= s
                 s = 1.0
@@ -455,7 +450,7 @@ def nearest_rank_threshold(entropies, percentile: float) -> float:
 
 
 def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
-                      window: int | None = None) -> None:
+                      window: int = CONTEXT_WINDOW) -> None:
     """Assign silver labels and entropies, then apply the percentile rule, in
     place. A candidate with a payload and a pending verdict is scored by the
     last text of its instances_of, so a dialogue candidate by its final
@@ -467,8 +462,6 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     candidates; the rest are dropped. P = 0 keeps everything but still
     annotates: it is the no-filter condition.
     """
-    if window is None:
-        window = model.featurizer.config.context_window
     scorable = [c for c in candidates if c.payload is not None and c.verdict == "pending"]
     if not scorable:
         return

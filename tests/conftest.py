@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from weakdap import weaklabel
 from weakdap.corpus import Conversation, Dataset, LabelSpace, Turn
 from weakdap.genbackend import MockBackend, MockGenConfig
 from weakdap.loop import LoopConfig, LoopState
@@ -42,6 +43,13 @@ def toy_templates(per_label: int = 12, seed: int = 999) -> dict:
     rng = random.Random(seed)
     return {label: [toy_sentence(label, rng) for _ in range(per_label)]
             for label in TOY_LABELS}
+
+
+@pytest.fixture
+def dim_1_14(monkeypatch):
+    """Hash into 1 << 14 columns: the golden digests, the acceptance runs
+    and the weak-labeler tests are pinned at that `weaklabel.DIM`."""
+    monkeypatch.setattr(weaklabel, "DIM", 1 << 14)
 
 
 @pytest.fixture

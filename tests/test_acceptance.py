@@ -7,16 +7,17 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from weakdap.augment import AugmentPlan, run_augmentation
-from weakdap.baselines import AedaConfig, EdaConfig, aeda_augment, eda_augment
+from weakdap.baselines import PUNCTUATION, AedaConfig, EdaConfig, aeda_augment, eda_augment
 from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
 from weakdap.loop import LoopConfig, instances_of, run_weakdap
 from weakdap.metrics import accuracy, confusion_matrix, macro_f1, micro_f1_no_majority
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
-    FeaturizerConfig,
+    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -30,9 +31,10 @@ from conftest import TOY_LABELS, mock_backend, run_scripted, toy_conversation, t
 
 RUNTIMES = {}
 
-FEAT = FeaturizerConfig(dim=1 << 14)
 TRAIN = TrainConfig(seed=3, epochs=30)
 E2E_SEED = 5
+
+pytestmark = pytest.mark.usefixtures("dim_1_14")
 
 
 def _finish(num, name, start, limit, failures, runtime_key=None):
@@ -236,7 +238,7 @@ def _e2e_run(out_dir=None):
     return run_weakdap(
         dataset, plan, FilterConfig(), LoopConfig(metric="macro_f1"),
         mock_backend(noise_rate=0.4), PromptSpec(task="emotion"),
-        gen_params=GenParams(), feat_cfg=FEAT, train_cfg=TRAIN, out_dir=out_dir)
+        gen_params=GenParams(), train_cfg=TRAIN, out_dir=out_dir)
 
 
 def test_criterion_5_end_to_end_denoising(tmp_path):
@@ -245,9 +247,9 @@ def test_criterion_5_end_to_end_denoising(tmp_path):
     dataset = _e2e_dataset()
     space = dataset.label_space
 
-    texts, labels = instances_of(dataset.train, space, FEAT.context_window)
-    gold_model = train(texts, labels, space, HashedFeaturizer(FEAT), TRAIN)
-    val_texts, val_gold = instances_of(dataset.validation, space, FEAT.context_window)
+    texts, labels = instances_of(dataset.train, space, CONTEXT_WINDOW)
+    gold_model = train(texts, labels, space, HashedFeaturizer(), TRAIN)
+    val_texts, val_gold = instances_of(dataset.validation, space, CONTEXT_WINDOW)
     acc = sum(p == g for p, g in zip(gold_model.predict(val_texts), val_gold)) \
         / len(val_gold)
     if not acc > 0.9:
@@ -325,10 +327,10 @@ def test_criterion_7_baseline_properties():
         cfg = AedaConfig(alpha=0.3, seed=i)
         out = aeda_augment(text, cfg)
         tokens = out.split()
-        marks = sum(1 for t in tokens if t in cfg.punctuation)
+        marks = sum(1 for t in tokens if t in PUNCTUATION)
         if not 1 <= marks <= max(1, math.floor(0.3 * n)):
             failures.append(f"AEDA {i}: {marks} marks for n={n}")
-        if [t for t in tokens if t not in cfg.punctuation] != text.split():
+        if [t for t in tokens if t not in PUNCTUATION] != text.split():
             failures.append(f"AEDA {i}: token sequence changed")
         if out != aeda_augment(text, AedaConfig(alpha=0.3, seed=i)):
             failures.append(f"AEDA {i}: not deterministic")

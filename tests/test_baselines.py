@@ -5,6 +5,7 @@ import pytest
 from weakdap import augment
 from weakdap.augment import AugmentPlan, _plan_jobs, run_augmentation
 from weakdap.baselines import (
+    PUNCTUATION,
     AedaConfig,
     BaselineError,
     EdaConfig,
@@ -83,15 +84,15 @@ class TestAeda:
         cfg = AedaConfig(seed=2)
         out = aeda_augment("hello", cfg)
         tokens = out.split()
-        marks = [t for t in tokens if t in cfg.punctuation]
+        marks = [t for t in tokens if t in PUNCTUATION]
         assert len(marks) == 1
-        assert [t for t in tokens if t not in cfg.punctuation] == ["hello"]
+        assert [t for t in tokens if t not in PUNCTUATION] == ["hello"]
 
     def test_token_sequence_preserved(self):
         cfg = AedaConfig(seed=4)
         text = "the quick brown fox jumps over the lazy dog today"
         out = aeda_augment(text, cfg)
-        words = [t for t in out.split() if t not in cfg.punctuation]
+        words = [t for t in out.split() if t not in PUNCTUATION]
         assert words == text.split()
 
     def test_mark_count_range(self):
@@ -99,7 +100,7 @@ class TestAeda:
         for seed in range(50):
             cfg = AedaConfig(seed=seed, alpha=0.3)
             out = aeda_augment(text, cfg)
-            marks = [t for t in out.split() if t in cfg.punctuation]
+            marks = [t for t in out.split() if t in PUNCTUATION]
             assert 1 <= len(marks) <= 3  # floor(0.3 * 10)
 
     def test_deterministic(self):

@@ -13,7 +13,7 @@ from weakdap.genbackend import GenParams
 from weakdap.loop import LoopConfig, LoopError, LoopState, evaluate_model, run_weakdap
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
-    FeaturizerConfig,
+    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -23,8 +23,9 @@ from weakdap.weaklabel import (
 
 from conftest import TOY_LABELS, mock_backend, run_scripted, toy_conversation, toy_sentence
 
-FEAT = FeaturizerConfig(dim=1 << 14)
 TRAIN = TrainConfig(seed=3, epochs=30)
+
+pytestmark = pytest.mark.usefixtures("dim_1_14")
 
 
 def load_run(out_dir) -> dict:
@@ -124,7 +125,7 @@ class TestRunWeakdap:
         return run_weakdap(
             toy_dataset, plan, FilterConfig(), LoopConfig(metric="macro_f1", regen=regen),
             mock_backend(noise_rate=q), spec, gen_params=GenParams(),
-            feat_cfg=FEAT, train_cfg=TRAIN, out_dir=out_dir)
+            train_cfg=TRAIN, out_dir=out_dir)
 
     def test_returns_best_model_and_state(self, toy_dataset):
         model, silver, state = self._run(toy_dataset)
@@ -165,8 +166,7 @@ class TestRunWeakdap:
         # validation split as the loop scored it
         model = WeakLabeler.load(tmp_path / "model.json")
         space = toy_dataset.label_space
-        texts, gold = instances_of(toy_dataset.validation, space,
-                                   model.featurizer.config.context_window)
+        texts, gold = instances_of(toy_dataset.validation, space, CONTEXT_WINDOW)
         report = evaluate_model(model, texts, gold, space,
                                 majority_index(toy_dataset.train, space))
         assert report.score("macro_f1") == state.best_score
@@ -275,7 +275,7 @@ def _small_run(strategy, out_dir, iterations=2, regen="fresh"):
     run_weakdap(dataset, plan, FilterConfig(),
                 LoopConfig(metric="macro_f1", max_iterations=iterations,
                            patience=iterations, regen=regen),
-                mock_backend(noise_rate=0.3), spec, gen_params=params, feat_cfg=FEAT,
+                mock_backend(noise_rate=0.3), spec, gen_params=params,
                 train_cfg=TrainConfig(seed=3, epochs=5), out_dir=str(out_dir),
                 en_pool=en_pool)
 

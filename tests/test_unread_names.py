@@ -16,6 +16,13 @@ reason.
 
 Every parameter of a function in `src/weakdap` is loaded as a name in that
 function's body, nested functions included.
+
+Every field with a default of a config dataclass (a class whose name ends in
+`Config`, or one of CONFIGS) is set outside tests: some keyword argument,
+attribute store or string constant in `src/weakdap` or `perfbench/` names
+it. The match is by name alone, and a string counts because `cli._given`
+and `BASELINE_OPTIONS` pass field names as strings. A field that only tests
+set is a constant.
 """
 import ast
 from pathlib import Path
@@ -24,6 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "weakdap"
 BENCH = ROOT / "perfbench"
 
+CONFIGS = {"GenParams", "AugmentPlan", "PromptSpec"}  # config classes not named *Config
 ENTRY_POINTS = {"cli.main"}  # pyproject's [project.scripts]
 UNREAD = {  # name: why it stays without a reader
     "weaklabel.planted_noise_retention": "criterion 5's noise oracle, which run.json is to report",
@@ -163,6 +171,28 @@ def unread_parameters(modules: dict[str, str]) -> list[str]:
     return sorted(found)
 
 
+def unset_fields(modules: dict[str, str], bench: list[str]) -> list[str]:
+    """`Class.field` for each field with a default of a config dataclass in
+    modules that no keyword argument, attribute store or string constant in
+    modules or bench names."""
+    named = set()
+    for source in [*modules.values(), *bench]:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.keyword) and node.arg:
+                named.add(node.arg)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    return sorted(f"{node.name}.{member.target.id}"
+                  for source in modules.values() for node in ast.parse(source).body
+                  if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+                  and (node.name.endswith("Config") or node.name in CONFIGS)
+                  for member in node.body
+                  if isinstance(member, ast.AnnAssign) and member.value is not None
+                  and member.target.id not in named)
+
+
 def test_every_name_has_a_reader():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
@@ -226,6 +256,27 @@ def test_asdict_of_self_reads_every_field():
               "    def to_json(self, other): return asdict(other)\n"
               "def main(): return Report(1).to_json(), Other(1).to_json(None)\n")
     assert unread_names({"cli": source}, []) == ["Other.lost"]
+
+
+def test_every_config_field_is_set():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    unset = unset_fields(modules, bench)
+    assert unset == [], f"set by nothing but tests: {unset}"
+
+
+def test_check_finds_an_unset_field():
+    source = ("from dataclasses import dataclass, field\n"
+              "@dataclass\nclass RunConfig:\n    path: str\n    rate: float = 0.5\n"
+              "    size: int = 1\n    named: int = 2\n    stored: int = 3\n"
+              "    unset: list = field(default_factory=list)\n"
+              "@dataclass\nclass GenParams:\n    mode: str = 'a'\n    top: int = 1\n"
+              "@dataclass\nclass Report:\n    total: int = 0\n"
+              "def main(cfg):\n    cfg.stored = 4\n"
+              "    return RunConfig('p', size=2), OPTIONS, {'unset ': 1}, Report()\n"
+              "OPTIONS = ('named', 'mode')\n")
+    bench = "def run(): return GenParams(top=2), rate\n"
+    assert unset_fields({"cli": source}, [bench]) == ["RunConfig.rate", "RunConfig.unset"]
 
 
 def test_every_parameter_is_read():

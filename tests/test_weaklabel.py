@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from weakdap import weaklabel
 from weakdap.augment import AugmentPlan, Candidate, run_augmentation
 from weakdap.corpus import LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
     CHAR_NGRAM,
-    FeaturizerConfig,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -37,12 +37,19 @@ from conftest import (
 )
 
 SPACE = LabelSpace(task="emotion", labels=TOY_LABELS, majority=0)
-FEAT = FeaturizerConfig(dim=1 << 14)
+
+pytestmark = pytest.mark.usefixtures("dim_1_14")  # a test may pin another DIM
+
+
+def pin(monkeypatch, constants: dict):
+    """Set each named module constant of `weaklabel` for one test."""
+    for name, value in constants.items():
+        monkeypatch.setattr(weaklabel, name, value)
 
 
 def zero_model(bias):
     """A model with no nonzero weight: empty `columns` and block."""
-    return WeakLabeler(HashedFeaturizer(FEAT), np.zeros(0, dtype=np.intp),
+    return WeakLabeler(HashedFeaturizer(), np.zeros(0, dtype=np.intp),
                        np.zeros((0, len(SPACE))), bias, SPACE)
 
 
@@ -51,32 +58,33 @@ def softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def dense_reference_train(texts, labels, feat_cfg, cfg):
+def dense_reference_train(texts, labels, cfg):
     """Independent oracle for `train` with an internal validation split (the
-    training set at val_fraction 0): the textbook dense minibatch step
-    W -= lr * (err.T @ Xb / B + l2 * W) on the full C x dim matrix, with the
-    same permutation draws and stopping rule."""
-    X = HashedFeaturizer(feat_cfg).transform(texts)
+    training set at a VAL_FRACTION of 0): the textbook dense minibatch step
+    W -= lr * (err.T @ Xb / B + l2 * W) on the full C x DIM matrix, with the
+    same permutation draws and stopping rule, at weaklabel's constants."""
+    lr, l2, batch_size = weaklabel.LEARNING_RATE, weaklabel.L2, weaklabel.BATCH_SIZE
+    X = HashedFeaturizer().transform(texts)
     y = np.array([SPACE.index(l) for l in labels])
     n, C = X.shape[0], len(SPACE)
     order = list(range(n))
     random.Random(cfg.seed).shuffle(order)
-    n_val = max(1, int(cfg.val_fraction * n)) if cfg.val_fraction > 0 else 0
+    n_val = max(1, int(weaklabel.VAL_FRACTION * n)) if weaklabel.VAL_FRACTION > 0 else 0
     Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
     Xval, yval = (X[order[:n_val]], y[order[:n_val]]) if n_val else (Xtr, ytr)
-    W, b = np.zeros((C, feat_cfg.dim)), np.zeros(C)
+    W, b = np.zeros((C, weaklabel.DIM)), np.zeros(C)
     best = (math.inf, W.copy(), b.copy())
     stall = 0
     np_rng = np.random.default_rng(cfg.seed)
     onehot = np.eye(C)[ytr]
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(Xtr.shape[0])
-        for start in range(0, Xtr.shape[0], cfg.batch_size):
-            idx = perm[start:start + cfg.batch_size]
+        for start in range(0, Xtr.shape[0], batch_size):
+            idx = perm[start:start + batch_size]
             Xb = Xtr[idx]
             err = softmax(Xb @ W.T + b) - onehot[idx]
-            W -= cfg.learning_rate * ((err.T @ Xb) / len(idx) + cfg.l2 * W)
-            b -= cfg.learning_rate * err.mean(axis=0)
+            W -= lr * ((err.T @ Xb) / len(idx) + l2 * W)
+            b -= lr * err.mean(axis=0)
         P = softmax(Xval @ W.T + b)
         val_loss = -np.log(np.clip(P[np.arange(len(yval)), yval], 1e-12, None)).mean()
         if val_loss < best[0] - 1e-9:
@@ -92,16 +100,16 @@ def unique_step_reference_train(texts, labels, featurizer, cfg):
     """The lazy-L2 trainer as it was before it trained over the used columns
     only: V spans every hashed column, and each batch finds its distinct
     columns with np.unique. `train` must give exactly its weights."""
-    dim = featurizer.config.dim
+    dim, lr, batch_size = weaklabel.DIM, weaklabel.LEARNING_RATE, weaklabel.BATCH_SIZE
     y = np.array([SPACE.index(l) for l in labels])
     X = featurizer.transform(texts)
     n, C = X.shape[0], len(SPACE)
     order = list(range(n))
     random.Random(cfg.seed).shuffle(order)
-    n_val = max(1, int(cfg.val_fraction * n)) if cfg.val_fraction > 0 else 0
+    n_val = max(1, int(weaklabel.VAL_FRACTION * n)) if weaklabel.VAL_FRACTION > 0 else 0
     Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
     Xval, yval = (X[order[:n_val]], y[order[:n_val]]) if n_val else (Xtr, ytr)
-    decay = 1.0 - cfg.learning_rate * cfg.l2
+    decay = 1.0 - lr * weaklabel.L2
     V, s, b = np.zeros((dim, C)), 1.0, np.zeros(C)
     best = (math.inf, np.zeros((C, dim)), b.copy())
     stall = 0
@@ -111,8 +119,8 @@ def unique_step_reference_train(texts, labels, featurizer, cfg):
     for _ in range(cfg.epochs):
         perm = np_rng.permutation(ntr)
         Xp, Yp = Xtr[perm], onehot[perm]
-        for start in range(0, ntr, cfg.batch_size):
-            stop = min(start + cfg.batch_size, ntr)
+        for start in range(0, ntr, batch_size):
+            stop = min(start + batch_size, ntr)
             lo, hi = Xp.indptr[start], Xp.indptr[stop]
             cols, local = np.unique(Xp.indices[lo:hi], return_inverse=True)
             Xb = sparse.csr_matrix((Xp.data[lo:hi], local, Xp.indptr[start:stop + 1] - lo),
@@ -120,8 +128,8 @@ def unique_step_reference_train(texts, labels, featurizer, cfg):
             Vb = V[cols]
             err = softmax(s * (Xb @ Vb) + b) - Yp[start:stop]
             s *= decay
-            V[cols] = Vb - cfg.learning_rate / ((stop - start) * s) * (Xb.T @ err)
-            b -= cfg.learning_rate * err.mean(axis=0)
+            V[cols] = Vb - lr / ((stop - start) * s) * (Xb.T @ err)
+            b -= lr * err.mean(axis=0)
             if s < 1e-6:
                 V *= s
                 s = 1.0
@@ -148,7 +156,7 @@ def reference_grams(text):
     return grams + ["#" + compact[i:i + n] for i in range(len(compact) - n + 1)]
 
 
-def reference_transform(feat_cfg, texts):
+def reference_transform(texts):
     """Independent oracle for `HashedFeaturizer.transform`: per-text dict
     counting over the crc32 columns of `reference_grams`, columns sorted,
     rows l2-normalized, with no memo."""
@@ -156,14 +164,14 @@ def reference_transform(feat_cfg, texts):
     for text in texts:
         counts = {}
         for gram in reference_grams(text):
-            idx = zlib.crc32(gram.encode("utf-8")) % feat_cfg.dim
+            idx = zlib.crc32(gram.encode("utf-8")) % weaklabel.DIM
             counts[idx] = counts.get(idx, 0.0) + 1.0
         for idx in sorted(counts):
             indices.append(idx)
             data.append(counts[idx])
         indptr.append(len(indices))
     X = sparse.csr_matrix((data, indices, indptr),
-                          shape=(len(indptr) - 1, feat_cfg.dim), dtype=np.float64)
+                          shape=(len(indptr) - 1, weaklabel.DIM), dtype=np.float64)
     norms = np.sqrt(np.asarray(X.multiply(X).sum(axis=1))).ravel()
     norms[norms == 0] = 1.0
     return sparse.diags(1.0 / norms) @ X
@@ -234,41 +242,55 @@ def assert_same_csr(got, want):
 class TestFeaturizer:
     def test_cold_matches_reference(self):
         texts = FEATURIZER_TEXTS + FEATURIZER_TEXTS[2:5]  # repeats within one batch
-        assert_same_csr(HashedFeaturizer(FEAT).transform(texts),
-                        reference_transform(FEAT, texts))
+        assert_same_csr(HashedFeaturizer().transform(texts), reference_transform(texts))
 
     def test_memo_matches_reference(self):
-        featurizer = HashedFeaturizer(FEAT)
+        featurizer = HashedFeaturizer()
         featurizer.transform(FEATURIZER_TEXTS)
         texts = list(reversed(FEATURIZER_TEXTS)) + FEATURIZER_TEXTS[:3]
-        assert_same_csr(featurizer.transform(texts), reference_transform(FEAT, texts))
+        assert_same_csr(featurizer.transform(texts), reference_transform(texts))
 
     def test_mixed_batch_matches_reference(self):
-        featurizer = HashedFeaturizer(FEAT)
+        featurizer = HashedFeaturizer()
         featurizer.transform(FEATURIZER_TEXTS[::2])
         texts, _ = toy_instances(30, seed=13)
         texts = FEATURIZER_TEXTS + texts + texts[:7] + FEATURIZER_TEXTS[1::2]
-        assert_same_csr(featurizer.transform(texts), reference_transform(FEAT, texts))
+        assert_same_csr(featurizer.transform(texts), reference_transform(texts))
 
-    def test_small_dimension_collisions_match_reference(self):
-        feat = FeaturizerConfig(dim=7)
+    def test_rows_store_columns_descending(self):
+        """The trainer sums each row's products in the order its columns are
+        stored, so that order is part of every model's weights: it is pinned
+        here, over more new texts than one FEATURIZE_BATCH."""
+        featurizer = HashedFeaturizer()
+        featurizer.transform(FEATURIZER_TEXTS)
+        texts, _ = toy_instances(weaklabel.FEATURIZE_BATCH + 50, seed=16)
+        texts = [f"{text} {i}" for i, text in enumerate(texts)] + FEATURIZER_TEXTS
+        X = featurizer.transform(texts)
+        assert_same_csr(X, reference_transform(texts))
+        for rows in (X, featurizer._rows):
+            for i in range(rows.shape[0]):
+                assert np.all(np.diff(rows.indices[rows.indptr[i]:rows.indptr[i + 1]]) < 0), i
+
+    def test_small_dimension_collisions_match_reference(self, monkeypatch):
+        monkeypatch.setattr(weaklabel, "DIM", 7)
         texts, _ = toy_instances(20, seed=14)
         texts = FEATURIZER_TEXTS + texts
-        assert_same_csr(HashedFeaturizer(feat).transform(texts), reference_transform(feat, texts))
+        assert_same_csr(HashedFeaturizer().transform(texts), reference_transform(texts))
 
-    @pytest.mark.parametrize("feat", [FEAT, FeaturizerConfig(dim=7)], ids=["default", "dim7"])
-    def test_token_boundaries_match_reference(self, feat):
+    @pytest.mark.parametrize("dim", [1 << 14, 7], ids=["default", "dim7"])
+    def test_token_boundaries_match_reference(self, dim, monkeypatch):
         texts = [
             "a b cd e fg h ij k",  # tokens of 1 and 2 characters
             "ab", "A b", "x", "",  # shorter than CHAR_NGRAM, and empty
             "¿Qué tal? Señor Ñandú, ¿dónde está el baño? ¡Qué día más bonito! Él está aquí",
             "again and again and again",
         ]
-        featurizer = HashedFeaturizer(feat)
-        assert_same_csr(featurizer.transform(texts), reference_transform(feat, texts))
+        monkeypatch.setattr(weaklabel, "DIM", dim)
+        featurizer = HashedFeaturizer()
+        assert_same_csr(featurizer.transform(texts), reference_transform(texts))
         # new texts made of tokens it has seen, in new orders
         texts = ["ij k a b cd", "está él aquí ¡qué día!", "k fg ab x señor", "and ab again"]
-        assert_same_csr(featurizer.transform(texts), reference_transform(feat, texts))
+        assert_same_csr(featurizer.transform(texts), reference_transform(texts))
 
     def test_pair_memo_matches_reference(self):
         texts = [
@@ -282,15 +304,15 @@ class TestFeaturizer:
             "world hello a world hello ab",
             "a b c hello a",
         ]
-        assert_same_csr(HashedFeaturizer(FEAT).transform(texts), reference_transform(FEAT, texts))
-        one = HashedFeaturizer(FEAT)
+        assert_same_csr(HashedFeaturizer().transform(texts), reference_transform(texts))
+        one = HashedFeaturizer()
         singly = sparse.vstack([one.transform([text]) for text in texts], format="csr")
-        assert_same_csr(singly, reference_transform(FEAT, texts))
-        backwards = HashedFeaturizer(FEAT).transform(texts[::-1])[::-1]
-        assert_same_csr(backwards, reference_transform(FEAT, texts))
+        assert_same_csr(singly, reference_transform(texts))
+        backwards = HashedFeaturizer().transform(texts[::-1])[::-1]
+        assert_same_csr(backwards, reference_transform(texts))
 
     def test_hashes_each_distinct_text_once(self, monkeypatch):
-        featurizer = HashedFeaturizer(FEAT)
+        featurizer = HashedFeaturizer()
         hashed, indices = [], featurizer._indices
         monkeypatch.setattr(featurizer, "_indices",
                             lambda text: hashed.append(text) or indices(text))
@@ -299,40 +321,31 @@ class TestFeaturizer:
         assert sorted(hashed) == sorted(FEATURIZER_TEXTS)
 
     def test_empty_batch(self):
-        featurizer = HashedFeaturizer(FEAT)
+        featurizer = HashedFeaturizer()
         for _ in range(2):  # cold, then with a filled memo
             X = featurizer.transform([])
-            assert_same_csr(X, reference_transform(FEAT, []))
-            assert X.shape == (0, FEAT.dim)
+            assert_same_csr(X, reference_transform([]))
+            assert X.shape == (0, weaklabel.DIM)
             featurizer.transform(FEATURIZER_TEXTS)
-
-    @pytest.mark.parametrize("kwargs,match", [
-        ({"dim": 0}, "dimension"),
-        ({"context_window": -1}, "context window"),
-        ({"context_window": -2}, "context window"),
-    ])
-    def test_invalid_config_rejected(self, kwargs, match):
-        with pytest.raises(WeakLabelError, match=match):
-            FeaturizerConfig(**kwargs)
 
 
 class TestTraining:
     def test_separable_training_accuracy(self):
         texts, labels = toy_instances(120, seed=0)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1))
         assert model.predict(texts) == labels
 
     def test_deterministic_weights(self):
         texts, labels = toy_instances(80, seed=2)
-        m1 = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=5))
-        m2 = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=5))
+        m1 = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=5))
+        m2 = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=5))
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.bias, m2.bias)
 
     def test_validation_accuracy_beats_nearest_centroid_floor(self):
         texts, labels = toy_instances(200, seed=3)
         val_texts, val_labels = toy_instances(120, seed=4)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1))
         pred = model.predict(val_texts)
         acc = sum(p == g for p, g in zip(pred, val_labels)) / len(val_labels)
         assert acc > 0.9
@@ -349,7 +362,7 @@ class TestTraining:
         filtered = [(t, l) for t, l in zip(texts, labels) if l != "sadness"]
         texts, labels = zip(*filtered)
         with pytest.raises(WeakLabelError, match="sadness"):
-            train(list(texts), list(labels), SPACE, HashedFeaturizer(FEAT), TrainConfig())
+            train(list(texts), list(labels), SPACE, HashedFeaturizer(), TrainConfig())
 
     def test_zero_weights_give_uniform_probs(self):
         model = zero_model(np.zeros(4))
@@ -358,60 +371,73 @@ class TestTraining:
 
     def test_probs_sum_to_one(self):
         texts, labels = toy_instances(60, seed=6)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1))
         probs = model.predict_proba(texts)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
-    @pytest.mark.parametrize("cfg", [
-        TrainConfig(seed=1),
-        TrainConfig(seed=2, batch_size=1, epochs=4),
+    @pytest.mark.parametrize("constants,cfg", [
+        ({}, TrainConfig(seed=1)),
+        ({"BATCH_SIZE": 1}, TrainConfig(seed=2, epochs=4)),
         # decay 0.95 a step for ~1600 steps: s drops below 1e-6 several times
-        TrainConfig(seed=3, l2=0.1, batch_size=7, epochs=60, patience=60),
+        ({"L2": 0.1, "BATCH_SIZE": 7}, TrainConfig(seed=3, epochs=60, patience=60)),
     ], ids=["default", "batch1", "l2-renormalize"])
-    def test_matches_dense_reference(self, cfg):
+    def test_matches_dense_reference(self, constants, cfg, monkeypatch):
+        pin(monkeypatch, constants)
         texts, labels = toy_instances(200, seed=11)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), cfg)
-        W, b = dense_reference_train(texts, labels, FEAT, cfg)
+        model = train(texts, labels, SPACE, HashedFeaturizer(), cfg)
+        W, b = dense_reference_train(texts, labels, cfg)
         assert isinstance(model.weights, np.ndarray) and not sparse.issparse(model.weights)
         assert model.weights.dtype == np.float64
-        assert model.weights.shape == (len(SPACE), FEAT.dim)
+        assert model.weights.shape == (len(SPACE), weaklabel.DIM)
         assert np.any(W != 0)
         np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("feat,cfg,empty", [
-        (FEAT, TrainConfig(seed=1), 0),
-        (FEAT, TrainConfig(seed=2, batch_size=1, epochs=4), 0),
-        (FEAT, TrainConfig(seed=3, l2=0.1, batch_size=7, epochs=60, patience=60), 0),
+    @pytest.mark.parametrize("constants,cfg,empty", [
+        ({}, TrainConfig(seed=1), 0),
+        ({"BATCH_SIZE": 1}, TrainConfig(seed=2, epochs=4), 0),
+        ({"L2": 0.1, "BATCH_SIZE": 7}, TrainConfig(seed=3, epochs=60, patience=60), 0),
         # nearly every hashed column in use
-        (FeaturizerConfig(dim=256), TrainConfig(seed=4), 0),
+        ({"DIM": 256}, TrainConfig(seed=4), 0),
         # batches of one empty text: a step with no nonzeros
-        (FEAT, TrainConfig(seed=5, batch_size=1, epochs=3), 12),
+        ({"BATCH_SIZE": 1}, TrainConfig(seed=5, epochs=3), 12),
     ], ids=["default", "batch1", "l2-renormalize", "dim256", "empty-batches"])
-    def test_equals_unique_step_trainer(self, feat, cfg, empty):
+    def test_equals_unique_step_trainer(self, constants, cfg, empty, monkeypatch):
+        pin(monkeypatch, constants)
         texts, labels = toy_instances(200, seed=11)
         texts = texts + [""] * empty
         labels = labels + [TOY_LABELS[i % len(TOY_LABELS)] for i in range(empty)]
-        model = train(texts, labels, SPACE, HashedFeaturizer(feat), cfg)
-        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(feat), cfg)
+        model = train(texts, labels, SPACE, HashedFeaturizer(), cfg)
+        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(), cfg)
         assert np.any(W != 0)
         assert np.array_equal(model.weights, W)
         assert np.array_equal(model.bias, b)
-        if feat.dim == 256:
-            assert np.count_nonzero(np.any(W != 0, axis=0)) > 0.8 * feat.dim
+        if weaklabel.DIM == 256:
+            assert np.count_nonzero(np.any(W != 0, axis=0)) > 0.8 * weaklabel.DIM
 
-    def test_val_fraction_zero_trains_on_every_instance(self):
+    def test_leaves_the_featurizers_rows_alone(self):
+        """`train` renumbers the columns of its own copy of the rows."""
+        texts, labels = toy_instances(60, seed=8)
+        featurizer = HashedFeaturizer()
+        before = featurizer.transform(texts)
+        rows = featurizer._rows.copy()
+        train(texts, labels, SPACE, featurizer, TrainConfig(seed=1, epochs=3))
+        assert_same_csr(featurizer._rows, rows)
+        assert_same_csr(featurizer.transform(texts), before)
+
+    def test_val_fraction_zero_trains_on_every_instance(self, monkeypatch):
+        monkeypatch.setattr(weaklabel, "VAL_FRACTION", 0)
         texts, labels = toy_instances(40, seed=15)
         texts = [f"{text} only{i}" for i, text in enumerate(texts)]
-        cfg = TrainConfig(seed=6, epochs=5, val_fraction=0)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), cfg)
+        cfg = TrainConfig(seed=6, epochs=5)
+        model = train(texts, labels, SPACE, HashedFeaturizer(), cfg)
         # every instance's own columns, used by no other instance, were trained
-        X = HashedFeaturizer(FEAT).transform(texts)
-        uses = np.bincount(X.indices, minlength=FEAT.dim)
+        X = HashedFeaturizer().transform(texts)
+        uses = np.bincount(X.indices, minlength=weaklabel.DIM)
         for i in range(len(texts)):
             own = [c for c in X.indices[X.indptr[i]:X.indptr[i + 1]] if uses[c] == 1]
             assert own and np.all(np.any(model.weights[:, own] != 0, axis=0)), i
-        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(FEAT), cfg)
+        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(), cfg)
         assert np.array_equal(model.weights, W)
         assert np.array_equal(model.bias, b)
 
@@ -481,42 +507,32 @@ class TestTraining:
         with pytest.raises(ValueError, match="fit"):
             _csr_matmul(indptr, indices, X.data, K, V, np.zeros((K, C)), transpose=True)
 
-    @pytest.mark.parametrize("field,value", [("batch_size", 0), ("batch_size", -1),
-                                             ("epochs", -1)])
+    @pytest.mark.parametrize("field,value", [("epochs", -1)])
     def test_invalid_train_config_rejected(self, field, value):
-        with pytest.raises(WeakLabelError, match=field.replace("_", " ")):
+        with pytest.raises(WeakLabelError, match=field):
             TrainConfig(**{field: value})
 
-    @pytest.mark.parametrize("field,value", [
-        ("learning_rate", 0.0), ("learning_rate", -0.5), ("learning_rate", math.nan),
-        ("l2", -1e-4), ("l2", math.nan), ("val_fraction", -0.1), ("val_fraction", 1.0),
-        ("patience", 0)])
+    @pytest.mark.parametrize("field,value", [("patience", 0)])
     def test_invalid_train_config_values_rejected(self, field, value):
-        with pytest.raises(WeakLabelError, match=field.replace("_", " ")):
+        with pytest.raises(WeakLabelError, match=field):
             TrainConfig(**{field: value})
 
     def test_zero_epochs_give_an_all_zero_model(self):
         texts, labels = toy_instances(40, seed=12)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(epochs=0))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(epochs=0))
         assert not np.any(model.weights) and not np.any(model.bias)
-        assert model.weights.shape == (len(SPACE), FEAT.dim)
-
-    def test_l2_decay_of_a_whole_step_rejected(self):
-        texts, labels = toy_instances(40, seed=12)
-        with pytest.raises(WeakLabelError, match="l2"):
-            train(texts, labels, SPACE, HashedFeaturizer(FEAT),
-                  TrainConfig(learning_rate=0.5, l2=2.0))
+        assert model.weights.shape == (len(SPACE), weaklabel.DIM)
 
     def test_checkpoint_round_trip(self, tmp_path):
         texts, labels = toy_instances(60, seed=7)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1))
         path = tmp_path / "model.json"
         model.save(path)
         doc = json.loads(path.read_text())
         assert doc["version"] == 4
         nonzero = np.flatnonzero(np.any(model.weights != 0, axis=0))
         assert doc["columns"] == nonzero.tolist()
-        assert 0 < len(nonzero) < FEAT.dim
+        assert 0 < len(nonzero) < weaklabel.DIM
         block = np.frombuffer(base64.b64decode(doc["weights"]), dtype="<f8")
         assert np.array_equal(block, model.weights[:, nonzero].ravel())
         loaded = WeakLabeler.load(path)
@@ -524,7 +540,7 @@ class TestTraining:
         assert np.array_equal(loaded.bias, model.bias)
         assert np.array_equal(loaded.columns, model.columns)
         assert loaded.block.flags.c_contiguous
-        assert loaded.weights.shape == (len(SPACE), FEAT.dim)
+        assert loaded.weights.shape == (len(SPACE), weaklabel.DIM)
         assert loaded.predict(texts[:5]) == model.predict(texts[:5])
 
 
@@ -537,7 +553,7 @@ class TestCheckpoint:
         assert doc["columns"] == [] and doc["weights"] == ""
         loaded = WeakLabeler.load(path)
         assert loaded.columns.shape == (0,) and loaded.block.shape == (0, 4)
-        np.testing.assert_array_equal(loaded.weights, np.zeros((4, FEAT.dim)))
+        np.testing.assert_array_equal(loaded.weights, np.zeros((4, weaklabel.DIM)))
         np.testing.assert_array_equal(loaded.bias, model.bias)
         np.testing.assert_array_equal(loaded.predict_proba(["anything at all", ""]),
                                       softmax(np.tile(model.bias, (2, 1))))
@@ -562,10 +578,10 @@ class TestCheckpoint:
         with pytest.raises(WeakLabelError, match="version"):
             WeakLabeler.load(path)
 
-    def test_v3_round_trip_is_exact(self, tmp_path):
+    def test_v3_round_trip_is_exact(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(weaklabel, "DIM", 512)
         texts, labels = toy_instances(80, seed=13)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FeaturizerConfig(dim=512)),
-                      TrainConfig(seed=2, epochs=8))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=2, epochs=8))
         path = tmp_path / "model.json"
         model.save(path)
         loaded = WeakLabeler.load(path)
@@ -593,15 +609,19 @@ class TestCheckpoint:
         (lambda d: d.update(label_space={"labels": ["a", "b"]}), "malformed"),
         (lambda d: d["featurizer"].update(dim=0), "dimension"),
         (lambda d: d["featurizer"].update(context_window=-2), "malformed.*context window"),
+        (lambda d: d["featurizer"].update(dim=128), "dimension 64"),
+        (lambda d: d["featurizer"].update(context_window=2), "context window 1"),
         (lambda d: d["featurizer"].update(unknown=1), "malformed"),
         (lambda d: d["label_space"].update(labels="abcd"), "malformed.*string"),
     ], ids=["no-columns", "no-bias", "no-weights", "column-past-dim", "negative-column",
             "duplicate-columns", "descending-columns", "float-column", "nested-columns",
             "short-bias", "nested-bias", "short-weights", "bad-base64", "list-weights",
             "bad-label-space", "bad-featurizer", "negative-context-window",
-            "unknown-featurizer-field", "string-labels"])
-    def test_malformed_v3_checkpoint_rejected(self, tmp_path, change, match):
-        model = WeakLabeler(HashedFeaturizer(FeaturizerConfig(dim=64)), np.array([1, 3]),
+            "other-dimension", "other-context-window", "unknown-featurizer-field",
+            "string-labels"])
+    def test_malformed_v3_checkpoint_rejected(self, tmp_path, change, match, monkeypatch):
+        monkeypatch.setattr(weaklabel, "DIM", 64)
+        model = WeakLabeler(HashedFeaturizer(), np.array([1, 3]),
                             np.arange(8.0).reshape(2, 4), np.zeros(4), SPACE)
         path = tmp_path / "model.json"
         model.save(path)
@@ -625,22 +645,22 @@ class TestCompactScoring:
 
     def _model(self):
         texts, labels = toy_instances(120, seed=14)
-        return train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1)), texts
+        return train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1)), texts
 
     def _dense(self, model, texts):
-        X = HashedFeaturizer(model.featurizer.config).transform(texts)
+        X = HashedFeaturizer().transform(texts)
         return softmax(X @ model.weights.T + model.bias)
 
     def test_equals_dense_product(self):
         model, texts = self._model()
-        assert 0 < len(model.columns) < FEAT.dim
+        assert 0 < len(model.columns) < weaklabel.DIM
         batch = texts[:40] + ["okay furious crying thrilled unseen words", "okay"]
         assert np.array_equal(model.predict_proba(batch), self._dense(model, batch))
 
     def test_texts_with_only_unseen_columns(self):
         model, _ = self._model()
         batch = ["zq", "zzq xxj", ""]
-        cols = HashedFeaturizer(FEAT).transform(batch).indices
+        cols = HashedFeaturizer().transform(batch).indices
         assert not np.isin(cols, model.columns).any()
         P = model.predict_proba(batch)
         assert np.array_equal(P, self._dense(model, batch))
@@ -682,7 +702,6 @@ class _StubModel:
     def __init__(self, table, label_space):
         self.table = table
         self.label_space = label_space
-        self.featurizer = HashedFeaturizer(FeaturizerConfig(dim=16))
 
     def predict_proba(self, texts):
         return np.array([self.table[t] for t in texts])
@@ -808,7 +827,7 @@ class TestPlantedNoise:
         cands = run_augmentation(gold, plan, mock_backend(noise_rate=q), spec,
                                  SPACE, GenParams())
         texts, labels = toy_instances(200, seed=seed + 1)
-        model = train(texts, labels, SPACE, HashedFeaturizer(FEAT), TrainConfig(seed=1))
+        model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1))
         return cands, model
 
     def test_zero_noise_zero_kept_noise(self):
