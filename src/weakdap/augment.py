@@ -335,9 +335,12 @@ def candidate_to_dict(cand: Candidate, window: int) -> dict:
     return d
 
 
+# One encoder for every line: json.dumps with keywords builds one per call.
+_CANDIDATE_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
 def write_candidates(candidates, path, window: int) -> None:
     ordered = sorted(candidates, key=lambda c: c.id)
     with open(path, "w", encoding="utf-8") as f:
-        for cand in ordered:
-            f.write(json.dumps(candidate_to_dict(cand, window), ensure_ascii=False,
-                               sort_keys=True) + "\n")
+        f.write("".join(_CANDIDATE_JSON.encode(candidate_to_dict(cand, window)) + "\n"
+                        for cand in ordered))

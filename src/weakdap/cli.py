@@ -112,19 +112,29 @@ def _load_config(path) -> dict:
     return config
 
 
+def _config_value(key: str, value):
+    """A config-file value converted as its flag's text would be. An option
+    with a type takes a string or a JSON number (a bool is not one), every
+    other option a string; anything else raises ValueError."""
+    convert = CONFIG_TYPES[key] or str
+    text = str(value) if convert is not str and type(value) in (int, float) else value
+    if isinstance(text, str):
+        try:
+            return convert(text)
+        except ValueError:
+            pass
+    raise ValueError(f"config key {key!r}: {value!r} is not {convert.__name__}")
+
+
 def _fill_options(args, config: dict) -> None:
     """Set each option of the command that no flag set: from the config file
     (converted like the flag), else from DEFAULTS. Keys of options the
     command lacks are ignored."""
-    for key, convert in CONFIG_TYPES.items():
+    for key in CONFIG_TYPES:
         if not hasattr(args, key) or getattr(args, key) is not None:
             continue
         if key in config:
-            try:
-                setattr(args, key, convert(config[key]) if convert else config[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"config key {key!r}: {config[key]!r} is not "
-                                 f"{convert.__name__}") from None
+            setattr(args, key, _config_value(key, config[key]))
         elif key in DEFAULTS:
             setattr(args, key, DEFAULTS[key])
 

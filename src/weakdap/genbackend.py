@@ -136,7 +136,8 @@ class HttpBackend:
         self.endpoint = endpoint if endpoint is not None else os.environ.get("WEAKDAP_ENDPOINT")
         if not self.endpoint:
             raise ValueError("no endpoint configured (set WEAKDAP_ENDPOINT or pass endpoint)")
-        parts = urlsplit(self.endpoint)
+        # a value that is not a string has no scheme, so it fails the check below
+        parts = urlsplit(self.endpoint if isinstance(self.endpoint, str) else "")
         try:
             bad_port = parts.port == 0
         except ValueError:  # not a number, or out of range

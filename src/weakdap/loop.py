@@ -129,11 +129,13 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
 
     When out_dir is set, it is the run directory: each iteration t writes
     `iter_<t>/candidates.jsonl`, and the loop's end saves the best model once
-    as `model.json`, then `run.json` (the plan, filter and loop configs, each
-    iteration's counts, score and candidates file, and the loop state). Two
-    runs with identical configuration and the mock backend produce
-    byte-identical directories. en_pool holds the in-context strategy's
-    English examples (see augment.run_augmentation).
+    as `model.ckpt` (a v5 checkpoint: a JSON header line, then raw columns
+    and weights), then `run.json` (the plan, filter and loop configs, each
+    iteration's counts, score and candidates file, and the loop state). A run
+    that is interrupted leaves only its candidates files. Two runs with
+    identical configuration and the mock backend produce byte-identical
+    directories. en_pool holds the in-context strategy's English examples
+    (see augment.run_augmentation).
     """
     if not dataset.train or not dataset.validation:
         raise LoopError("gold dataset needs train and validation partitions")
@@ -199,7 +201,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             break
 
     if out_dir:
-        best_model.save(os.path.join(out_dir, "model.json"))
+        best_model.save(os.path.join(out_dir, "model.ckpt"))
         config = {"plan": asdict(plan), "filter": asdict(filter_cfg), "loop": asdict(loop_cfg)}
         doc = {"config": config, "iterations": records, "state": asdict(state)}
         with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:

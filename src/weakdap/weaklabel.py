@@ -9,7 +9,6 @@ tagged context folded into the features.
 """
 from __future__ import annotations
 
-import base64
 import itertools
 import json
 import math
@@ -231,40 +230,42 @@ class WeakLabeler:
         return [self.label_space.labels[i] for i in probs.argmax(axis=1)]
 
     def save(self, path) -> None:
-        """Checkpoint v4: `columns` as a JSON list, and `weights` as the
-        base64 of their C x len(columns) block, row-major little-endian
-        float64."""
-        block = np.asarray(self.block.T, dtype="<f8").tobytes()
-        doc = {
-            "version": 4,
+        """Checkpoint v5: one line of JSON header, then the K `columns` as
+        little-endian int32, then the C x K block of weights, row-major
+        little-endian float64."""
+        header = {
+            "version": 5,
             "featurizer": _featurizer_block(),
             "label_space": to_dict(self.label_space),
-            "columns": self.columns.tolist(),
-            "weights": base64.b64encode(block).decode("ascii"),
             "bias": [float(b) for b in self.bias],
+            "n_columns": len(self.columns),
         }
-        # json.dumps runs the C encoder; json.dump streams through the Python one
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(json.dumps(doc, sort_keys=True))
+        with open(path, "wb") as f:
+            f.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+            f.write(np.asarray(self.columns, dtype="<i4").tobytes())
+            f.write(np.asarray(self.block.T, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path) -> "WeakLabeler":
-        """Read a v4 checkpoint, the format `save` writes. Any other version,
+        """Read a v5 checkpoint, the format `save` writes. Any other version,
         or a malformed checkpoint, raises WeakLabelError."""
-        with open(path, encoding="utf-8") as f:
-            try:
-                doc = json.load(f)
-            except ValueError as e:
-                raise WeakLabelError(f"checkpoint {path} is not JSON: {e}") from e
-        version = doc.get("version") if isinstance(doc, dict) else None
-        if type(version) is not int or version != 4:
+        with open(path, "rb") as f:
+            head, body = f.readline(), f.read()
+        try:
+            header = json.loads(head)
+        except ValueError as e:
+            raise WeakLabelError(f"checkpoint {path} does not start with a JSON line: {e}") from e
+        if not isinstance(header, dict):
+            raise WeakLabelError(f"checkpoint {path} does not start with a JSON object")
+        version = header.get("version")
+        if type(version) is not int or version != 5:
             raise WeakLabelError(f"unsupported checkpoint version {version!r}")
-        missing = [key for key in ("featurizer", "label_space", "columns", "weights", "bias")
-                   if key not in doc]
+        missing = [key for key in ("featurizer", "label_space", "bias", "n_columns")
+                   if key not in header]
         if missing:
             raise WeakLabelError(f"checkpoint {path} lacks {', '.join(missing)}")
         try:
-            model = cls(*_checkpoint_parts(doc))
+            model = cls(*_checkpoint_parts(header, body))
         except (KeyError, TypeError, ValueError) as e:
             raise WeakLabelError(f"malformed checkpoint {path}: {e}") from e
         return model
@@ -275,30 +276,28 @@ def _featurizer_block() -> dict:
     return {"context_window": CONTEXT_WINDOW, "dim": DIM}
 
 
-def _checkpoint_parts(doc: dict):
-    """(featurizer, columns, block, bias, label space) of a v4 checkpoint
-    document, checked against each other."""
-    label_space = from_dict(LabelSpace, doc["label_space"])
-    if doc["featurizer"] != _featurizer_block():
+def _checkpoint_parts(header: dict, body: bytes):
+    """(featurizer, columns, block, bias, label space) of a v5 checkpoint's
+    header and the bytes after it, checked against each other."""
+    label_space = from_dict(LabelSpace, header["label_space"])
+    if header["featurizer"] != _featurizer_block():
         raise WeakLabelError(f"the featurizer must have hash dimension {DIM} and "
                              f"context window {CONTEXT_WINDOW}")
     C = len(label_space)
-    bias = np.array(doc["bias"], dtype=np.float64)
+    bias = np.array(header["bias"], dtype=np.float64)
     if bias.shape != (C,):
         raise WeakLabelError(f"bias must hold {C} values, one per label")
-    columns = np.array(doc["columns"])
-    if columns.ndim != 1 or (columns.size and columns.dtype.kind != "i"):
-        raise WeakLabelError("columns must be a list of integers")
-    columns = columns.astype(np.intp)
-    if columns.size and (columns[0] < 0 or columns[-1] >= DIM or np.any(np.diff(columns) <= 0)):
+    K = header["n_columns"]
+    if type(K) is not int or not 0 <= K <= DIM:
+        raise WeakLabelError(f"n_columns must be an integer in [0, {DIM}], got {K!r}")
+    if len(body) != 4 * K + 8 * C * K:
+        raise WeakLabelError(f"the body must hold {K} int32 columns and {C} x {K} float64 "
+                             f"weights, {4 * K + 8 * C * K} bytes, not {len(body)}")
+    columns = np.frombuffer(body, dtype="<i4", count=K).astype(np.intp)
+    if K and (columns[0] < 0 or columns[-1] >= DIM or np.any(np.diff(columns) <= 0)):
         raise WeakLabelError(f"columns must be strictly ascending and within [0, {DIM})")
-    raw = base64.b64decode(doc["weights"], validate=True)
-    if len(raw) % 8:
-        raise WeakLabelError("weights must be whole float64 values")
-    values = np.frombuffer(raw, dtype="<f8")
-    if values.size != C * len(columns):
-        raise WeakLabelError(f"weights must hold {C} x {len(columns)} values")
-    block = np.array(values.reshape(C, len(columns)).T, dtype=np.float64, order="C")
+    values = np.frombuffer(body, dtype="<f8", count=C * K, offset=4 * K)
+    block = np.array(values.reshape(C, K).T, dtype=np.float64, order="C")
     return HashedFeaturizer(), columns, block, bias, label_space
 
 

@@ -1,8 +1,10 @@
 """Shared fixtures: a synthetic keyword-separable 4-class dialogue task and a
 mock generator over class-specific templates with a controllable planted
 label-noise rate; and a driver of the loop's convergence automaton."""
+import json
 import random
 
+import numpy as np
 import pytest
 
 from weakdap import weaklabel
@@ -37,6 +39,21 @@ def toy_conversation(cid: str, rng: random.Random, n: int = 2,
         label = labels[i] if labels else rng.choice(TOY_LABELS)
         turns.append(Turn(speaker="AB"[i % 2], text=toy_sentence(label, rng), emotion=label))
     return Conversation(id=cid, turns=tuple(turns))
+
+
+def read_checkpoint(path):
+    """(header, columns, C x K weights) of a version 5 checkpoint file."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    C, K = len(header["bias"]), header["n_columns"]
+    weights = np.frombuffer(body, dtype="<f8", count=C * K, offset=4 * K).reshape(C, K)
+    return header, np.frombuffer(body, dtype="<i4", count=K), weights
+
+
+def write_checkpoint(path, header: dict, columns, weights: bytes) -> None:
+    """A version 5 file of `header`, the `columns` as int32, then `weights`."""
+    path.write_bytes(json.dumps(header, sort_keys=True).encode("ascii") + b"\n"
+                     + np.array(columns, dtype="<i4").tobytes() + weights)
 
 
 def toy_templates(per_label: int = 12, seed: int = 999) -> dict:

@@ -14,11 +14,19 @@ import numpy as np
 import pytest
 
 import weakdap.loop
-from weakdap.cli import OPTIONS, _fill_options, _make_backend, build_parser, main
-from weakdap.corpus import LabeledUtterance, write_jsonl
+from weakdap.cli import CONFIG_TYPES, OPTIONS, _fill_options, _make_backend, build_parser, main
+from weakdap.corpus import LabeledUtterance, to_dict, write_jsonl
 from weakdap.genbackend import MockBackend
+from weakdap.weaklabel import WeakLabeler, _featurizer_block
 
-from conftest import TOY_LABELS, toy_conversation, toy_sentence, toy_templates
+from conftest import (
+    TOY_LABELS,
+    read_checkpoint,
+    toy_conversation,
+    toy_sentence,
+    toy_templates,
+    write_checkpoint,
+)
 
 
 @pytest.fixture(scope="module")
@@ -260,13 +268,15 @@ class TestAugment:
 
 
 class TestTrainEval:
+    def _train(self, workspace, model_path):
+        assert main(["train", "--data", str(workspace / "train.jsonl"),
+                     "--labels", str(workspace / "labels.json"),
+                     "--seed", "0", "--out", str(model_path)]) == 0
+
     def test_round_trip(self, workspace, tmp_path):
-        model_path = tmp_path / "model.json"
-        rc = main(["train", "--data", str(workspace / "train.jsonl"),
-                   "--labels", str(workspace / "labels.json"),
-                   "--seed", "0", "--out", str(model_path)])
-        assert rc == 0
-        assert json.loads(model_path.read_text())["version"] == 4
+        model_path = tmp_path / "model.ckpt"
+        self._train(workspace, model_path)
+        assert read_checkpoint(model_path)[0]["version"] == 5
         report_path = tmp_path / "report.json"
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl"),
@@ -277,22 +287,27 @@ class TestTrainEval:
         assert 0.0 <= report["micro_f1_no_majority"] <= 1.0
 
     @pytest.mark.parametrize("corrupt", [
-        lambda doc: doc.pop("columns"),
+        lambda doc: doc["header"].pop("n_columns"),
         lambda doc: doc.update(columns=[-1] + doc["columns"][1:]),
         lambda doc: doc.update(columns=doc["columns"][:1] * len(doc["columns"])),
-        lambda doc: doc.update(weights=doc["weights"][:-16]),
-        lambda doc: doc.update(bias=doc["bias"][:1]),
+        lambda doc: doc.update(weights=doc["weights"][:-2]),
+        lambda doc: doc["header"].update(bias=doc["header"]["bias"][:1]),
         lambda doc: "{not json",
     ], ids=["missing-key", "negative-column", "duplicate-columns", "short-weights",
             "short-bias", "not-json"])
     def test_corrupt_checkpoint_is_clean_error(self, workspace, tmp_path, capsys, corrupt):
-        model_path = tmp_path / "model.json"
-        assert main(["train", "--data", str(workspace / "train.jsonl"),
-                     "--labels", str(workspace / "labels.json"),
-                     "--out", str(model_path)]) == 0
-        doc = json.loads(model_path.read_text())
+        """`corrupt` edits the header, the column list or the list of
+        weights of a v5 checkpoint, or returns the file's whole text."""
+        model_path = tmp_path / "model.ckpt"
+        self._train(workspace, model_path)
+        header, columns, weights = read_checkpoint(model_path)
+        doc = {"header": header, "columns": columns.tolist(), "weights": weights.ravel().tolist()}
         text = corrupt(doc)
-        model_path.write_text(text if isinstance(text, str) else json.dumps(doc))
+        if isinstance(text, str):
+            model_path.write_text(text)
+        else:
+            write_checkpoint(model_path, doc["header"], doc["columns"],
+                             np.array(doc["weights"], dtype="<f8").tobytes())
         capsys.readouterr()
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl"),
@@ -304,15 +319,14 @@ class TestTrainEval:
 
     def test_v2_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
         """Version 2 stored `weights` as JSON rows over `columns`; only the
-        version 4 that `train` writes loads."""
+        version 5 that `train` writes loads."""
         model_path = tmp_path / "model.json"
-        assert main(["train", "--data", str(workspace / "train.jsonl"),
-                     "--labels", str(workspace / "labels.json"),
-                     "--out", str(model_path)]) == 0
-        doc = json.loads(model_path.read_text())
-        block = np.frombuffer(base64.b64decode(doc["weights"]), dtype="<f8")
-        doc.update(version=2, weights=block.reshape(len(doc["bias"]), -1).tolist())
-        model_path.write_text(json.dumps(doc))
+        self._train(workspace, model_path)
+        model = WeakLabeler.load(model_path)
+        model_path.write_text(json.dumps({
+            "version": 2, "featurizer": _featurizer_block(),
+            "label_space": to_dict(model.label_space), "columns": model.columns.tolist(),
+            "weights": model.block.T.tolist(), "bias": model.bias.tolist()}))
         capsys.readouterr()
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl")])
@@ -320,16 +334,18 @@ class TestTrainEval:
         assert capsys.readouterr().err == "error: unsupported checkpoint version 2\n"
 
     def test_v3_checkpoint_is_usage_error(self, workspace, tmp_path, capsys):
-        """Version 3 held the same weights under a featurizer block that also
+        """Version 3 held base64 weights under a featurizer block that also
         named its word n-gram orders and char n-gram size."""
         model_path = tmp_path / "model.json"
-        assert main(["train", "--data", str(workspace / "train.jsonl"),
-                     "--labels", str(workspace / "labels.json"),
-                     "--out", str(model_path)]) == 0
-        doc = json.loads(model_path.read_text())
-        doc["version"] = 3
-        doc["featurizer"].update(word_ngrams=[1, 2], char_ngram=3)
-        model_path.write_text(json.dumps(doc, sort_keys=True))
+        self._train(workspace, model_path)
+        model = WeakLabeler.load(model_path)
+        block = np.asarray(model.block.T, dtype="<f8").tobytes()
+        model_path.write_text(json.dumps({
+            "version": 3,
+            "featurizer": {**_featurizer_block(), "char_ngram": 3, "word_ngrams": [1, 2]},
+            "label_space": to_dict(model.label_space), "columns": model.columns.tolist(),
+            "weights": base64.b64encode(block).decode("ascii"), "bias": model.bias.tolist()},
+            sort_keys=True))
         capsys.readouterr()
         rc = main(["eval", "--model", str(model_path),
                    "--data", str(workspace / "val.jsonl")])
@@ -458,9 +474,16 @@ class TestWeakdapCommand:
         ({"epsilon": None}, "config key 'epsilon': None is not float"),
         ([{"regen": "refilter"}], "a config file holds a JSON object, not list"),
         ({"schema": "utterance"}, "unknown config key 'schema'"),
+        ({"max_iterations": 2.9}, "config key 'max_iterations': 2.9 is not int"),
+        ({"seed": True}, "config key 'seed': True is not int"),
+        ({"patience": 1.5}, "config key 'patience': 1.5 is not int"),
+        ({"mock_templates": 1}, "config key 'mock_templates': 1 is not str"),
+        ({"endpoint": 5, "backend": "http"}, "config key 'endpoint': 5 is not str"),
     ])
     def test_config_file_value_checked_before_generation(self, workspace, tmp_path,
                                                          monkeypatch, capsys, config, error):
+        """A config key that names an option drops that option's flag from
+        the command, so the config file's value is the one read."""
         calls = []
         complete = MockBackend.complete
 
@@ -472,7 +495,12 @@ class TestWeakdapCommand:
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(config))
         out = tmp_path / "out"
-        rc = main(["--config", str(config_path), *_weakdap_args(workspace, out)])
+        args = _weakdap_args(workspace, out)
+        for key in config if isinstance(config, dict) else ():
+            flag = "--" + key.replace("_", "-")
+            if key in CONFIG_TYPES and flag in args:
+                del args[args.index(flag):args.index(flag) + 2]
+        rc = main(["--config", str(config_path), *args])
         err = capsys.readouterr().err
         if error is None:  # the control: a valid value runs and generates
             assert rc == 0 and calls
@@ -619,6 +647,18 @@ class TestBaselineCommand:
         assert from_config == self._aeda(workspace, tmp_path / "flag1.jsonl",
                                          flags=["--alpha", "1.0"])
         assert from_flag == default
+
+    def test_lexicon_that_is_not_a_path_is_usage_error(self, workspace, tmp_path, capsys):
+        """A config lexicon must be a path: 0 would open standard input."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"lexicon": 0}))
+        out = tmp_path / "eda.jsonl"
+        rc = main(["--config", str(cfg), "baseline", "--method", "eda",
+                   "--data", str(workspace / "utterances.jsonl"),
+                   "--labels", str(workspace / "intent_labels.json"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config key 'lexicon': 0 is not str\n"
+        assert not out.exists()
 
     def test_dialogue_task_is_usage_error(self, workspace, tmp_path, capsys):
         """Checked before the data is read: the data path does not exist."""

@@ -268,6 +268,10 @@ class TestHttpBackend:
         with pytest.raises(ValueError, match="max_parallel >= 1"):
             HttpBackend(endpoint="http://127.0.0.1:8080", **kwargs)
 
+    def test_endpoint_that_is_not_a_string_rejected(self):
+        with pytest.raises(ValueError, match="endpoint must be http.*got 5$"):
+            HttpBackend(endpoint=5)
+
     def test_explicit_endpoint_beats_env_var(self, http_server, monkeypatch):
         monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://unreachable.invalid")
         backend = HttpBackend(endpoint=http_server, backoff=0.01)

@@ -161,10 +161,10 @@ class TestRunWeakdap:
         assert LoopState(**run["state"]) == state
         candidates = [f"iter_{t}/candidates.jsonl" for t in range(len(state.score_history))]
         assert [it["candidates"] for it in run["iterations"]] == candidates
-        assert sorted(_dir_bytes(tmp_path)) == sorted(["run.json", "model.json", *candidates])
+        assert sorted(_dir_bytes(tmp_path)) == sorted(["run.json", "model.ckpt", *candidates])
         # the one checkpoint is the best iteration's model: it scores the
         # validation split as the loop scored it
-        model = WeakLabeler.load(tmp_path / "model.json")
+        model = WeakLabeler.load(tmp_path / "model.ckpt")
         space = toy_dataset.label_space
         texts, gold = instances_of(toy_dataset.validation, space, CONTEXT_WINDOW)
         report = evaluate_model(model, texts, gold, space,
@@ -368,15 +368,15 @@ class TestGoldenRunDirectories:
     digests and says why."""
 
     @pytest.mark.parametrize("strategy,regen,digest", [
-        # all five computed when the checkpoint became version 4: model.json
-        # holds "version": 4 and a featurizer block without word_ngrams and
-        # char_ngram, now constants; its weights, every candidates file and
-        # run.json are byte-identical to those of version 3
-        ("lta", "fresh", "de0beebbce1253a7b8dda7ad0f632b7e903a69aa946ea4411bbc479d70c76ff0"),
-        ("cta", "fresh", "e6c85d61c505074abf2f826ff9d870a0fa09145e74b3769d1447aa9e8ac4b51e"),
-        ("ata", "fresh", "28c9f6e97a3264f32b621c2f8c74417a17f59268b48b1c8d58a65858a6623256"),
-        ("incontext", "refilter", "7b533d3830ed05f01f8dd57c9478e2162d35cfc862ef235e67b97d21895058e6"),
-        ("random", "fresh", "0fe2326f91e87bc46c87368e486c329f1ed6eb77d67ba0d6b54dbb77f2e17f4d"),
+        # all five computed when the checkpoint became version 5: only the
+        # model file changed, from model.json to model.ckpt, a JSON header line
+        # and raw columns and weights; it loads to the columns, block and bias
+        # of version 4, and every candidates file and run.json is byte-identical
+        ("lta", "fresh", "640164177f98d96530ac952829010d8a3ffcc9702bf03482caec2c49dd54fe18"),
+        ("cta", "fresh", "0819116c375c7b9c9b65aba26cbd1a55b421c4a0c856f2862f58990a01ff2feb"),
+        ("ata", "fresh", "3123449f2d5e5eaa7718dcced6beee87a8de2a43845dd320ed48cc940373b29c"),
+        ("incontext", "refilter", "b3eabcf11ecc400a69dfc703b8cd4dc161094f30ebbc69083a899b5fa45d965b"),
+        ("random", "fresh", "c3b4cc922534466a61884bf67437a6bfa752a8020be8d19f867cbce617f6fb0d"),
     ], ids=["lta-fresh", "cta-fresh", "ata-fresh", "incontext-refilter", "random-fresh"])
     def test_run_directory_digest(self, strategy, regen, digest, tmp_path):
         _small_run(strategy, tmp_path, iterations=3, regen=regen)

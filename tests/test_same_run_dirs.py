@@ -35,3 +35,4 @@ def test_a_changed_run_record_is_a_mismatch(tmp_path):
     proc = same_run_dirs(tmp_path)
     assert proc.returncode == 1, proc.stderr
     assert [line.split()[-1] for line in proc.stdout.splitlines()] == ["DIFFERENT"] * 4
+    assert [line.split()[-2] for line in proc.stdout.splitlines()] == ["run.json"] * 4

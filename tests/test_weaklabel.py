@@ -1,4 +1,3 @@
-import base64
 import json
 import math
 import random
@@ -32,6 +31,8 @@ from conftest import (
     KEYWORDS,
     TOY_LABELS,
     mock_backend,
+    read_checkpoint,
+    write_checkpoint,
     toy_conversation,
     toy_sentence,
 )
@@ -526,15 +527,14 @@ class TestTraining:
     def test_checkpoint_round_trip(self, tmp_path):
         texts, labels = toy_instances(60, seed=7)
         model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=1))
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model.save(path)
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 4
+        header, columns, block = read_checkpoint(path)
+        assert header["version"] == 5
         nonzero = np.flatnonzero(np.any(model.weights != 0, axis=0))
-        assert doc["columns"] == nonzero.tolist()
+        assert header["n_columns"] == len(nonzero) and np.array_equal(columns, nonzero)
         assert 0 < len(nonzero) < weaklabel.DIM
-        block = np.frombuffer(base64.b64decode(doc["weights"]), dtype="<f8")
-        assert np.array_equal(block, model.weights[:, nonzero].ravel())
+        assert np.array_equal(block, model.weights[:, nonzero])
         loaded = WeakLabeler.load(path)
         assert np.array_equal(loaded.weights, model.weights)
         assert np.array_equal(loaded.bias, model.bias)
@@ -547,10 +547,10 @@ class TestTraining:
 class TestCheckpoint:
     def test_all_zero_model_round_trip(self, tmp_path):
         model = zero_model(np.array([0.5, 0.0, -0.5, 1.0]))
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model.save(path)
-        doc = json.loads(path.read_text())
-        assert doc["columns"] == [] and doc["weights"] == ""
+        header, _, _ = read_checkpoint(path)
+        assert header["n_columns"] == 0 and path.read_bytes().endswith(b"}\n")
         loaded = WeakLabeler.load(path)
         assert loaded.columns.shape == (0,) and loaded.block.shape == (0, 4)
         np.testing.assert_array_equal(loaded.weights, np.zeros((4, weaklabel.DIM)))
@@ -563,77 +563,96 @@ class TestCheckpoint:
         assert np.array_equal(WeakLabeler.load(path).predict_proba(["any text"]),
                               np.full((1, 4), 0.25))
 
-    @pytest.mark.parametrize("version", [None, 0, 5, "4", "3", "2", 1, 2, 3],
-                             ids=["None", "0", "5", "4", "3", "2", "v1", "v2", "v3"])
+    @pytest.mark.parametrize("version", [None, 0, "5", "4", "3", "2", 1, 2, 3, 4, 6],
+                             ids=["None", "0", "5", "4", "3", "2", "v1", "v2", "v3", "v4", "6"])
     def test_unknown_version_rejected(self, tmp_path, version):
         model = zero_model(np.zeros(4))
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model.save(path)
-        doc = json.loads(path.read_text())
+        header = read_checkpoint(path)[0]
         if version is None:
-            del doc["version"]
+            del header["version"]
         else:
-            doc["version"] = version
-        path.write_text(json.dumps(doc))
+            header["version"] = version
+        write_checkpoint(path, header, [], b"")
         with pytest.raises(WeakLabelError, match="version"):
             WeakLabeler.load(path)
 
-    def test_v3_round_trip_is_exact(self, tmp_path, monkeypatch):
+    def test_v4_checkpoint_rejected_by_version(self, tmp_path):
+        """A version 4 file is one JSON line with `columns` as a list and
+        `weights` as base64 text; it is read as a header and refused."""
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "version": 4, "featurizer": weaklabel._featurizer_block(),
+            "label_space": {"task": "emotion", "labels": list(TOY_LABELS), "majority": 0},
+            "columns": [], "weights": "", "bias": [0.0] * 4}, sort_keys=True))
+        with pytest.raises(WeakLabelError, match="^unsupported checkpoint version 4$"):
+            WeakLabeler.load(path)
+
+    def test_round_trip_is_exact(self, tmp_path, monkeypatch):
         monkeypatch.setattr(weaklabel, "DIM", 512)
         texts, labels = toy_instances(80, seed=13)
         model = train(texts, labels, SPACE, HashedFeaturizer(), TrainConfig(seed=2, epochs=8))
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model.save(path)
         loaded = WeakLabeler.load(path)
-        assert np.array_equal(loaded.weights, model.weights)
+        assert np.array_equal(loaded.columns, model.columns)
+        assert np.array_equal(loaded.block, model.block)
         assert np.array_equal(loaded.bias, model.bias)
         assert np.array_equal(loaded.predict_proba(texts), model.predict_proba(texts))
-        loaded.save(tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+        K, C = model.block.shape
+        head = path.read_bytes().split(b"\n", 1)[0]
+        assert path.stat().st_size == len(head) + 1 + 4 * K + 8 * C * K
+        loaded.save(tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize("change,match", [
-        (lambda d: d.pop("columns"), "lacks columns"),
-        (lambda d: d.pop("bias"), "lacks bias"),
-        (lambda d: d.pop("weights"), "lacks weights"),
-        (lambda d: d.update(columns=[1, 999]), "within"),
-        (lambda d: d.update(columns=[-1, 3]), "within"),
-        (lambda d: d.update(columns=[3, 3]), "ascending"),
-        (lambda d: d.update(columns=[5, 3]), "ascending"),
-        (lambda d: d.update(columns=[1.5, 3]), "integers"),
-        (lambda d: d.update(columns=[[1, 3]]), "integers"),
-        (lambda d: d.update(bias=[0.0]), "bias"),
-        (lambda d: d.update(bias=[[0.0, 1.0]]), "bias"),
-        (lambda d: d.update(weights=d["weights"][:-12]), "weights"),
-        (lambda d: d.update(weights="not base64!"), "malformed"),
-        (lambda d: d.update(weights=[1.0, 2.0]), "malformed"),
-        (lambda d: d.update(label_space={"labels": ["a", "b"]}), "malformed"),
-        (lambda d: d["featurizer"].update(dim=0), "dimension"),
-        (lambda d: d["featurizer"].update(context_window=-2), "malformed.*context window"),
-        (lambda d: d["featurizer"].update(dim=128), "dimension 64"),
-        (lambda d: d["featurizer"].update(context_window=2), "context window 1"),
-        (lambda d: d["featurizer"].update(unknown=1), "malformed"),
-        (lambda d: d["label_space"].update(labels="abcd"), "malformed.*string"),
+        (lambda h, b: h.pop("n_columns"), "lacks n_columns"),
+        (lambda h, b: h.pop("bias"), "lacks bias"),
+        (lambda h, b: b.update(weights=b""), "body must hold"),
+        (lambda h, b: b.update(columns=[1, 999]), "within"),
+        (lambda h, b: b.update(columns=[-1, 3]), "within"),
+        (lambda h, b: b.update(columns=[3, 3]), "ascending"),
+        (lambda h, b: b.update(columns=[5, 3]), "ascending"),
+        (lambda h, b: h.update(bias=[0.0]), "bias"),
+        (lambda h, b: h.update(bias=[[0.0, 1.0]]), "bias"),
+        (lambda h, b: b.update(weights=b["weights"][:-8]), "body must hold"),
+        (lambda h, b: b.update(weights=b["weights"][:-1]), "72 bytes, not 71"),
+        (lambda h, b: b.update(weights=b["weights"] + b"\0"), "72 bytes, not 73"),
+        (lambda h, b: h.update(n_columns=True), "n_columns must be an integer"),
+        (lambda h, b: h.update(n_columns=-1), "n_columns must be an integer"),
+        (lambda h, b: h.update(n_columns=65), r"in \[0, 64\], got 65"),
+        (lambda h, b: h.update(label_space={"labels": ["a", "b"]}), "malformed"),
+        (lambda h, b: h["featurizer"].update(dim=0), "dimension"),
+        (lambda h, b: h["featurizer"].update(context_window=-2), "malformed.*context window"),
+        (lambda h, b: h["featurizer"].update(dim=128), "dimension 64"),
+        (lambda h, b: h["featurizer"].update(context_window=2), "context window 1"),
+        (lambda h, b: h["featurizer"].update(unknown=1), "malformed"),
+        (lambda h, b: h["label_space"].update(labels="abcd"), "malformed.*string"),
     ], ids=["no-columns", "no-bias", "no-weights", "column-past-dim", "negative-column",
-            "duplicate-columns", "descending-columns", "float-column", "nested-columns",
-            "short-bias", "nested-bias", "short-weights", "bad-base64", "list-weights",
-            "bad-label-space", "bad-featurizer", "negative-context-window",
+            "duplicate-columns", "descending-columns", "short-bias", "nested-bias",
+            "short-weights", "short-body", "long-body", "bool-count", "negative-count",
+            "count-past-dim", "bad-label-space", "bad-featurizer", "negative-context-window",
             "other-dimension", "other-context-window", "unknown-featurizer-field",
             "string-labels"])
     def test_malformed_v3_checkpoint_rejected(self, tmp_path, change, match, monkeypatch):
+        """`change` edits the header `h` in place, or `b`: the `columns`
+        list and the `weights` bytes written after it."""
         monkeypatch.setattr(weaklabel, "DIM", 64)
         model = WeakLabeler(HashedFeaturizer(), np.array([1, 3]),
                             np.arange(8.0).reshape(2, 4), np.zeros(4), SPACE)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         model.save(path)
-        doc = json.loads(path.read_text())
-        change(doc)
-        path.write_text(json.dumps(doc))
+        header, columns, weights = read_checkpoint(path)
+        body = {"columns": columns.tolist(), "weights": weights.tobytes()}
+        change(header, body)
+        write_checkpoint(path, header, body["columns"], body["weights"])
         with pytest.raises(WeakLabelError, match=match):
             WeakLabeler.load(path)
 
     @pytest.mark.parametrize("text", ["", "[1, 2]", '{"version": 3', "\xff\xfe"])
     def test_checkpoint_that_is_not_a_document_rejected(self, tmp_path, text):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.ckpt"
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(WeakLabelError):
             WeakLabeler.load(path)

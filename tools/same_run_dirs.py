@@ -6,10 +6,12 @@ OTHER_TREE is a checkout or a `git archive` export holding `src/` and
 `perfbench/`. For each benchmark workload (or the one named), each tree, in a
 Python process of its own, builds the workload's datasets from the seed with
 its own `perfbench/run.py` (`build`), runs one loop per dataset (`run_loop`)
-and digests the run directory (`_dir_digest`). The script prints the two
-digests of every dataset, this checkout's first, and exits 1 if a pair
-differs, a dataset is missing on one side or a loop fails (2 if OTHER_TREE
-holds no `perfbench/run.py`).
+and digests the run directory (`_dir_digest`) and each file in it. The
+script prints one line per dataset: its name, the two digests, this
+checkout's first, and `same`, or else the comma-separated relative paths
+whose bytes differ or that one side lacks (`-` if there are none to name)
+and `DIFFERENT`. It exits 1 if a pair differs, a dataset is missing on one
+side or a loop fails (2 if OTHER_TREE holds no `perfbench/run.py`).
 """
 from __future__ import annotations
 
@@ -23,9 +25,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # Run by each tree's own interpreter; prints one JSON object:
-# "<workload> part <k>" -> [run directory digest, loop error or null].
+# "<workload> part <k>" -> [run directory digest, loop error or null,
+# {relative path: sha256 of the file}].
 CHILD = """
-import json, sys, tempfile
+import hashlib, json, sys, tempfile
 from pathlib import Path
 tree, seed, scale, workloads = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), sys.argv[4:]
 sys.path.insert(0, str(Path(tree) / "perfbench"))
@@ -39,7 +42,9 @@ with tempfile.TemporaryDirectory() as tmp:
                 run_dir = Path(tmp) / name / f"run{part}"
                 loop = run.run_loop(setup, part, run_dir)
                 digest = run._dir_digest(run_dir)[0] if loop.error is None else None
-                out[f"{name} part {part}"] = [digest, loop.error]
+                files = {str(f.relative_to(run_dir)): hashlib.sha256(f.read_bytes()).hexdigest()
+                         for f in run_dir.rglob("*") if f.is_file()} if digest else {}
+                out[f"{name} part {part}"] = [digest, loop.error, files]
         finally:
             setup.close()
 print(json.dumps(out))
@@ -76,10 +81,17 @@ def main(argv=None) -> int:
         return 1
     same = True
     for key in sorted(ours.keys() | theirs.keys()):
-        (a, a_err), (b, b_err) = (side.get(key, (None, "missing")) for side in (ours, theirs))
+        (a, a_err, a_files), (b, b_err, b_files) = (side.get(key, (None, "missing", {}))
+                                                    for side in (ours, theirs))
         ok = a is not None and a == b
         same &= ok
-        print(f"{key}  {a or a_err}  {b or b_err}  {'same' if ok else 'DIFFERENT'}")
+        if ok:
+            verdict = "same"
+        else:
+            differ = sorted(path for path in a_files.keys() | b_files.keys()
+                            if a_files.get(path) != b_files.get(path))
+            verdict = f"{','.join(differ) or '-'}  DIFFERENT"
+        print(f"{key}  {a or a_err}  {b or b_err}  {verdict}")
     return 0 if same else 1
 
 
