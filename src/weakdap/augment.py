@@ -58,6 +58,10 @@ MAX_MULTIPLIER = 100.0
 # Most beams one in-context prompt asks for.
 BEAM_CAP = 3
 
+# Previous turns folded into an instance's text. Here because weaklabel, which
+# builds the texts, imports this module.
+CONTEXT_WINDOW = 1
+
 
 @dataclass
 class Candidate:
@@ -102,12 +106,12 @@ def prescribe_label(gold_turn: Turn, label_space: LabelSpace, mode: str,
     return label
 
 
-def draw_examples(index, label: str, k: int, rng: random.Random, source=None) -> list[str]:
-    """Up to k example texts of `label` from an example index (label ->
-    [(source record id, text)]), drawn by rng.sample in index order; the
+def draw_examples(index, label: str, rng: random.Random, source=None) -> list[str]:
+    """Up to K_EXAMPLES example texts of `label` from an example index (label
+    -> [(source record id, text)]), drawn by rng.sample in index order; the
     texts of record `source` are left out."""
     texts = [text for record_id, text in index.get(label, ()) if record_id != source]
-    return rng.sample(texts, min(k, len(texts)))
+    return rng.sample(texts, min(K_EXAMPLES, len(texts)))
 
 
 def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, cand_id: str,
@@ -129,7 +133,7 @@ def replace_turns(conv: Conversation, steps, rng: random.Random, strategy: str, 
         if index is None:
             prompt = render_dialogue_prompt(turns, spec, label)
         else:
-            examples = draw_examples(index, label, K_EXAMPLES, rng, conv.id)
+            examples = draw_examples(index, label, rng, conv.id)
             prompt = render_context_free_prompt(examples, spec, target.speaker, label)
         completion = generate(prompt, replace(params, seed=seed, stop_markers=stop), backend)[0]
         if completion.parsed is None:
@@ -168,7 +172,7 @@ def cross_lingual_augment(ref: LabeledUtterance, index, backend, params: GenPara
     generator seeded by `seed`. A beam that does not parse is a dropped_parse
     candidate; one that duplicates gold (gold_keys holds the gold texts after
     normalize_text) or an earlier beam is discarded."""
-    examples = draw_examples(index, ref.intent, K_EXAMPLES, random.Random(seed))
+    examples = draw_examples(index, ref.intent, random.Random(seed))
     prompt = render_intent_prompt(ref, examples)
     completions = generate(prompt, replace(params, seed=seed, mode="beam"), backend)
     seen = set()
@@ -304,15 +308,15 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
     return [c for cands in ordered_map(run, jobs) for c in cands]
 
 
-def candidate_to_dict(cand: Candidate, window: int) -> dict:
+def candidate_to_dict(cand: Candidate) -> dict:
     """One candidates.jsonl line. A dialogue candidate's payload keeps only
-    the turns its instances read with this context window: from `window`
-    turns before its first generated turn on. `generated_turns` index the
-    stored turns; `turn_offset`, written when nonzero, is the position of the
-    first stored turn in the source dialogue, whose earlier turns are the
-    gold record's own."""
+    the turns its instances read: from CONTEXT_WINDOW turns before its first
+    generated turn on. `generated_turns` index the stored turns;
+    `turn_offset`, written when nonzero, is the position of the first stored
+    turn in the source dialogue, whose earlier turns are the gold record's
+    own."""
     payload, generated = cand.payload, cand.generated_turns
-    offset = max(0, generated[0] - window) if generated else 0
+    offset = max(0, generated[0] - CONTEXT_WINDOW) if generated else 0
     if offset:
         payload = replace(payload, turns=payload.turns[offset:])
         generated = tuple(i - offset for i in generated)
@@ -339,8 +343,8 @@ def candidate_to_dict(cand: Candidate, window: int) -> dict:
 _CANDIDATE_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
 
 
-def write_candidates(candidates, path, window: int) -> None:
+def write_candidates(candidates, path) -> None:
     ordered = sorted(candidates, key=lambda c: c.id)
     with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(_CANDIDATE_JSON.encode(candidate_to_dict(cand, window)) + "\n"
+        f.write("".join(_CANDIDATE_JSON.encode(candidate_to_dict(cand)) + "\n"
                         for cand in ordered))

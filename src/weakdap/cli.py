@@ -40,7 +40,6 @@ from .loop import REGENS, LoopConfig, evaluate_model, run_weakdap
 from .metrics import METRICS
 from .prompt import PromptSpec
 from .weaklabel import (
-    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -128,15 +127,15 @@ def _config_value(key: str, value):
 
 def _fill_options(args, config: dict) -> None:
     """Set each option of the command that no flag set: from the config file
-    (converted like the flag), else from DEFAULTS. Keys of options the
-    command lacks are ignored."""
+    (converted like the flag), else from DEFAULTS. The config value of every
+    option the command takes is converted, also where a flag sets the
+    option; keys of options the command lacks are ignored."""
     for key in CONFIG_TYPES:
-        if not hasattr(args, key) or getattr(args, key) is not None:
+        if not hasattr(args, key):
             continue
-        if key in config:
-            setattr(args, key, _config_value(key, config[key]))
-        elif key in DEFAULTS:
-            setattr(args, key, DEFAULTS[key])
+        value = _config_value(key, config[key]) if key in config else DEFAULTS.get(key)
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def _given(args, *keys, **renamed) -> dict:
@@ -216,7 +215,7 @@ def cmd_augment(args):
     gold = load_jsonl(args.data, label_space.schema, label_space)
     plan, spec, backend, params = _generation(args, strategy, label_space)
     candidates = run_augmentation(gold, plan, backend, spec, label_space, params)
-    write_candidates(candidates, args.out, CONTEXT_WINDOW)
+    write_candidates(candidates, args.out)
     produced = len(candidates)
     dropped = sum(1 for c in candidates if c.verdict.startswith("dropped"))
     print(f"produced {produced} candidates ({dropped} dropped) -> {args.out}")
@@ -225,7 +224,7 @@ def cmd_augment(args):
 def cmd_train(args):
     label_space = load_label_space(args.labels)
     records = load_jsonl(args.data, label_space.schema, label_space)
-    texts, labels = instances_of(records, label_space, CONTEXT_WINDOW)
+    texts, labels = instances_of(records, label_space)
     model = train(texts, labels, label_space, HashedFeaturizer(), TrainConfig(seed=args.seed))
     model.save(args.out)
     print(f"trained on {len(texts)} instances -> {args.out}")
@@ -252,9 +251,8 @@ def cmd_eval(args):
     model = WeakLabeler.load(args.model)
     label_space = model.label_space
     records = load_jsonl(args.data, label_space.schema, label_space)
-    texts, gold = instances_of(records, label_space, CONTEXT_WINDOW)
-    report = evaluate_model(model, texts, gold, label_space,
-                            majority_index(records, label_space))
+    texts, gold = instances_of(records, label_space)
+    report = evaluate_model(model, texts, gold, majority_index(records, label_space))
     print(report.to_json())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -25,6 +25,12 @@ from urllib.parse import urlsplit
 
 from .prompt import RenderedPrompt
 
+# HttpBackend's retry policy: attempts per call in all, the first backoff
+# window in seconds, and the timeout of each connection in seconds.
+MAX_ATTEMPTS = 3
+BACKOFF_S = 0.5
+TIMEOUT_S = 60.0
+
 
 class BackendError(RuntimeError):
     """Transport or protocol failure after retries."""
@@ -116,23 +122,19 @@ class HttpBackend:
     context, which verifies certificates; no proxy variable is read and
     redirects are not followed.
 
-    Retries transient failures (connection errors, timeouts, answers cut
-    short, 5xx) up to max_attempts in all, sleeping a uniform draw from
-    [0, backoff * 2^k) before retry k+1 so concurrent callers do not retry
-    in lockstep, then raises BackendError. A certificate that fails
+    Retries transient failures (connection errors, timeouts of TIMEOUT_S,
+    answers cut short, 5xx) up to MAX_ATTEMPTS in all, sleeping a uniform
+    draw from [0, BACKOFF_S * 2^k) before retry k+1 so concurrent callers do
+    not retry in lockstep, then raises BackendError. A certificate that fails
     verification, or any other answer, such as a 3xx or 4xx or a body that
     is not JSON with a list of exactly n completion strings, raises at once.
     In-flight requests are capped by a semaphore so concurrent augmentation
     cannot overload the server. An explicit endpoint beats WEAKDAP_ENDPOINT.
     """
 
-    def __init__(self, endpoint: str | None = None, max_parallel: int = 4,
-                 max_attempts: int = 3, backoff: float = 0.5, timeout: float = 60.0):
-        # Semaphore(0) blocks every call forever, zero attempts send nothing,
-        # and a negative backoff makes time.sleep raise.
-        if max_parallel < 1 or max_attempts < 1 or not backoff >= 0 or not timeout > 0:
-            raise ValueError("HttpBackend needs max_parallel >= 1, max_attempts >= 1, "
-                             "backoff >= 0 and timeout > 0")
+    def __init__(self, endpoint: str | None = None, max_parallel: int = 4):
+        if max_parallel < 1:  # Semaphore(0) blocks every call forever
+            raise ValueError("HttpBackend needs max_parallel >= 1")
         self.endpoint = endpoint if endpoint is not None else os.environ.get("WEAKDAP_ENDPOINT")
         if not self.endpoint:
             raise ValueError("no endpoint configured (set WEAKDAP_ENDPOINT or pass endpoint)")
@@ -156,18 +158,15 @@ class HttpBackend:
         self._path = parts.path.rstrip("/") + "/complete"
         # One context for all connections: building one loads the CA certificates.
         self._ssl_context = ssl.create_default_context() if self._https else None
-        self.max_attempts = max_attempts
-        self.backoff = backoff
-        self.timeout = timeout
         self._slots = threading.Semaphore(max_parallel)
 
     def _post(self, body: bytes) -> tuple[int, bytes]:
         """One request on a fresh connection: (status, body of the answer)."""
         if self._https:
-            conn = http.client.HTTPSConnection(self._host, self._port, timeout=self.timeout,
+            conn = http.client.HTTPSConnection(self._host, self._port, timeout=TIMEOUT_S,
                                                context=self._ssl_context)
         else:
-            conn = http.client.HTTPConnection(self._host, self._port, timeout=self.timeout)
+            conn = http.client.HTTPConnection(self._host, self._port, timeout=TIMEOUT_S)
         try:
             conn.request("POST", self._path, body=body,
                          headers={"Content-Type": "application/json", "Connection": "close"})
@@ -187,7 +186,7 @@ class HttpBackend:
             "seed": params.seed,
         }).encode("utf-8")
         last_err = None
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             try:
                 with self._slots:
                     status, answer = self._post(body)
@@ -199,9 +198,9 @@ class HttpBackend:
                 if status < 500:
                     return self._completions(status, answer, params.num_return)
                 last_err = f"HTTP {status}"
-            if attempt < self.max_attempts:
-                time.sleep(random.uniform(0, self.backoff * 2 ** (attempt - 1)))
-        raise BackendError(f"backend unreachable after {self.max_attempts} attempts: {last_err}")
+            if attempt < MAX_ATTEMPTS:
+                time.sleep(random.uniform(0, BACKOFF_S * 2 ** (attempt - 1)))
+        raise BackendError(f"backend unreachable after {MAX_ATTEMPTS} attempts: {last_err}")
 
     @staticmethod
     def _completions(status: int, answer: bytes, n: int) -> list[Completion]:

@@ -28,11 +28,10 @@ from .augment import (
     run_augmentation,
     write_candidates,
 )
-from .corpus import Dataset, LabelSpace, majority_index
+from .corpus import Dataset, majority_index
 from .genbackend import GenParams
 from .prompt import PromptSpec
 from .weaklabel import (
-    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -103,13 +102,12 @@ class LoopState:
                 or len(history) >= config.max_iterations)
 
 
-def evaluate_model(model: WeakLabeler, texts, gold, label_space: LabelSpace,
-                   majority: int) -> metrics.MetricReport:
+def evaluate_model(model: WeakLabeler, texts, gold, majority: int) -> metrics.MetricReport:
     """The metric report of `model`'s predictions on the instance `texts`
     against their `gold` labels (`weaklabel.instances_of` of the evaluation
-    records, built with CONTEXT_WINDOW)."""
+    records), over the model's label space."""
     pred = model.predict(texts)
-    return metrics.report_from_predictions(gold, pred, label_space, majority)
+    return metrics.report_from_predictions(gold, pred, model.label_space, majority)
 
 
 def _verdict_counts(candidates) -> dict:
@@ -121,13 +119,11 @@ def _verdict_counts(candidates) -> dict:
 
 def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
                 loop_cfg: LoopConfig, backend, prompt_spec: PromptSpec,
-                gen_params: GenParams | None = None,
-                train_cfg: TrainConfig | None = None,
-                out_dir: str | None = None,
+                gen_params: GenParams, train_cfg: TrainConfig, out_dir: str,
                 en_pool=None):
     """Run the full loop; returns (best model, best kept silver, LoopState).
 
-    When out_dir is set, it is the run directory: each iteration t writes
+    out_dir is the run directory: each iteration t writes
     `iter_<t>/candidates.jsonl`, and the loop's end saves the best model once
     as `model.ckpt` (a v5 checkpoint: a JSON header line, then raw columns
     and weights), then `run.json` (the plan, filter and loop configs, each
@@ -139,16 +135,14 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     """
     if not dataset.train or not dataset.validation:
         raise LoopError("gold dataset needs train and validation partitions")
-    gen_params = gen_params or GenParams()
     # one featurizer for the whole run: every text is hashed once
     featurizer = HashedFeaturizer()
-    train_cfg = train_cfg or TrainConfig()
     label_space = dataset.label_space
     majority = majority_index(dataset.train, label_space)
 
     # gold instances do not change between iterations: build them once
-    gold_texts, gold_labels = instances_of(dataset.train, label_space, CONTEXT_WINDOW)
-    val_texts, val_gold = instances_of(dataset.validation, label_space, CONTEXT_WINDOW)
+    gold_texts, gold_labels = instances_of(dataset.train, label_space)
+    val_texts, val_gold = instances_of(dataset.validation, label_space)
 
     state = LoopState()
     records = []
@@ -173,10 +167,10 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             filter_candidates(candidates, model, filter_cfg)
 
         kept = [c for c in candidates if c.verdict == "kept"]
-        kept_texts, kept_labels = instances_of(kept, label_space, CONTEXT_WINDOW)
+        kept_texts, kept_labels = instances_of(kept, label_space)
         model = train(gold_texts + kept_texts, gold_labels + kept_labels,
                       label_space, featurizer, train_cfg)
-        report = evaluate_model(model, val_texts, val_gold, label_space, majority)
+        report = evaluate_model(model, val_texts, val_gold, majority)
         score = report.score(loop_cfg.metric)
 
         counts = _verdict_counts(candidates)
@@ -187,11 +181,9 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
             "score": score,
             "candidates": f"iter_{t}/candidates.jsonl",
         })
-        if out_dir:
-            iter_dir = os.path.join(out_dir, f"iter_{t}")
-            os.makedirs(iter_dir, exist_ok=True)
-            write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"),
-                             CONTEXT_WINDOW)
+        iter_dir = os.path.join(out_dir, f"iter_{t}")
+        os.makedirs(iter_dir, exist_ok=True)
+        write_candidates(candidates, os.path.join(iter_dir, "candidates.jsonl"))
 
         stop = state.update(score, loop_cfg)
         if state.best_iteration == t:
@@ -200,10 +192,9 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
         if stop:
             break
 
-    if out_dir:
-        best_model.save(os.path.join(out_dir, "model.ckpt"))
-        config = {"plan": asdict(plan), "filter": asdict(filter_cfg), "loop": asdict(loop_cfg)}
-        doc = {"config": config, "iterations": records, "state": asdict(state)}
-        with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
-            json.dump(doc, f, sort_keys=True, indent=2)
+    best_model.save(os.path.join(out_dir, "model.ckpt"))
+    config = {"plan": asdict(plan), "filter": asdict(filter_cfg), "loop": asdict(loop_cfg)}
+    doc = {"config": config, "iterations": records, "state": asdict(state)}
+    with open(os.path.join(out_dir, "run.json"), "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True, indent=2)
     return best_model, best_silver, state

@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .augment import Candidate
+from .augment import CONTEXT_WINDOW, Candidate
 from .corpus import Conversation, LabelSpace, LabeledUtterance, from_dict, to_dict
 
 
@@ -31,7 +31,6 @@ class WeakLabelError(ValueError):
 # Characters in a char n-gram. Words are hashed as unigrams and bigrams.
 CHAR_NGRAM = 3
 DIM = 1 << 15  # hashed feature columns
-CONTEXT_WINDOW = 1  # previous turns folded into an instance's text
 FEATURIZE_BATCH = 256  # new texts whose rows are built at once
 
 # The trainer's step: mini-batch gradient descent with L2 decay, early
@@ -66,19 +65,19 @@ class FilterConfig:
             raise WeakLabelError("percentile must be in [0, 100]")
 
 
-def dialogue_instance_text(conv: Conversation, turn_idx: int, window: int) -> str:
-    """Instance text for one turn: up to `window` previous turns, then the
-    target utterance. Context words are speaker-tagged token by token so they
-    occupy a separate feature namespace from the target's own words."""
+def dialogue_instance_text(conv: Conversation, turn_idx: int) -> str:
+    """Instance text for one turn: up to CONTEXT_WINDOW previous turns, then
+    the target utterance. Context words are speaker-tagged token by token so
+    they occupy a separate feature namespace from the target's own words."""
     parts = []
-    for j in range(max(0, turn_idx - window), turn_idx):
+    for j in range(max(0, turn_idx - CONTEXT_WINDOW), turn_idx):
         t = conv.turns[j]
         parts.extend(f"{t.speaker}:{w}" for w in t.text.split())
     parts.append(conv.turns[turn_idx].text)
     return " ".join(parts)
 
 
-def instances_of(records, label_space: LabelSpace, window: int):
+def instances_of(records, label_space: LabelSpace):
     """(texts, labels) of the classifier instances of gold records and
     candidates: every labeled turn of a conversation, every generated turn of
     a dialogue candidate in its generated context under its prescribed label,
@@ -95,7 +94,7 @@ def instances_of(records, label_space: LabelSpace, window: int):
         for i in (range(rec.n) if turns is None else turns):
             label = rec.turns[i].label(label_space.task)
             if label is not None:
-                texts.append(dialogue_instance_text(rec, i, window))
+                texts.append(dialogue_instance_text(rec, i))
                 labels.append(label)
     return texts, labels
 
@@ -368,7 +367,7 @@ def train(instances, labels, label_space: LabelSpace, featurizer: HashedFeaturiz
     rng = random.Random(cfg.seed)
     order = list(range(n))
     rng.shuffle(order)
-    n_val = max(1, int(VAL_FRACTION * n)) if n > 2 and VAL_FRACTION > 0 else 0
+    n_val = max(1, int(VAL_FRACTION * n)) if n > 2 else 0
     val_idx, train_idx = order[:n_val], np.array(order[n_val:], dtype=np.intp)
     ytr = y[train_idx]
     Xval, yval = (X[val_idx], y[val_idx]) if val_idx else (X[train_idx], ytr)
@@ -448,8 +447,7 @@ def nearest_rank_threshold(entropies, percentile: float) -> float:
     return s[idx]
 
 
-def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
-                      window: int = CONTEXT_WINDOW) -> None:
+def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig) -> None:
     """Assign silver labels and entropies, then apply the percentile rule, in
     place. A candidate with a payload and a pending verdict is scored by the
     last text of its instances_of, so a dialogue candidate by its final
@@ -464,7 +462,7 @@ def filter_candidates(candidates, model: WeakLabeler, config: FilterConfig,
     scorable = [c for c in candidates if c.payload is not None and c.verdict == "pending"]
     if not scorable:
         return
-    probs = model.predict_proba([instances_of([c], model.label_space, window)[0][-1]
+    probs = model.predict_proba([instances_of([c], model.label_space)[0][-1]
                                  for c in scorable])
     mismatched = []
     for cand, p in zip(scorable, probs):

@@ -17,7 +17,6 @@ from weakdap.loop import LoopConfig, instances_of, run_weakdap
 from weakdap.metrics import accuracy, confusion_matrix, macro_f1, micro_f1_no_majority
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
-    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -122,8 +121,7 @@ def test_criterion_2_filter_oracle():
         P = (0, 50, 80, 100)[batch % 4]
         for c in cands:
             c.verdict = "pending"
-        filter_candidates(cands, _StubModel(space, rows),
-                          FilterConfig(percentile=P), window=0)
+        filter_candidates(cands, _StubModel(space, rows), FilterConfig(percentile=P))
         kept = {c.id for c in cands if c.verdict == "kept"}
         expected = _oracle_filter(entries, P)
         if kept != expected:
@@ -247,9 +245,9 @@ def test_criterion_5_end_to_end_denoising(tmp_path):
     dataset = _e2e_dataset()
     space = dataset.label_space
 
-    texts, labels = instances_of(dataset.train, space, CONTEXT_WINDOW)
+    texts, labels = instances_of(dataset.train, space)
     gold_model = train(texts, labels, space, HashedFeaturizer(), TRAIN)
-    val_texts, val_gold = instances_of(dataset.validation, space, CONTEXT_WINDOW)
+    val_texts, val_gold = instances_of(dataset.validation, space)
     acc = sum(p == g for p, g in zip(gold_model.predict(val_texts), val_gold)) \
         / len(val_gold)
     if not acc > 0.9:

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from weakdap import augment, weaklabel
 from weakdap.augment import (
     AugmentPlan,
     Candidate,
@@ -49,6 +50,13 @@ def candidate_from_line(d: dict, gold=None) -> Candidate:
                      generated_turns=tuple(i + offset for i in d.get("generated_turns", ())),
                      silver_label=d.get("silver_label"), entropy=d.get("entropy"),
                      verdict=d["verdict"])
+
+
+def set_window(monkeypatch, window: int) -> None:
+    """Fold `window` previous turns into instances and candidate lines: both
+    bindings of CONTEXT_WINDOW."""
+    monkeypatch.setattr(augment, "CONTEXT_WINDOW", window)
+    monkeypatch.setattr(weaklabel, "CONTEXT_WINDOW", window)
 
 
 def read_candidates(path, gold=None) -> list[Candidate]:
@@ -202,7 +210,7 @@ class TestTrajectory:
         assert cand.generated_turns == (2, 3, 4)
         expected = [" ".join([f"{turns[i - 1].speaker}:{w}" for w in turns[i - 1].text.split()]
                              + [turns[i].text]) for i in (2, 3, 4)]
-        texts, labels = instances_of([cand], SPACE, window=1)
+        texts, labels = instances_of([cand], SPACE)
         assert texts == expected
         assert labels == [turns[i].emotion for i in (2, 3, 4)]
         assert labels[-1] == cand.prescribed_label
@@ -216,7 +224,7 @@ class TestTrajectory:
                 scored.extend(texts)
                 return np.full((len(texts), len(SPACE.labels)), 1 / len(SPACE.labels))
 
-        filter_candidates([cand], RecordingModel(), FilterConfig(), window=1)
+        filter_candidates([cand], RecordingModel(), FilterConfig())
         assert scored == [expected[-1]]  # the filter scores the last generated turn
 
     def test_parse_failure_aborts_candidate(self):
@@ -298,14 +306,15 @@ class TestDrawExamples:
              "b": [("c2", "five")]}
 
     def test_same_label_texts_of_other_records(self):
-        drawn = draw_examples(self.INDEX, "a", 10, random.Random(0), "c1")
+        drawn = draw_examples(self.INDEX, "a", random.Random(0), "c1")
         assert sorted(drawn) == ["four", "two"]
-        assert draw_examples(self.INDEX, "b", 10, random.Random(0), "c2") == []
-        assert draw_examples(self.INDEX, "missing", 10, random.Random(0)) == []
+        assert draw_examples(self.INDEX, "b", random.Random(0), "c2") == []
+        assert draw_examples(self.INDEX, "missing", random.Random(0)) == []
 
-    def test_at_most_k_drawn_by_sample(self):
+    def test_at_most_k_drawn_by_sample(self, monkeypatch):
+        monkeypatch.setattr(augment, "K_EXAMPLES", 2)
         texts = ["one", "two", "three", "four"]
-        assert draw_examples(self.INDEX, "a", 2, random.Random(5)) == \
+        assert draw_examples(self.INDEX, "a", random.Random(5)) == \
             random.Random(5).sample(texts, 2)
 
 
@@ -409,14 +418,15 @@ class TestRandomStrategy:
                [(c.source_id, c.prescribed_label) for c in lta_cands]
         assert {c.strategy for c in random_cands} == {"random"}
 
-    def test_training_instance_is_the_bare_text(self, tmp_path):
+    def test_training_instance_is_the_bare_text(self, tmp_path, monkeypatch):
+        set_window(monkeypatch, 2)
         cands = self._run("random")
         for cand in cands:
             (turn,) = cand.payload.turns
             assert cand.generated_turns == (0,)
-            assert instances_of([cand], SPACE, window=2) == \
+            assert instances_of([cand], SPACE) == \
                 ([turn.text], [cand.prescribed_label])
-        write_candidates(cands, tmp_path / "c.jsonl", 2)
+        write_candidates(cands, tmp_path / "c.jsonl")
         loaded = {c.id: c.payload for c in read_candidates(tmp_path / "c.jsonl")}
         assert all(loaded[c.id] == c.payload for c in cands)
 
@@ -571,7 +581,7 @@ class TestCandidatePersistence:
         plan = AugmentPlan(strategy="lta", multiplier=1.0, seed=3)
         cands = run_augmentation(gold, plan, mock_backend(), SPEC, SPACE, GenParams())
         path = tmp_path / "c.jsonl"
-        write_candidates(cands, path, 1)
+        write_candidates(cands, path)
         lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert all(len(d["payload"]["turns"]) == 2 for d in lines)  # context + generated
         loaded = read_candidates(path, {g.id: g for g in gold})
@@ -604,16 +614,17 @@ class TestCandidateLine:
 
     @pytest.mark.parametrize("window", [0, 1, 2])
     @pytest.mark.parametrize("strategy", ["lta", "ata", "cta", "random", "incontext"])
-    def test_line_holds_the_turns_instances_read(self, strategy, window):
+    def test_line_holds_the_turns_instances_read(self, strategy, window, monkeypatch):
+        set_window(monkeypatch, window)
         gold, space, cands = self._candidates(strategy)
         gold_by_id = {g.id: g for g in gold}
         assert cands and all(c.payload is not None for c in cands)
         for cand in cands:
-            d = json.loads(json.dumps(candidate_to_dict(cand, window)))
+            d = json.loads(json.dumps(candidate_to_dict(cand)))
             whole = candidate_from_line(d, gold_by_id)
             assert (whole.payload, whole.generated_turns) == (cand.payload, cand.generated_turns)
             stored = candidate_from_line(d)
-            assert instances_of([stored], space, window) == instances_of([cand], space, window)
+            assert instances_of([stored], space) == instances_of([cand], space)
             if strategy == "incontext":
                 assert "generated_turns" not in d and "turn_offset" not in d
                 continue

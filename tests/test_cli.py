@@ -124,6 +124,27 @@ class TestSample:
         assert manifest["fraction"] == 0.5  # from config file
         assert manifest["seed"] == 9  # flag wins
 
+    def test_config_value_a_flag_overrides_is_still_checked(self, workspace, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": "x", "fraction": 0.5}))
+        rc = main(["--config", str(cfg),
+                   "sample", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"),
+                   "--seed", "5", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: config key 'seed': 'x' is not int\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_config_key_of_an_option_the_command_lacks_is_ignored(self, workspace, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epsilon": "x", "fraction": 0.5}))
+        rc = main(["--config", str(cfg),
+                   "sample", "--data", str(workspace / "train.jsonl"),
+                   "--labels", str(workspace / "labels.json"), "--out", str(tmp_path)])
+        assert rc == 0
+        assert json.loads((tmp_path / "manifest.json").read_text())["fraction"] == 0.5
+
     @pytest.mark.parametrize("field,value", [
         ("majority", "0"), ("majority", 1.5), ("majority", [0]), ("majority", True),
         ("labels", 5), ("labels", ["neutral", 3]), ("task", ["emotion"]),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from weakdap import augment
+from weakdap import augment, genbackend
 from weakdap.augment import AugmentPlan, candidate_to_dict, run_augmentation
 from weakdap.corpus import LabelSpace
 from weakdap.genbackend import (
@@ -28,6 +28,12 @@ from weakdap.genbackend import (
 from weakdap.prompt import PromptSpec, RenderedPrompt
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
+
+
+@pytest.fixture(autouse=True)
+def short_backoff(monkeypatch):
+    """Retries wait at most 10 ms here, not genbackend.BACKOFF_S."""
+    monkeypatch.setattr(genbackend, "BACKOFF_S", 0.01)
 
 
 def rp(text="Alice in a happy mood: hi\nBob in a happy mood:", label="happiness"):
@@ -176,7 +182,7 @@ def http_server():
 
 class TestHttpBackend:
     def test_forwards_params_verbatim(self, http_server):
-        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        backend = HttpBackend(endpoint=http_server)
         params = GenParams(mode="beam", top_p=0.92, num_return=2, max_new_tokens=17,
                            stop_markers=("Bob ",), seed=9)
         out = backend.complete(rp(), params)
@@ -188,14 +194,14 @@ class TestHttpBackend:
 
     def test_retries_then_succeeds(self, http_server):
         _Handler.fail_times = 2
-        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        backend = HttpBackend(endpoint=http_server)
         out = backend.complete(rp(), GenParams())
         assert len(out) == 1
         assert len(_Handler.requests_seen) == 3
 
     def test_retry_exhaustion_raises_with_attempts(self, http_server):
         _Handler.fail_times = 10
-        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        backend = HttpBackend(endpoint=http_server)
         with pytest.raises(BackendError, match="after 3 attempts"):
             backend.complete(rp(), GenParams())
         assert len(_Handler.requests_seen) == 3
@@ -210,13 +216,13 @@ class TestHttpBackend:
     def test_non_transient_failure_is_not_retried(self, http_server, status, reply):
         _Handler.fail_times = 10
         _Handler.fail_with = (status, reply)
-        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        backend = HttpBackend(endpoint=http_server)
         with pytest.raises(BackendError):
             backend.complete(rp(), GenParams())
         assert len(_Handler.requests_seen) == 1
 
     def test_endpoint_path_prefix_is_kept(self, http_server):
-        backend = HttpBackend(endpoint=f"{http_server}/v1", backoff=0.01)
+        backend = HttpBackend(endpoint=f"{http_server}/v1")
         assert backend.complete(rp(), GenParams())
         assert [path for path, _ in _Handler.requests_seen] == ["/v1/complete"]
 
@@ -225,7 +231,7 @@ class TestHttpBackend:
         _Handler.fail_times = 1
         _Handler.fail_with = (200, b'{"completions": ["cut')
         _Handler.fail_headers = {"Content-Length": "100"}
-        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        backend = HttpBackend(endpoint=http_server)
         out = backend.complete(rp(), GenParams())
         assert [c.raw for c in out] == [f"echo: {rp().text[-10:]}"]
         assert len(_Handler.requests_seen) == 2
@@ -242,7 +248,7 @@ class TestHttpBackend:
                 super().__init__("127.0.0.1", local_port, timeout=timeout)
 
         monkeypatch.setattr(http.client, "HTTPSConnection", Recorder)
-        backend = HttpBackend(endpoint="https://localhost/v1", backoff=0.01)
+        backend = HttpBackend(endpoint="https://localhost/v1")
         assert backend.complete(rp(), GenParams())
         assert opened == [("localhost", 443)]
         assert [path for path, _ in _Handler.requests_seen] == ["/v1/complete"]
@@ -261,9 +267,7 @@ class TestHttpBackend:
             backend.complete(rp(), GenParams())
         assert (len(calls), sleeps) == (1, [])
 
-    @pytest.mark.parametrize("kwargs", [{"max_parallel": 0}, {"max_attempts": 0},
-                                        {"backoff": -0.5}, {"timeout": 0}],
-                             ids=["no-slots", "no-attempts", "negative-backoff", "no-timeout"])
+    @pytest.mark.parametrize("kwargs", [{"max_parallel": 0}], ids=["no-slots"])
     def test_arguments_that_hang_or_never_send_rejected(self, kwargs):
         with pytest.raises(ValueError, match="max_parallel >= 1"):
             HttpBackend(endpoint="http://127.0.0.1:8080", **kwargs)
@@ -274,7 +278,7 @@ class TestHttpBackend:
 
     def test_explicit_endpoint_beats_env_var(self, http_server, monkeypatch):
         monkeypatch.setenv("WEAKDAP_ENDPOINT", "http://unreachable.invalid")
-        backend = HttpBackend(endpoint=http_server, backoff=0.01)
+        backend = HttpBackend(endpoint=http_server)
         assert backend.endpoint == http_server
         assert backend.complete(rp(), GenParams())
         monkeypatch.setenv("WEAKDAP_ENDPOINT", http_server)
@@ -341,7 +345,7 @@ class TestConcurrentGeneration:
     def _augment(self, endpoint, strategy, n_gold, turns):
         rng = random.Random(31)
         gold = [toy_conversation(f"g{i}", rng, n=turns) for i in range(n_gold)]
-        backend = HttpBackend(endpoint=endpoint, max_parallel=3, backoff=0.01)
+        backend = HttpBackend(endpoint=endpoint, max_parallel=3)
         return run_augmentation(gold, AugmentPlan(strategy=strategy, multiplier=1.0, seed=2),
                                 backend, PromptSpec(task="emotion"), self.SPACE, GenParams())
 
@@ -349,11 +353,11 @@ class TestConcurrentGeneration:
                                                                    monkeypatch):
         endpoint, stats = slow_server
         monkeypatch.setattr(augment, "MAX_WORKERS", 1)
-        serial = [candidate_to_dict(c, 1) for c in self._augment(endpoint, "cta", 12, 4)]
+        serial = [candidate_to_dict(c) for c in self._augment(endpoint, "cta", 12, 4)]
         assert stats["peak"] == 1
         stats["peak"] = 0
         monkeypatch.setattr(augment, "MAX_WORKERS", 8)
-        pooled = [candidate_to_dict(c, 1) for c in self._augment(endpoint, "cta", 12, 4)]
+        pooled = [candidate_to_dict(c) for c in self._augment(endpoint, "cta", 12, 4)]
         assert 1 < stats["peak"] <= 3
         assert pooled == serial
         assert stats["requests"] == 2 * 12 * 2  # two generated turns per conversation

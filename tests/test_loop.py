@@ -13,7 +13,6 @@ from weakdap.genbackend import GenParams
 from weakdap.loop import LoopConfig, LoopError, LoopState, evaluate_model, run_weakdap
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
-    CONTEXT_WINDOW,
     FilterConfig,
     HashedFeaturizer,
     TrainConfig,
@@ -119,7 +118,7 @@ class TestConvergenceAutomaton:
 
 
 class TestRunWeakdap:
-    def _run(self, toy_dataset, out_dir=None, regen="fresh", q=0.4):
+    def _run(self, toy_dataset, out_dir, regen="fresh", q=0.4):
         plan = AugmentPlan(strategy="lta", multiplier=2.0, seed=5)
         spec = PromptSpec(task="emotion")
         return run_weakdap(
@@ -127,8 +126,8 @@ class TestRunWeakdap:
             mock_backend(noise_rate=q), spec, gen_params=GenParams(),
             train_cfg=TRAIN, out_dir=out_dir)
 
-    def test_returns_best_model_and_state(self, toy_dataset):
-        model, silver, state = self._run(toy_dataset)
+    def test_returns_best_model_and_state(self, toy_dataset, tmp_path):
+        model, silver, state = self._run(toy_dataset, tmp_path)
         assert model is not None
         assert state.best_score == max(state.score_history)
         assert all(c.verdict == "kept" for c in silver)
@@ -166,9 +165,8 @@ class TestRunWeakdap:
         # validation split as the loop scored it
         model = WeakLabeler.load(tmp_path / "model.ckpt")
         space = toy_dataset.label_space
-        texts, gold = instances_of(toy_dataset.validation, space, CONTEXT_WINDOW)
-        report = evaluate_model(model, texts, gold, space,
-                                majority_index(toy_dataset.train, space))
+        texts, gold = instances_of(toy_dataset.validation, space)
+        report = evaluate_model(model, texts, gold, majority_index(toy_dataset.train, space))
         assert report.score("macro_f1") == state.best_score
 
     def test_refilter_mode_reuses_iteration_zero_pool(self, toy_dataset, tmp_path):
@@ -211,16 +209,16 @@ class TestRunWeakdap:
         texts1 = (tmp_path / run["iterations"][1]["candidates"]).read_text()
         assert texts0 != texts1
 
-    def test_deterministic_repeat(self, toy_dataset):
-        _, _, s1 = self._run(toy_dataset)
-        _, _, s2 = self._run(toy_dataset)
+    def test_deterministic_repeat(self, toy_dataset, tmp_path):
+        _, _, s1 = self._run(toy_dataset, tmp_path / "a")
+        _, _, s2 = self._run(toy_dataset, tmp_path / "b")
         assert s1.score_history == s2.score_history
         assert s1.best_iteration == s2.best_iteration
 
-    def test_missing_partitions_rejected(self, toy_dataset):
+    def test_missing_partitions_rejected(self, toy_dataset, tmp_path):
         toy_dataset.validation = []
         with pytest.raises(LoopError):
-            self._run(toy_dataset)
+            self._run(toy_dataset, tmp_path)
 
 
 def _dir_bytes(root):
@@ -344,9 +342,9 @@ class TestGoldInstancesOnce:
         built = []
         build = weaklabel.dialogue_instance_text
 
-        def counting(conv, turn_idx, window=1):
+        def counting(conv, turn_idx):
             built.append((conv.id, turn_idx))
-            return build(conv, turn_idx, window)
+            return build(conv, turn_idx)
 
         monkeypatch.setattr(weaklabel, "dialogue_instance_text", counting)
         _small_run("lta", tmp_path, iterations=3)

@@ -23,8 +23,18 @@ attribute store or string constant in `src/weakdap` or `perfbench/` names
 it. The match is by name alone, and a string counts because `cli._given`
 and `BASELINE_OPTIONS` pass field names as strings. A field that only tests
 set is a constant.
+
+Every parameter with a default of a function in `src/weakdap` is passed by
+some call in `src/weakdap` or `perfbench/`, and no parameter gets the same
+UPPER_CASE constant or literal from every such call (a call that omits it
+gives it its default). A call is matched by the name it calls, a bare name
+or the last attribute, and `__init__` by its class's name; a call that
+spreads `*` or `**` arguments counts as passing every parameter, with a value
+of its own. A parameter that only tests set, or that is always the same, is
+a constant.
 """
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -193,6 +203,105 @@ def unset_fields(modules: dict[str, str], bench: list[str]) -> list[str]:
                   and member.target.id not in named)
 
 
+def _functions(modules: dict[str, str]) -> list[tuple]:
+    """(qualified name, the name its calls use, parameters) of each function
+    in modules, methods and nested functions included, dunders other than
+    `__init__` left out. A parameter is (name, its position in a call or None
+    when only a keyword passes it, its default or None). A method's first
+    parameter is left out, and `__init__` is called by its class's name."""
+    found = []
+
+    def visit(node, prefix, owner=None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            visit(child, f"{prefix}{child.name}.")
+            args = child.args
+            positional = args.posonlyargs + args.args
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            params = [(a.arg, i, d) for i, (a, d) in enumerate(zip(positional, defaults))]
+            static = any(getattr(d, "id", None) == "staticmethod" for d in child.decorator_list)
+            if owner is not None and not static and params:
+                params = [(name, i - 1, d) for name, i, d in params[1:]]
+            params += [(a.arg, None, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+            if child.name == "__init__" and owner is not None:
+                found.append((f"{prefix}{child.name}", owner, params))
+            elif not _is_dunder(child.name):
+                found.append((f"{prefix}{child.name}", child.name, params))
+
+    for module, source in modules.items():
+        visit(ast.parse(source), f"{module}.")
+    return found
+
+
+def _calls(sources) -> dict[str, list[ast.Call]]:
+    """The calls in sources, by the name they call: a bare name or the last
+    attribute."""
+    calls = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+SPREAD = object()  # a call's `*` or `**` argument may pass any parameter
+
+
+def _argument(call: ast.Call, name: str, position, default):
+    """What `call` passes the parameter: the expression, the default when it
+    passes none (None if there is none), or SPREAD."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or \
+            any(k.arg is None for k in call.keywords):
+        return SPREAD
+    for keyword in call.keywords:
+        if keyword.arg == name:
+            return keyword.value
+    if position is not None and position < len(call.args):
+        return call.args[position]
+    return default
+
+
+def _is_constant(node) -> bool:
+    """An UPPER_CASE name or attribute, or a literal."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = getattr(node, "id", getattr(node, "attr", ""))
+        return re.fullmatch(r"[A-Z][A-Z0-9_]*", name) is not None
+    try:
+        ast.literal_eval(node)
+    except (ValueError, TypeError):
+        return False
+    return True
+
+
+def unpassed_parameters(modules: dict[str, str], bench: list[str]) -> list[str]:
+    """`function(parameter)` for each parameter with a default of a function
+    in modules that no call in modules or bench passes."""
+    calls = _calls([*modules.values(), *bench])
+    return sorted(f"{qualified}({name})" for qualified, called, params in _functions(modules)
+                  for name, position, default in params if default is not None
+                  and all(_argument(call, name, position, default) is default
+                          for call in calls.get(called, ())))
+
+
+def constant_parameters(modules: dict[str, str], bench: list[str]) -> list[str]:
+    """`function(parameter)` for each parameter of a function in modules that
+    every call in modules or bench, and at least one, gives the same UPPER_CASE
+    constant or literal."""
+    calls = _calls([*modules.values(), *bench])
+    found = []
+    for qualified, called, params in _functions(modules):
+        for name, position, default in params:
+            values = [_argument(call, name, position, default) for call in calls.get(called, ())]
+            if values and all(isinstance(v, ast.AST) and _is_constant(v) for v in values) \
+                    and len({ast.dump(v) for v in values}) == 1:
+                found.append(f"{qualified}({name})")
+    return sorted(found)
+
+
 def test_every_name_has_a_reader():
     modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
@@ -295,3 +404,57 @@ def test_check_finds_an_unread_parameter():
     assert unread_parameters({"m": source}) == [
         "m.Box.closure(self)", "m.Box.closure.inner(z)", "m.Box.method(x)",
         "m.unused(b)", "m.unused(c)"]
+
+
+def test_every_defaulted_parameter_is_passed():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    unpassed = unpassed_parameters(modules, bench)
+    assert unpassed == [], f"passed by nothing but tests: {unpassed}"
+
+
+def test_no_parameter_is_always_one_constant():
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    bench = [p.read_text(encoding="utf-8") for p in sorted(BENCH.glob("*.py"))]
+    constant = constant_parameters(modules, bench)
+    assert constant == [], f"given one constant by every call: {constant}"
+
+
+def test_check_finds_an_unpassed_parameter():
+    source = ("def send(url, retries=3, timeout=1.0, *, verbose=False, tag=None): pass\n"
+              "def spread(a, b=0): pass\n"
+              "def spread_kw(a, b=0): pass\n"
+              "class Client:\n"
+              "    def __init__(self, url, pool=2, idle=1): pass\n"
+              "    def get(self, path, cache=True):\n"
+              "        def inner(x, deep=0): pass\n"
+              "        return inner(path)\n"
+              "    @staticmethod\n"
+              "    def parse(text, strict=False): pass\n"
+              "def main(args, opts):\n"
+              "    send('u', 5, verbose=True)\n"
+              "    spread(*args)\n"
+              "    spread_kw(1, **opts)\n"
+              "    Client('u', 3).get('/')\n"
+              "    Client.parse('x')\n")
+    bench = "def run(c): return c.get('/', cache=False), send('u', tag='t')\n"
+    assert unpassed_parameters({"m": source}, [bench]) == [
+        "m.Client.__init__(idle)", "m.Client.get.inner(deep)", "m.Client.parse(strict)",
+        "m.send(timeout)"]
+
+
+def test_check_finds_a_constant_argument():
+    source = ("LIMIT = 3\n"
+              "def fetch(url, limit, retries=2, mode='a'): pass\n"
+              "def scale(x, factor): pass\n"
+              "def spread(a, b): pass\n"
+              "def unused(a): pass\n"
+              "def main(args, n):\n"
+              "    fetch('u', LIMIT, mode='b')\n"
+              "    fetch('v', LIMIT, 2)\n"
+              "    scale(n, 2.0)\n"
+              "    scale(n, -1.0)\n"
+              "    spread(1, 2)\n"
+              "    spread(*args)\n")
+    bench = "def run(): return fetch('w', limit=LIMIT)\n"
+    assert constant_parameters({"m": source}, [bench]) == ["m.fetch(limit)", "m.fetch(retries)"]

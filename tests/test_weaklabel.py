@@ -61,7 +61,7 @@ def softmax(z):
 
 def dense_reference_train(texts, labels, cfg):
     """Independent oracle for `train` with an internal validation split (the
-    training set at a VAL_FRACTION of 0): the textbook dense minibatch step
+    training set at 2 instances or fewer): the textbook dense minibatch step
     W -= lr * (err.T @ Xb / B + l2 * W) on the full C x DIM matrix, with the
     same permutation draws and stopping rule, at weaklabel's constants."""
     lr, l2, batch_size = weaklabel.LEARNING_RATE, weaklabel.L2, weaklabel.BATCH_SIZE
@@ -70,7 +70,7 @@ def dense_reference_train(texts, labels, cfg):
     n, C = X.shape[0], len(SPACE)
     order = list(range(n))
     random.Random(cfg.seed).shuffle(order)
-    n_val = max(1, int(weaklabel.VAL_FRACTION * n)) if weaklabel.VAL_FRACTION > 0 else 0
+    n_val = max(1, int(weaklabel.VAL_FRACTION * n)) if n > 2 else 0
     Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
     Xval, yval = (X[order[:n_val]], y[order[:n_val]]) if n_val else (Xtr, ytr)
     W, b = np.zeros((C, weaklabel.DIM)), np.zeros(C)
@@ -97,17 +97,17 @@ def dense_reference_train(texts, labels, cfg):
     return best[1], best[2]
 
 
-def unique_step_reference_train(texts, labels, featurizer, cfg):
+def unique_step_reference_train(texts, labels, featurizer, cfg, space=SPACE):
     """The lazy-L2 trainer as it was before it trained over the used columns
     only: V spans every hashed column, and each batch finds its distinct
     columns with np.unique. `train` must give exactly its weights."""
     dim, lr, batch_size = weaklabel.DIM, weaklabel.LEARNING_RATE, weaklabel.BATCH_SIZE
-    y = np.array([SPACE.index(l) for l in labels])
+    y = np.array([space.index(l) for l in labels])
     X = featurizer.transform(texts)
-    n, C = X.shape[0], len(SPACE)
+    n, C = X.shape[0], len(space)
     order = list(range(n))
     random.Random(cfg.seed).shuffle(order)
-    n_val = max(1, int(weaklabel.VAL_FRACTION * n)) if weaklabel.VAL_FRACTION > 0 else 0
+    n_val = max(1, int(weaklabel.VAL_FRACTION * n)) if n > 2 else 0
     Xtr, ytr = X[order[n_val:]], y[order[n_val:]]
     Xval, yval = (X[order[:n_val]], y[order[:n_val]]) if n_val else (Xtr, ytr)
     decay = 1.0 - lr * weaklabel.L2
@@ -426,19 +426,21 @@ class TestTraining:
         assert_same_csr(featurizer._rows, rows)
         assert_same_csr(featurizer.transform(texts), before)
 
-    def test_val_fraction_zero_trains_on_every_instance(self, monkeypatch):
-        monkeypatch.setattr(weaklabel, "VAL_FRACTION", 0)
-        texts, labels = toy_instances(40, seed=15)
-        texts = [f"{text} only{i}" for i, text in enumerate(texts)]
+    def test_two_instances_train_on_every_instance(self):
+        """With 2 instances or fewer there is no validation split."""
+        space = LabelSpace(task="emotion", labels=TOY_LABELS[:2])
+        rng = random.Random(15)
+        labels = list(space.labels)
+        texts = [f"{toy_sentence(label, rng)} only{i}" for i, label in enumerate(labels)]
         cfg = TrainConfig(seed=6, epochs=5)
-        model = train(texts, labels, SPACE, HashedFeaturizer(), cfg)
+        model = train(texts, labels, space, HashedFeaturizer(), cfg)
         # every instance's own columns, used by no other instance, were trained
         X = HashedFeaturizer().transform(texts)
         uses = np.bincount(X.indices, minlength=weaklabel.DIM)
         for i in range(len(texts)):
             own = [c for c in X.indices[X.indptr[i]:X.indptr[i + 1]] if uses[c] == 1]
             assert own and np.all(np.any(model.weights[:, own] != 0, axis=0)), i
-        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(), cfg)
+        W, b = unique_step_reference_train(texts, labels, HashedFeaturizer(), cfg, space)
         assert np.array_equal(model.weights, W)
         assert np.array_equal(model.bias, b)
 
