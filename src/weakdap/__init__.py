@@ -1,8 +1,8 @@
 """WeakDAP: prompt-based dialogue data augmentation with weakly-supervised
 entropy filtering."""
 
-from .augment import AugmentPlan, Candidate
-from .corpus import Conversation, Dataset, LabelSpace, LabeledUtterance, Turn
+from .augment import AugmentPlan
+from .corpus import Candidate, Conversation, Dataset, LabelSpace, LabeledUtterance, Turn
 from .genbackend import GenParams, HttpBackend, MockBackend, MockGenConfig
 from .loop import LoopConfig, LoopState, run_weakdap
 from .prompt import PromptSpec, RenderedPrompt

@@ -24,7 +24,6 @@ order.
 """
 from __future__ import annotations
 
-import json
 import math
 import random
 import re
@@ -32,7 +31,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
-from .corpus import Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn, to_dict
+from .corpus import Candidate, Conversation, CorpusError, LabelSpace, LabeledUtterance, Turn
 from .genbackend import GenParams, generate, stable_seed
 from .prompt import (
     K_EXAMPLES,
@@ -57,24 +56,6 @@ MAX_MULTIPLIER = 100.0
 
 # Most beams one in-context prompt asks for.
 BEAM_CAP = 3
-
-# Previous turns folded into an instance's text. Here because weaklabel, which
-# builds the texts, imports this module.
-CONTEXT_WINDOW = 1
-
-
-@dataclass
-class Candidate:
-    id: str
-    payload: Conversation | LabeledUtterance | None
-    prescribed_label: str
-    strategy: str
-    source_id: str
-    generated_turns: tuple[int, ...] = ()  # 0-based indices into payload.turns
-    silver_label: str | None = None
-    entropy: float | None = None
-    verdict: str = "pending"
-    hidden_label: str | None = None  # planted true label of the final generated turn (mock only)
 
 
 @dataclass
@@ -224,30 +205,30 @@ def ordered_map(fn, items) -> list:
         pool.shutdown(cancel_futures=True)
 
 
-def _plan_jobs(gold, plan: AugmentPlan, num_return: int = 1) -> list[tuple]:
+def _plan_jobs(gold, plan: AugmentPlan) -> list[tuple]:
     """Budget scheduler: repeated full passes over gold with fresh seeds until
-    ceil(multiplier * |gold|) candidate slots are planned; the final partial
-    pass visits a seeded uniform shuffle of gold. Returns one (record,
-    candidate id prefix, seed, slots) job per visit, in output order. A
-    visit's slots are its beam indices range(min(num_return, BEAM_CAP))
-    in-context and the layouts of visit_steps otherwise; the last job keeps
-    only the first slots, as many as are left of the budget."""
+    ceil(multiplier * |gold|) candidate slots are planned. Every later pass,
+    and a first pass the budget ends early, visits a seeded uniform shuffle
+    of gold, so no record is favoured for its place in the file. Returns one
+    (record, candidate id prefix, seed, slots) job per visit, in output
+    order. A visit's slots are its beam indices range(BEAM_CAP) in-context
+    and the layouts of visit_steps otherwise; the last job keeps only the
+    first slots, as many as are left of the budget."""
     target = math.ceil(plan.multiplier * len(gold))
     jobs = []
     planned = 0
     pass_idx = 0
     while planned < target:
-        order = list(gold)
-        if pass_idx > 0 or target < len(gold):
-            random.Random(f"{plan.seed}|{pass_idx}").shuffle(order)
-        for rec in order:
+        visits = []
+        for rec in gold:
+            seed = stable_seed(f"{plan.seed}|{pass_idx}|{rec.id}")
+            visits.append((rec, seed, range(BEAM_CAP) if plan.strategy == "incontext"
+                           else visit_steps(rec, plan.strategy, seed)))
+        if pass_idx > 0 or target < sum(len(slots) for _, _, slots in visits):
+            random.Random(f"{plan.seed}|{pass_idx}").shuffle(visits)
+        for rec, seed, slots in visits:
             if planned >= target:
                 break
-            seed = stable_seed(f"{plan.seed}|{pass_idx}|{rec.id}")
-            if plan.strategy == "incontext":
-                slots = range(min(num_return, BEAM_CAP))
-            else:
-                slots = visit_steps(rec, plan.strategy, seed)
             slots = slots[: target - planned]
             jobs.append((rec, f"{rec.id}-s{plan.strategy}-p{pass_idx}", seed, slots))
             planned += len(slots)
@@ -304,47 +285,6 @@ def run_augmentation(gold, plan: AugmentPlan, backend, spec: PromptSpec,
                               plan, backend, spec, label_space, params, index)
                 for name, suffix, steps, rng_seed in slots]
 
-    jobs = _plan_jobs(gold, plan, params.num_return)
+    jobs = _plan_jobs(gold, plan)
     return [c for cands in ordered_map(run, jobs) for c in cands]
 
-
-def candidate_to_dict(cand: Candidate) -> dict:
-    """One candidates.jsonl line. A dialogue candidate's payload keeps only
-    the turns its instances read: from CONTEXT_WINDOW turns before its first
-    generated turn on. `generated_turns` index the stored turns;
-    `turn_offset`, written when nonzero, is the position of the first stored
-    turn in the source dialogue, whose earlier turns are the gold record's
-    own."""
-    payload, generated = cand.payload, cand.generated_turns
-    offset = max(0, generated[0] - CONTEXT_WINDOW) if generated else 0
-    if offset:
-        payload = replace(payload, turns=payload.turns[offset:])
-        generated = tuple(i - offset for i in generated)
-    d = {
-        "id": cand.id,
-        "strategy": cand.strategy,
-        "source_id": cand.source_id,
-        "prescribed_label": cand.prescribed_label,
-        "payload": to_dict(payload) if payload is not None else None,
-        "verdict": cand.verdict,
-    }
-    if generated:
-        d["generated_turns"] = list(generated)
-    if offset:
-        d["turn_offset"] = offset
-    if cand.silver_label is not None:
-        d["silver_label"] = cand.silver_label
-    if cand.entropy is not None:
-        d["entropy"] = cand.entropy
-    return d
-
-
-# One encoder for every line: json.dumps with keywords builds one per call.
-_CANDIDATE_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
-
-
-def write_candidates(candidates, path) -> None:
-    ordered = sorted(candidates, key=lambda c: c.id)
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("".join(_CANDIDATE_JSON.encode(candidate_to_dict(cand)) + "\n"
-                        for cand in ordered))

@@ -25,14 +25,16 @@ import sys
 from collections import Counter
 
 from . import baselines
-from .augment import LABEL_MODES, STRATEGIES, AugmentPlan, run_augmentation, write_candidates
+from .augment import LABEL_MODES, STRATEGIES, AugmentPlan, run_augmentation
 from .corpus import (
     Dataset,
+    instances_of,
     load_jsonl,
     load_label_space,
     majority_index,
     record_labels,
     sample_few_shot,
+    write_candidates,
     write_jsonl,
 )
 from .genbackend import BackendError, GenParams, HttpBackend, MockBackend, MockGenConfig
@@ -44,7 +46,6 @@ from .weaklabel import (
     HashedFeaturizer,
     TrainConfig,
     WeakLabeler,
-    instances_of,
     train,
 )
 

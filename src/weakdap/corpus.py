@@ -6,7 +6,11 @@ Two record shapes are supported:
     at least two turns, a silver one may be a single context-free turn
   - utterance: single labeled utterances with an intent label and a language tag
 
-Everything is immutable after load; loading and sampling are single-threaded.
+Generated data lives here too: a Candidate (a silver record, its generated
+turns and the filter's verdict), the classifier instances of records and
+candidates, and the candidates.jsonl line that keeps the turns they read.
+Records are immutable after load; the filter sets a candidate's verdict,
+silver label and entropy. Loading and sampling are single-threaded.
 """
 from __future__ import annotations
 
@@ -14,9 +18,12 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import MISSING, dataclass, field
+from dataclasses import MISSING, dataclass, field, replace
 
 SPEAKERS = ("A", "B")
+
+# Previous turns folded into a dialogue instance's text.
+CONTEXT_WINDOW = 1
 
 # the record shape each task labels: emotion and act are turn labels of
 # dialogues, intent a label of single utterances
@@ -149,6 +156,20 @@ class LabelSpace:
 
 
 @dataclass
+class Candidate:
+    id: str
+    payload: Conversation | LabeledUtterance | None
+    prescribed_label: str
+    strategy: str
+    source_id: str
+    generated_turns: tuple[int, ...] = ()  # 0-based indices into payload.turns
+    silver_label: str | None = None
+    entropy: float | None = None
+    verdict: str = "pending"
+    hidden_label: str | None = None  # planted true label of the final generated turn (mock only)
+
+
+@dataclass
 class Dataset:
     label_space: LabelSpace
     train: list = field(default_factory=list)
@@ -173,6 +194,40 @@ def record_labels(record, task: str) -> list[str]:
     if isinstance(record, Conversation):
         return [t.label(task) for t in record.turns if t.label(task) is not None]
     return [record.intent]
+
+
+def dialogue_instance_text(conv: Conversation, turn_idx: int) -> str:
+    """Instance text for one turn: up to CONTEXT_WINDOW previous turns, then
+    the target utterance. Context words are speaker-tagged token by token so
+    they occupy a separate feature namespace from the target's own words."""
+    parts = []
+    for j in range(max(0, turn_idx - CONTEXT_WINDOW), turn_idx):
+        t = conv.turns[j]
+        parts.extend(f"{t.speaker}:{w}" for w in t.text.split())
+    parts.append(conv.turns[turn_idx].text)
+    return " ".join(parts)
+
+
+def instances_of(records, label_space: LabelSpace):
+    """(texts, labels) of the classifier instances of gold records and
+    candidates: every labeled turn of a conversation, every generated turn of
+    a dialogue candidate in its generated context under its prescribed label,
+    and the text of an utterance or utterance candidate."""
+    texts, labels = [], []
+    for rec in records:
+        turns = None
+        if isinstance(rec, Candidate):
+            rec, turns = rec.payload, rec.generated_turns
+        if isinstance(rec, LabeledUtterance):
+            texts.append(rec.text)
+            labels.append(rec.intent)
+            continue
+        for i in (range(rec.n) if turns is None else turns):
+            label = rec.turns[i].label(label_space.task)
+            if label is not None:
+                texts.append(dialogue_instance_text(rec, i))
+                labels.append(label)
+    return texts, labels
 
 
 def to_dict(obj) -> dict:
@@ -237,6 +292,48 @@ def write_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         for rec in records:
             f.write(json.dumps(to_dict(rec), ensure_ascii=False) + "\n")
+
+
+def candidate_to_dict(cand: Candidate) -> dict:
+    """One candidates.jsonl line. A dialogue candidate's payload keeps only
+    the turns its instances read: from CONTEXT_WINDOW turns before its first
+    generated turn on. `generated_turns` index the stored turns;
+    `turn_offset`, written when nonzero, is the position of the first stored
+    turn in the source dialogue, whose earlier turns are the gold record's
+    own."""
+    payload, generated = cand.payload, cand.generated_turns
+    offset = max(0, generated[0] - CONTEXT_WINDOW) if generated else 0
+    if offset:
+        payload = replace(payload, turns=payload.turns[offset:])
+        generated = tuple(i - offset for i in generated)
+    d = {
+        "id": cand.id,
+        "strategy": cand.strategy,
+        "source_id": cand.source_id,
+        "prescribed_label": cand.prescribed_label,
+        "payload": to_dict(payload) if payload is not None else None,
+        "verdict": cand.verdict,
+    }
+    if generated:
+        d["generated_turns"] = list(generated)
+    if offset:
+        d["turn_offset"] = offset
+    if cand.silver_label is not None:
+        d["silver_label"] = cand.silver_label
+    if cand.entropy is not None:
+        d["entropy"] = cand.entropy
+    return d
+
+
+# One encoder for every line: json.dumps with keywords builds one per call.
+_CANDIDATE_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)
+
+
+def write_candidates(candidates, path) -> None:
+    ordered = sorted(candidates, key=lambda c: c.id)
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(_CANDIDATE_JSON.encode(candidate_to_dict(cand)) + "\n"
+                        for cand in ordered))
 
 
 def load_label_space(path) -> LabelSpace:

@@ -18,17 +18,12 @@ import os
 from dataclasses import asdict, dataclass, field, replace
 
 from . import metrics
+from .augment import AugmentPlan, run_augmentation
 # cross_lingual_augment is not called here: the benchmark tracer
 # (perfbench/spans.py) patches this module's name for it, so it stays until
 # that patch is dropped.
-from .augment import (
-    AugmentPlan,
-    Candidate,
-    cross_lingual_augment,  # noqa: F401
-    run_augmentation,
-    write_candidates,
-)
-from .corpus import Dataset, majority_index
+from .augment import cross_lingual_augment  # noqa: F401
+from .corpus import Dataset, instances_of, majority_index, write_candidates
 from .genbackend import GenParams
 from .prompt import PromptSpec
 from .weaklabel import (
@@ -37,7 +32,6 @@ from .weaklabel import (
     TrainConfig,
     WeakLabeler,
     filter_candidates,
-    instances_of,
     train,
 )
 
@@ -104,7 +98,7 @@ class LoopState:
 
 def evaluate_model(model: WeakLabeler, texts, gold, majority: int) -> metrics.MetricReport:
     """The metric report of `model`'s predictions on the instance `texts`
-    against their `gold` labels (`weaklabel.instances_of` of the evaluation
+    against their `gold` labels (`corpus.instances_of` of the evaluation
     records), over the model's label space."""
     pred = model.predict(texts)
     return metrics.report_from_predictions(gold, pred, model.label_space, majority)
@@ -147,7 +141,7 @@ def run_weakdap(dataset: Dataset, plan: AugmentPlan, filter_cfg: FilterConfig,
     state = LoopState()
     records = []
     best_model = None
-    best_silver: list[Candidate] = []
+    best_silver = []
     model = None
 
     for t in range(loop_cfg.max_iterations):

@@ -20,8 +20,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .augment import CONTEXT_WINDOW, Candidate
-from .corpus import Conversation, LabelSpace, LabeledUtterance, from_dict, to_dict
+from .corpus import CONTEXT_WINDOW, LabelSpace, from_dict, instances_of, to_dict
 
 
 class WeakLabelError(ValueError):
@@ -63,40 +62,6 @@ class FilterConfig:
     def __post_init__(self):
         if not (0 <= self.percentile <= 100):
             raise WeakLabelError("percentile must be in [0, 100]")
-
-
-def dialogue_instance_text(conv: Conversation, turn_idx: int) -> str:
-    """Instance text for one turn: up to CONTEXT_WINDOW previous turns, then
-    the target utterance. Context words are speaker-tagged token by token so
-    they occupy a separate feature namespace from the target's own words."""
-    parts = []
-    for j in range(max(0, turn_idx - CONTEXT_WINDOW), turn_idx):
-        t = conv.turns[j]
-        parts.extend(f"{t.speaker}:{w}" for w in t.text.split())
-    parts.append(conv.turns[turn_idx].text)
-    return " ".join(parts)
-
-
-def instances_of(records, label_space: LabelSpace):
-    """(texts, labels) of the classifier instances of gold records and
-    candidates: every labeled turn of a conversation, every generated turn of
-    a dialogue candidate in its generated context under its prescribed label,
-    and the text of an utterance or utterance candidate."""
-    texts, labels = [], []
-    for rec in records:
-        turns = None
-        if isinstance(rec, Candidate):
-            rec, turns = rec.payload, rec.generated_turns
-        if isinstance(rec, LabeledUtterance):
-            texts.append(rec.text)
-            labels.append(rec.intent)
-            continue
-        for i in (range(rec.n) if turns is None else turns):
-            label = rec.turns[i].label(label_space.task)
-            if label is not None:
-                texts.append(dialogue_instance_text(rec, i))
-                labels.append(label)
-    return texts, labels
 
 
 def _columns(grams) -> list[int]:

@@ -11,9 +11,9 @@ import pytest
 
 from weakdap.augment import AugmentPlan, run_augmentation
 from weakdap.baselines import PUNCTUATION, AedaConfig, EdaConfig, aeda_augment, eda_augment
-from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance
+from weakdap.corpus import Candidate, Dataset, LabelSpace, LabeledUtterance, instances_of
 from weakdap.genbackend import GenParams
-from weakdap.loop import LoopConfig, instances_of, run_weakdap
+from weakdap.loop import LoopConfig, run_weakdap
 from weakdap.metrics import accuracy, confusion_matrix, macro_f1, micro_f1_no_majority
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
@@ -91,8 +91,6 @@ def _oracle_filter(entries, percentile):
 
 
 def test_criterion_2_filter_oracle():
-    from weakdap.augment import Candidate
-
     start = time.perf_counter()
     failures = []
     space = LabelSpace(task="intent", labels=("a", "b", "c", "d"))

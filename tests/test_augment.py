@@ -8,12 +8,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from weakdap import augment, weaklabel
+from weakdap import augment, corpus
 from weakdap.augment import (
+    BEAM_CAP,
     AugmentPlan,
-    Candidate,
     _plan_jobs,
-    candidate_to_dict,
     cross_lingual_augment,
     draw_examples,
     normalize_text,
@@ -21,12 +20,19 @@ from weakdap.augment import (
     replace_turns,
     run_augmentation,
     visit_steps,
+)
+from weakdap.corpus import (
+    Candidate,
+    LabelSpace,
+    LabeledUtterance,
+    candidate_to_dict,
+    instances_of,
+    record_from_dict,
     write_candidates,
 )
-from weakdap.corpus import LabelSpace, LabeledUtterance, record_from_dict
 from weakdap.genbackend import Completion, GenParams, MockBackend, MockGenConfig
 from weakdap.prompt import PromptSpec
-from weakdap.weaklabel import FilterConfig, filter_candidates, instances_of
+from weakdap.weaklabel import FilterConfig, filter_candidates
 
 from conftest import TOY_LABELS, mock_backend, toy_conversation, toy_templates
 
@@ -53,10 +59,8 @@ def candidate_from_line(d: dict, gold=None) -> Candidate:
 
 
 def set_window(monkeypatch, window: int) -> None:
-    """Fold `window` previous turns into instances and candidate lines: both
-    bindings of CONTEXT_WINDOW."""
-    monkeypatch.setattr(augment, "CONTEXT_WINDOW", window)
-    monkeypatch.setattr(weaklabel, "CONTEXT_WINDOW", window)
+    """Fold `window` previous turns into instances and candidate lines."""
+    monkeypatch.setattr(corpus, "CONTEXT_WINDOW", window)
 
 
 def read_candidates(path, gold=None) -> list[Candidate]:
@@ -458,22 +462,22 @@ def utterances(prefix, lang, per_intent):
 
 
 class TestInContextBudget:
-    def _run(self, gold, multiplier, num_return, en_pool=None):
+    def _run(self, gold, multiplier, en_pool=None):
         plan = AugmentPlan(strategy="incontext", multiplier=multiplier, seed=5)
         backend = intent_backend()
-        params = GenParams(mode="beam", num_return=num_return)
-        cands = run_augmentation(gold, plan, backend, INTENT_SPEC, INTENT_SPACE, params,
+        cands = run_augmentation(gold, plan, backend, INTENT_SPEC, INTENT_SPACE, GenParams(),
                                  en_pool=en_pool)
         return plan, backend, cands
 
     def test_second_pass_has_fresh_prompts(self):
         refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
-        plan, backend, cands = self._run(refs, 2.0, 1, en_pool=pool)
-        jobs = _plan_jobs(refs, plan, 1)
-        assert sum(len(slots) for *_, slots in jobs) == 16
+        plan, backend, cands = self._run(refs, 2.0 * BEAM_CAP, en_pool=pool)
+        jobs = _plan_jobs(refs, plan)
+        assert [len(slots) for *_, slots in jobs] == [BEAM_CAP] * 16
         assert backend.calls == 16
-        assert len(cands) == 16
-        assert len({c.id for c in cands}) == 16
+        assert [params.num_return for params, _ in backend.requests] == [BEAM_CAP] * 16
+        assert len(cands) == 16 * BEAM_CAP - 1  # the seeded mock repeats one beam
+        assert len({c.id for c in cands}) == len(cands)
         pass_of = {seed: prefix.rsplit("-p", 1)[1] for _, prefix, seed, _ in jobs}
         prompts = {"0": set(), "1": set()}
         for params, text in backend.requests:
@@ -483,21 +487,36 @@ class TestInContextBudget:
 
     def test_three_beams_fill_three_slots_per_call(self):
         refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
-        _, backend, cands = self._run(refs, 3.0, 3, en_pool=pool)
+        _, backend, cands = self._run(refs, 3.0, en_pool=pool)
         assert backend.calls == len({text for _, text in backend.requests}) == len(refs)
         assert len(cands) <= 24
         assert {c.source_id for c in cands} == {r.id for r in refs}
 
     def test_last_job_requests_only_the_budget_left(self):
         refs, pool = utterances("r", "es", 4), utterances("e", "en", 12)
-        _, backend, cands = self._run(refs, 1.0, 3, en_pool=pool)
+        _, backend, cands = self._run(refs, 1.0, en_pool=pool)
         assert sorted(params.num_return for params, _ in backend.requests) == [2, 3, 3]
         assert len(cands) <= 8
 
+    def test_partial_first_pass_visits_a_seeded_shuffle(self):
+        # 8 references at multiplier 1 plan 3 visits of BEAM_CAP slots: which
+        # 3 depends on the seed, not on where the references sit in the file
+        refs = utterances("r", "es", 4)
+        visited = set()
+        for seed in range(10):
+            plan = AugmentPlan(strategy="incontext", multiplier=1.0, seed=seed)
+            order = list(refs)
+            random.Random(f"{seed}|0").shuffle(order)
+            jobs = _plan_jobs(refs, plan)
+            assert [rec for rec, *_ in jobs] == order[:3]
+            visited.update(rec.id for rec, *_ in jobs)
+        assert visited == {r.id for r in refs}
+
     def test_english_gold_are_examples_and_spanish_gold_references(self):
         spanish, english = utterances("r", "es", 4), utterances("e", "en", 4)
-        _, backend, cands = self._run(english[:4] + spanish + english[4:], 1.0, 1)
-        assert backend.calls == len(cands) == len(spanish)
+        _, backend, cands = self._run(english[:4] + spanish + english[4:], float(BEAM_CAP))
+        assert backend.calls == len(spanish)
+        assert len(cands) == BEAM_CAP * len(spanish) - 2  # two beams repeat earlier ones
         assert {c.source_id for c in cands} == {u.id for u in spanish}
 
         def texts(prompt, tag):
@@ -516,20 +535,19 @@ class TestInContextBudget:
     def test_unparsable_beams_are_dropped_parse_candidates(self):
         refs = utterances("r", "es", 2)
         backend = MockBackend(MockGenConfig(templates={intent: ["   "] for intent in INTENTS}))
-        for num_return, multiplier in ((1, 1.0), (3, 3.0)):
+        for multiplier in (1.0, 3.0):
             plan = AugmentPlan(strategy="incontext", multiplier=multiplier, seed=5)
             cands = run_augmentation(refs, plan, backend, INTENT_SPEC, INTENT_SPACE,
-                                     GenParams(num_return=num_return))
+                                     GenParams())
             assert [c.id for c in cands] == [f"{prefix}-b{j}"
-                                             for _, prefix, _, slots
-                                             in _plan_jobs(refs, plan, num_return)
+                                             for _, prefix, _, slots in _plan_jobs(refs, plan)
                                              for j in slots]
-            assert len(cands) == 4 * num_return
+            assert len(cands) == 4 * multiplier
             assert all(c.verdict == "dropped_parse" and c.payload is None for c in cands)
 
     def test_english_only_gold_has_no_references(self):
         with pytest.raises(ValueError, match="non-English"):
-            self._run(utterances("e", "en", 4), 1.0, 1)
+            self._run(utterances("e", "en", 4), 1.0)
 
     def test_beams_repeating_gold_are_dropped(self):
         gold = [LabeledUtterance(id=f"r{i}", text=f"Pon  una ALARMA {i}",

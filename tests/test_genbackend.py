@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from weakdap import augment, genbackend
-from weakdap.augment import AugmentPlan, candidate_to_dict, run_augmentation
-from weakdap.corpus import LabelSpace
+from weakdap.augment import AugmentPlan, run_augmentation
+from weakdap.corpus import LabelSpace, candidate_to_dict
 from weakdap.genbackend import (
     BackendError,
     Completion,

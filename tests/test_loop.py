@@ -6,9 +6,9 @@ from dataclasses import asdict
 
 import pytest
 
-from weakdap import augment, weaklabel
+from weakdap import augment, corpus
 from weakdap.augment import AugmentPlan
-from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance, majority_index
+from weakdap.corpus import Dataset, LabelSpace, LabeledUtterance, instances_of, majority_index
 from weakdap.genbackend import GenParams
 from weakdap.loop import LoopConfig, LoopError, LoopState, evaluate_model, run_weakdap
 from weakdap.prompt import PromptSpec
@@ -17,7 +17,6 @@ from weakdap.weaklabel import (
     HashedFeaturizer,
     TrainConfig,
     WeakLabeler,
-    instances_of,
 )
 
 from conftest import TOY_LABELS, mock_backend, run_scripted, toy_conversation, toy_sentence
@@ -267,7 +266,7 @@ def _small_run(strategy, out_dir, iterations=2, regen="fresh"):
         params = GenParams(mode="beam", num_return=3)
     else:
         dataset = _dialogues()
-        # ATA at 1.7: 17 candidates, so the 6th conversation keeps 2 of its 3
+        # ATA at 1.7: 17 candidates, so the 6th conversation visited keeps 2 of its 3
         plan = AugmentPlan(strategy=strategy, multiplier=1.7, seed=4)
         spec = PromptSpec(task="emotion")
     run_weakdap(dataset, plan, FilterConfig(),
@@ -340,13 +339,13 @@ class TestGoldInstancesOnce:
         only the kept candidates' turns (for training) and the filtered ones
         (for scoring) are built in every iteration."""
         built = []
-        build = weaklabel.dialogue_instance_text
+        build = corpus.dialogue_instance_text
 
         def counting(conv, turn_idx):
             built.append((conv.id, turn_idx))
             return build(conv, turn_idx)
 
-        monkeypatch.setattr(weaklabel, "dialogue_instance_text", counting)
+        monkeypatch.setattr(corpus, "dialogue_instance_text", counting)
         _small_run("lta", tmp_path, iterations=3)
         iterations = load_run(tmp_path)["iterations"]
         assert len(iterations) == 3
@@ -366,14 +365,18 @@ class TestGoldenRunDirectories:
     digests and says why."""
 
     @pytest.mark.parametrize("strategy,regen,digest", [
-        # all five computed when the checkpoint became version 5: only the
-        # model file changed, from model.json to model.ckpt, a JSON header line
-        # and raw columns and weights; it loads to the columns, block and bias
-        # of version 4, and every candidates file and run.json is byte-identical
+        # lta, cta and random computed when the checkpoint became version 5:
+        # only the model file changed, from model.json to model.ckpt, a JSON
+        # header line and raw columns and weights; it loads to the columns,
+        # block and bias of version 4, and every candidates file and run.json
+        # is byte-identical. ata and incontext recomputed when a first pass the
+        # budget ends early began to visit a seeded shuffle of gold instead of
+        # its first records in file order: their first candidates come from other
+        # sources (ata tr0 tr3..tr7 for tr0..tr5; incontext adds tr8, drops tr2)
         ("lta", "fresh", "640164177f98d96530ac952829010d8a3ffcc9702bf03482caec2c49dd54fe18"),
         ("cta", "fresh", "0819116c375c7b9c9b65aba26cbd1a55b421c4a0c856f2862f58990a01ff2feb"),
-        ("ata", "fresh", "3123449f2d5e5eaa7718dcced6beee87a8de2a43845dd320ed48cc940373b29c"),
-        ("incontext", "refilter", "b3eabcf11ecc400a69dfc703b8cd4dc161094f30ebbc69083a899b5fa45d965b"),
+        ("ata", "fresh", "2e98582f21442da0ee2b18cef5fd954c587349f195863c9ff971f6f8e401d2ef"),
+        ("incontext", "refilter", "33c513164ba2b2d3171e83bccbc2364720126369d4a5a5f0181e0693cc88c662"),
         ("random", "fresh", "c3b4cc922534466a61884bf67437a6bfa752a8020be8d19f867cbce617f6fb0d"),
     ], ids=["lta-fresh", "cta-fresh", "ata-fresh", "incontext-refilter", "random-fresh"])
     def test_run_directory_digest(self, strategy, regen, digest, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 from scipy import sparse
 
 from weakdap import weaklabel
-from weakdap.augment import AugmentPlan, Candidate, run_augmentation
-from weakdap.corpus import LabelSpace, LabeledUtterance
+from weakdap.augment import AugmentPlan, run_augmentation
+from weakdap.corpus import Candidate, LabelSpace, LabeledUtterance
 from weakdap.genbackend import GenParams
 from weakdap.prompt import PromptSpec
 from weakdap.weaklabel import (
